@@ -13,8 +13,8 @@ reports any number.
 
 Two more rows ride along: the **warm-fork** sweep (one warm-up,
 snapshot, five policy forks — vs the seed per-cell re-warm loop) and
-the **sweep runner** (fixed pool and adaptive ``workers=None``, which
-must never lose to serial).  All three record into
+the **sweep runner** (a fixed pool, and default sizing ``workers=None``,
+which must never lose to serial).  All three record into
 ``BENCH_kernel.json``; ``REPRO_BENCH_SCALE`` shrinks the workloads for
 CI smoke.
 
@@ -887,23 +887,24 @@ SWEEP_WORKERS = 4
 
 
 def measure_sweep():
-    """Serial vs 4-worker vs adaptive wall clock for 8 uncached jobs.
+    """Serial vs 4-worker vs default-sized wall clock for 8 uncached
+    jobs.
 
     The fixed-pool speedup only materializes with free cores; the
     recorded ``cpu_count`` lets trajectory tracking interpret the
-    number.  The adaptive row (``workers=None``) is the no-regression
-    guarantee: on a starved host the probe keeps the sweep in-process,
-    so it must track serial within timer noise everywhere.
+    number.  The default row (``workers=None``: one worker per CPU,
+    in-process on a 1-CPU host) is the no-regression guarantee, so it
+    must track serial within timer noise everywhere.
     """
     serial = run_sweep(SWEEP_JOBS, workers=1, cache=False)
     parallel = run_sweep(SWEEP_JOBS, workers=SWEEP_WORKERS, cache=False)
-    adaptive = run_sweep(SWEEP_JOBS, cache=False)
+    default = run_sweep(SWEEP_JOBS, cache=False)
     identical = all(
         dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
         == dataclasses.asdict(c.stats)
         for a, b, c in zip(serial.results, parallel.results,
-                           adaptive.results))
-    ratio = serial.elapsed / adaptive.elapsed
+                           default.results))
+    ratio = serial.elapsed / default.elapsed
     return {
         "jobs": len(SWEEP_JOBS),
         "workers": SWEEP_WORKERS,
@@ -912,12 +913,12 @@ def measure_sweep():
         "serial_seconds": round(serial.elapsed, 4),
         "parallel_seconds": round(parallel.elapsed, 4),
         "parallel_speedup": round(serial.elapsed / parallel.elapsed, 3),
-        # workers=None: the probe decides, and the decision must never
-        # lose to serial (beyond timer noise) on any host.
-        "adaptive_mode": adaptive.mode,
-        "adaptive_workers": adaptive.workers,
-        "adaptive_seconds": round(adaptive.elapsed, 4),
-        "adaptive_vs_serial": round(ratio, 3),
+        # workers=None must never lose to serial (beyond timer noise)
+        # on any host.
+        "default_mode": default.mode,
+        "default_workers": default.workers,
+        "default_seconds": round(default.elapsed, 4),
+        "default_vs_serial": round(ratio, 3),
         "not_slower": ratio >= 0.95,
     }
 
@@ -971,15 +972,16 @@ def main():
     if not sweep["identical_stats"]:
         raise SystemExit("parallel sweep changed simulation results")
     if not sweep["not_slower"]:
-        raise SystemExit("adaptive sweep lost to serial")
+        raise SystemExit("default-sized sweep lost to serial")
     print(f"kernel speedup: {kernel['speedup']}x "
           f"({kernel['seed_events_per_sec']} -> "
           f"{kernel['optimized_events_per_sec']} events/sec); "
           f"warm-fork sweep: {warm_fork['speedup']}x over 5 policies; "
           f"sweep: {sweep['parallel_speedup']}x with "
           f"{sweep['workers']} workers on {sweep['cpu_count']} CPU(s), "
-          f"adaptive {sweep['adaptive_mode']} "
-          f"{sweep['adaptive_vs_serial']}x vs serial")
+          f"default ({sweep['default_mode']}, "
+          f"{sweep['default_workers']} worker(s)) "
+          f"{sweep['default_vs_serial']}x vs serial")
 
 
 if __name__ == "__main__":

@@ -482,111 +482,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_fleet_coordinator(args) -> int:
-    import asyncio
-
-    from repro.fleet import CoordinatorApi, FleetService
-
-    note = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
-        if args.verbose else None
-    service = FleetService(
-        replicas=args.replicas,
-        heartbeat_timeout=args.heartbeat_timeout,
-        queue_limit=args.queue_limit,
-        quota_rate=args.quota_rate, quota_burst=args.quota_burst,
-        node_timeout=args.node_timeout, poll_wait=args.poll_wait,
-        cache_dir=args.cache_dir,
-        persistent=args.cache_dir is not None,
-        on_note=note)
-    api = CoordinatorApi(service, host=args.host, port=args.port)
-
-    def ready(port: int) -> None:
-        # Machine-parseable, like the serve line: tests and the CI
-        # smoke read the bound port from it (--port 0 = pick one).
-        print(f"repro-fleet coordinator listening on "
-              f"http://{args.host}:{port}", flush=True)
-
-    asyncio.run(api.run(ready=ready, drain_timeout=args.drain_timeout))
-    print("repro-fleet coordinator drained and stopped", flush=True)
-    return 0
-
-
-def cmd_fleet_worker(args) -> int:
-    import asyncio
-    import os
-
-    from repro.fleet import FleetWorker
-    from repro.serve import ServeService
-
-    note = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
-        if args.verbose else None
-    node_id = args.node_id or f"node-{os.getpid()}"
-    service = ServeService(
-        shards=args.shards, shard_workers=args.shard_workers,
-        queue_limit=args.queue_limit, timeout=args.timeout,
-        retries=args.retries, backoff=args.backoff,
-        stuck_after=args.stuck_after, cache=not args.no_cache,
-        cache_dir=args.cache_dir, cache_max_bytes=args.cache_max_bytes,
-        on_note=note)
-    worker = FleetWorker(service, args.coordinator, node_id=node_id,
-                         host=args.host, port=args.port,
-                         interval=args.heartbeat_interval)
-
-    def ready(port: int) -> None:
-        print(f"repro-fleet worker {node_id} listening on "
-              f"http://{args.host}:{port}", flush=True)
-
-    asyncio.run(worker.run(ready=ready,
-                           drain_timeout=args.drain_timeout))
-    print(f"repro-fleet worker {node_id} drained and stopped",
-          flush=True)
-    return 0
-
-
-def cmd_fleet_status(args) -> int:
-    import json
-
-    from repro.serve import ServeClient, ServeError
-
-    client = ServeClient(args.url, timeout=args.http_timeout,
-                         retries=args.retries)
-    try:
-        status, doc = client.get("/v1/fleet/status")
-    except ServeError as exc:
-        raise SystemExit(str(exc))
-    if status != 200:
-        raise SystemExit(f"{args.url}/v1/fleet/status answered "
-                         f"{status}: {doc}")
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        nodes = doc.get("nodes", {})
-        live = sum(bool(n.get("alive")) for n in nodes.values())
-        print(f"fleet: {live}/{len(nodes)} node(s) live, "
-              f"replicas={doc.get('replicas')}")
-        for node_id, n in sorted(nodes.items()):
-            state = "LIVE" if n.get("alive") else "DEAD"
-            print(f"  {node_id:<20} {state:<4} {n.get('state', '?'):<9} "
-                  f"inflight={n.get('inflight', 0)} "
-                  f"requeues={n.get('requeues', 0)} "
-                  f"completed={n.get('completed', 0)} "
-                  f"hb_age={n.get('heartbeat_age_s', '?')}s "
-                  f"{n.get('url', '')}")
-        jobs = doc.get("jobs", {})
-        print(f"jobs: {jobs.get('submitted', 0)} submitted, "
-              f"{jobs.get('executed', 0)} executed, "
-              f"{jobs.get('cache_hit', 0)} cache hits, "
-              f"{jobs.get('requeues', 0)} requeues, "
-              f"{jobs.get('inflight', 0)} in flight")
-        rep = doc.get("replication", {})
-        print(f"replication: {rep.get('puts', 0)} puts "
-              f"({rep.get('put_failures', 0)} failed), "
-              f"{rep.get('read_repairs', 0)} read repairs, "
-              f"{rep.get('anti_entropy_pushes', 0)} anti-entropy pushes")
-    nodes = doc.get("nodes", {})
-    return 0 if any(n.get("alive") for n in nodes.values()) else 1
-
-
 def _parse_submit_token(token: str, args) -> Dict:
     """``bench:NAME[:POLICY]`` / ``litmus:NAME[:MODEL+MODEL...]`` /
     ``leak:GADGET[:POLICY+POLICY...]`` / ``synth:SPACE[:CHUNK/CHUNKS]``
@@ -661,8 +556,7 @@ def cmd_submit(args) -> int:
         raise SystemExit("nothing to submit (give specs or --file)")
 
     client = ServeClient(args.url, timeout=args.http_timeout,
-                         retries=args.http_retries,
-                         client_id=args.client_id)
+                         retries=args.http_retries)
     try:
         batch = client.submit_batch(jobs)
     except ServeError as exc:
@@ -1257,10 +1151,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", "--length", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-j", "--jobs", type=int, default=None,
-                   help="worker processes (default: adaptive — a timed "
-                        "probe of the first cell decides serial vs a "
-                        "pool of up to $REPRO_WORKERS/CPU-count "
-                        "workers)")
+                   help="worker processes (default: $REPRO_WORKERS "
+                        "or the CPU count, capped at the number of "
+                        "uncached cells; 1 runs in-process)")
     p.add_argument("--checkpoint-every", type=int, default=None,
                    metavar="N",
                    help="checkpoint each cell every ~N cycles; failed "
@@ -1365,93 +1258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
-        "fleet",
-        help="multi-node serve fleet: coordinator, worker nodes, "
-             "heartbeat failover, replicated results "
-             "(docs/SERVICE.md)")
-    fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
-
-    fp = fleet_sub.add_parser(
-        "coordinator",
-        help="route jobs across registered workers with failover "
-             "and K-way result replication")
-    fp.add_argument("--host", default="127.0.0.1")
-    fp.add_argument("--port", type=int, default=8378,
-                    help="TCP port (0 = pick a free one; the bound "
-                         "port is printed on stdout)")
-    fp.add_argument("--replicas", type=int, default=2,
-                    help="ring owners each result is written to")
-    fp.add_argument("--heartbeat-timeout", type=float, default=3.0,
-                    metavar="SEC",
-                    help="declare a node dead after this long without "
-                         "a heartbeat")
-    fp.add_argument("--queue-limit", type=int, default=256,
-                    help="fleet-wide in-flight job bound before 429s")
-    fp.add_argument("--quota-rate", type=float, default=0.0,
-                    help="per-client submissions/sec (0 = no quotas)")
-    fp.add_argument("--quota-burst", type=int, default=0,
-                    help="per-client burst bucket size")
-    fp.add_argument("--node-timeout", type=float, default=30.0,
-                    help="per-RPC timeout talking to workers")
-    fp.add_argument("--poll-wait", type=float, default=5.0,
-                    help="node-side long-poll seconds per round trip")
-    fp.add_argument("--cache-dir", default=None,
-                    help="persist the coordinator's result tier here "
-                         "(default: memory only; replicas live on "
-                         "the nodes)")
-    fp.add_argument("--drain-timeout", type=float, default=None,
-                    metavar="SEC")
-    fp.add_argument("-v", "--verbose", action="store_true",
-                    help="operational notes on stderr")
-    fp.set_defaults(func=cmd_fleet_coordinator)
-
-    fp = fleet_sub.add_parser(
-        "worker",
-        help="one serve node that registers with a coordinator and "
-             "heartbeats its health")
-    fp.add_argument("--coordinator", default="http://127.0.0.1:8378",
-                    help="coordinator base URL")
-    fp.add_argument("--node-id", default=None,
-                    help="stable node identity (default: node-<pid>)")
-    fp.add_argument("--host", default="127.0.0.1")
-    fp.add_argument("--port", type=int, default=0,
-                    help="TCP port (default 0 = pick a free one)")
-    fp.add_argument("--heartbeat-interval", type=float, default=1.0,
-                    metavar="SEC")
-    fp.add_argument("--shards", type=int, default=2)
-    fp.add_argument("--shard-workers", type=int, default=1)
-    fp.add_argument("--queue-limit", type=int, default=64)
-    fp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                    help="per-job wall-clock budget (SIGALRM)")
-    fp.add_argument("--retries", type=int, default=1)
-    fp.add_argument("--backoff", type=float, default=0.5)
-    fp.add_argument("--stuck-after", type=float, default=None,
-                    metavar="SEC")
-    fp.add_argument("--no-cache", action="store_true")
-    fp.add_argument("--cache-dir", default=None,
-                    help="this node's result store directory — give "
-                         "each node its own so replication, not a "
-                         "shared filesystem, carries results")
-    fp.add_argument("--cache-max-bytes", type=int, default=None)
-    fp.add_argument("--drain-timeout", type=float, default=None,
-                    metavar="SEC")
-    fp.add_argument("-v", "--verbose", action="store_true",
-                    help="operational notes on stderr")
-    fp.set_defaults(func=cmd_fleet_worker)
-
-    fp = fleet_sub.add_parser(
-        "status",
-        help="node liveness, in-flight jobs, and replication "
-             "counters from a running coordinator")
-    fp.add_argument("--url", default="http://127.0.0.1:8378")
-    fp.add_argument("--json", action="store_true",
-                    help="print the raw status document")
-    fp.add_argument("--http-timeout", type=float, default=30.0)
-    fp.add_argument("--retries", dest="retries", type=int, default=2,
-                    help="client retries on 429/503/connection reset")
-    fp.set_defaults(func=cmd_fleet_status)
-
-    p = sub.add_parser(
         "submit",
         help="submit jobs to a running 'repro serve' over HTTP")
     p.add_argument("specs", nargs="*", metavar="SPEC",
@@ -1481,8 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--http-retries", type=int, default=2,
                    help="client retries on 429/503 (honouring "
                         "Retry-After) and reset GET polls")
-    p.add_argument("--client-id", default=None,
-                   help="X-Client-Id for per-client fleet quotas")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(

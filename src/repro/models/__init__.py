@@ -6,7 +6,7 @@ by both axiomatic engines), an operational machine factory, and a
 declared conformance-lattice position that
 :mod:`repro.models.lattice` machine-checks over the litmus battery.
 
-``lint``, ``synth``, ``repro explain`` and the serve/fleet job kinds
+``lint``, ``synth``, ``repro explain`` and the serve job kinds
 all resolve models by name from here.
 """
 

@@ -23,7 +23,7 @@ from repro.obs.samplers import LogHistogram
 Number = Union[int, float]
 #: What a gauge callable may return: any JSON-safe value.  Scalars for
 #: classic gauges (queue depth, uptime); small dicts/lists for
-#: structured ones (the fleet's per-node liveness map).
+#: structured ones.
 JsonValue = Union[int, float, str, bool, None, Dict, list]
 
 
@@ -64,11 +64,6 @@ class MetricsRegistry:
     def gauge(self, name: str, fn: Callable[[], JsonValue]) -> None:
         """Register (or replace) a gauge sampled at snapshot time."""
         self._gauges[name] = fn
-
-    def remove_gauge(self, name: str) -> None:
-        """Drop a gauge (e.g. one bound to a fleet node that left);
-        unknown names are a no-op."""
-        self._gauges.pop(name, None)
 
     # -- histograms ----------------------------------------------------
 

@@ -15,12 +15,6 @@ Three layers (see ``docs/RESILIENCE.md``):
   battery through the pipeline under injected faults and diffs observed
   outcomes against the axiomatic models: faults may change *timing*,
   never *allowed outcomes*.
-* :mod:`repro.resilience.fleet` — the distributed analogue:
-  :func:`run_fleet_chaos` drives a real multi-process serve fleet under
-  node kills, dropped heartbeats, and partitions
-  (:class:`FleetFaultPlan`), asserting every result byte-identical to
-  direct execution — faults may move *where a job runs*, never *what it
-  returns*.
 """
 
 from repro.resilience.faults import DEFAULT_CHAOS, FaultPlan, FaultSpec
@@ -28,15 +22,10 @@ from repro.resilience.invariants import (DeadlockError, InvariantViolation,
                                          Watchdog, check_system,
                                          system_diagnostic)
 from repro.resilience.chaos import ChaosReport, run_chaos
-from repro.resilience.fleet import (DEFAULT_FLEET_CHAOS,
-                                    FleetChaosReport, FleetFaultPlan,
-                                    FleetFaultSpec, run_fleet_chaos)
 
 __all__ = [
     "DEFAULT_CHAOS", "FaultPlan", "FaultSpec",
     "DeadlockError", "InvariantViolation", "Watchdog", "check_system",
     "system_diagnostic",
     "ChaosReport", "run_chaos",
-    "DEFAULT_FLEET_CHAOS", "FleetChaosReport", "FleetFaultPlan",
-    "FleetFaultSpec", "run_fleet_chaos",
 ]

@@ -23,7 +23,7 @@ byte-identical to a direct :func:`~repro.sweep.runner.run_sweep` of the
 same cell.  See ``docs/SERVICE.md``.
 """
 
-from repro.serve.api import HttpApi, HttpServerBase, ServeService
+from repro.serve.api import HttpApi, ServeService
 from repro.serve.client import DEFAULT_URL, ServeClient, ServeError
 from repro.serve.jobs import (JOB_KINDS, Job, JobValidationError,
                               LeakSpec, LitmusSpec, execute_request,
@@ -34,7 +34,6 @@ from repro.serve.workers import ShardedWorkerPool, StuckShardError
 __all__ = [
     "DEFAULT_URL",
     "HttpApi",
-    "HttpServerBase",
     "JOB_KINDS",
     "Job",
     "JobValidationError",

@@ -6,13 +6,10 @@
 (:mod:`repro.serve.workers`) — and owns the metrics registry and the
 graceful-drain state machine.
 
-:class:`HttpServerBase` is a deliberately small HTTP/1.1 server written
+:class:`HttpApi` is a deliberately small HTTP/1.1 server written
 directly on ``asyncio.start_server`` (no ``http.server``, no
 frameworks): parse a request line + headers + Content-Length body,
-route, write a JSON response, honour keep-alive.  :class:`HttpApi`
-subclasses it with the service's routes; the fleet coordinator
-(:mod:`repro.fleet.coordinator`) subclasses it with its own.  Endpoints
-of the worker/service surface:
+route, write a JSON response, honour keep-alive.  Endpoints:
 
 =============================  ========================================
 ``POST /v1/jobs``              submit one job object or a batch
@@ -23,15 +20,11 @@ of the worker/service surface:
 ``GET /v1/metrics``            the full metrics snapshot: queue depth,
                                per-shard occupancy, cache hit rate,
                                jobs/sec, latency histograms
-``GET /v1/store``              manifest of stored result keys
-``GET /v1/store/<key>``        one stored result payload (404 on miss)
-``PUT /v1/store/<key>``        store a replicated result payload
 =============================  ========================================
 
-The ``/v1/store`` tier is the fleet's replication substrate: the
-coordinator write-throughs finished results to their ring owners,
-read-repairs misses, and anti-entropy-syncs a rejoining node through
-exactly these three endpoints.
+The result store has no route of its own: a stored payload is always
+one this service (or a ``repro sweep`` sharing its cache directory)
+computed for the content key it is filed under.
 
 Rejections carry a ``Retry-After`` header (derived from the structured
 ``retry_after_s`` the payloads already contain) so well-behaved clients
@@ -207,9 +200,9 @@ class ServeService:
         """Liveness *and* health: ``state`` is ``"ok"`` or
         ``"degraded"`` with the reasons spelled out — drain in
         progress, a recent stuck-shard watchdog recycle, a recent
-        broken-pool replacement — so a fleet coordinator's liveness
-        checks can tell a sick node from a dead one.  ``ok`` stays
-        ``True`` whenever the process can answer at all."""
+        broken-pool replacement — so a health check can tell a sick
+        service from a dead one.  ``ok`` stays ``True`` whenever the
+        process can answer at all."""
         reasons: List[str] = []
         if self.draining:
             reasons.append("drain-in-progress")
@@ -267,37 +260,19 @@ class _BadRequest(Exception):
     """Protocol-level garbage; maps to a 400 and closes the stream."""
 
 
-class HttpServerBase:
-    """Minimal asyncio HTTP/1.1 JSON server: wire parsing, response
-    formatting, keep-alive, signal-driven graceful shutdown.
+class HttpApi:
+    """Minimal asyncio HTTP/1.1 JSON server over a :class:`ServeService`:
+    wire parsing, response formatting, keep-alive, the routes, and
+    signal-driven graceful shutdown."""
 
-    Subclasses provide the application:  set ``self.metrics`` (a
-    :class:`MetricsRegistry` — used for ``http_requests`` /
-    ``http_errors`` accounting), implement :meth:`_route`, and override
-    the :meth:`_on_start` / :meth:`_drain` lifecycle hooks.  Both the
-    serve node (:class:`HttpApi`) and the fleet coordinator are this
-    class with different routes.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 8377) -> None:
+    def __init__(self, service: ServeService,
+                 host: str = "127.0.0.1", port: int = 8377) -> None:
+        self.service = service
+        self.metrics = service.metrics
         self.host = host
         self.port = port              # updated to the bound port
-        self.metrics = MetricsRegistry()
         self.server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
-
-    # -- subclass surface ----------------------------------------------
-
-    async def _route(self, method: str, target: str, headers: Dict,
-                     body: bytes) -> Tuple[int, Dict]:
-        raise NotImplementedError
-
-    def _on_start(self) -> None:
-        """Attach loop-bound machinery (called from inside the loop)."""
-
-    async def _drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful-shutdown hook; return True when fully drained."""
-        return True
 
     # -- wire helpers --------------------------------------------------
 
@@ -399,8 +374,8 @@ class HttpServerBase:
                 method, target, headers, body = request
                 keep_alive = headers.get(
                     "connection", "keep-alive").lower() != "close"
-                status, payload = await self._dispatch(
-                    method, target, headers, body)
+                status, payload = await self._dispatch(method, target,
+                                                       body)
                 writer.write(self._response(status, payload, keep_alive))
                 await writer.drain()
                 if not keep_alive:
@@ -414,11 +389,11 @@ class HttpServerBase:
             except (ConnectionError, OSError):
                 pass
 
-    async def _dispatch(self, method: str, target: str, headers: Dict,
+    async def _dispatch(self, method: str, target: str,
                         body: bytes) -> Tuple[int, Dict]:
         self.metrics.inc("http_requests")
         try:
-            return await self._route(method, target, headers, body)
+            return await self._route(method, target, body)
         except Exception as exc:  # a handler bug must not kill the loop
             self.metrics.inc("http_errors")
             return 500, {"error": "internal", "status": 500,
@@ -427,7 +402,7 @@ class HttpServerBase:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        self._on_start()
+        self.service.start()
         self.server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self.server.sockets[0].getsockname()[1]
@@ -461,7 +436,7 @@ class HttpServerBase:
             await self._shutdown.wait()
             # Close the listening socket *after* flipping draining so
             # in-flight connections still get their 503s / results.
-            await self._drain(drain_timeout)
+            await self.service.drain(drain_timeout)
             self.server.close()
             await self.server.wait_closed()
         finally:
@@ -470,36 +445,14 @@ class HttpServerBase:
 
     async def stop(self, drain_timeout: Optional[float] = None) -> None:
         """Programmatic shutdown for in-process embedding (tests)."""
-        await self._drain(drain_timeout)
+        await self.service.drain(drain_timeout)
         if self.server is not None:
             self.server.close()
             await self.server.wait_closed()
 
-
-def _is_result_key(key: str) -> bool:
-    """A store key must look like the content hashes we mint (64 hex
-    chars) — anything else 400s before it can name a cache file."""
-    return len(key) == 64 and all(c in "0123456789abcdef" for c in key)
-
-
-class HttpApi(HttpServerBase):
-    """The serve-node HTTP surface over a :class:`ServeService`."""
-
-    def __init__(self, service: ServeService,
-                 host: str = "127.0.0.1", port: int = 8377) -> None:
-        super().__init__(host=host, port=port)
-        self.service = service
-        self.metrics = service.metrics
-
-    def _on_start(self) -> None:
-        self.service.start()
-
-    async def _drain(self, timeout: Optional[float] = None) -> bool:
-        return await self.service.drain(timeout)
-
     # -- routes --------------------------------------------------------
 
-    async def _route(self, method: str, target: str, headers: Dict,
+    async def _route(self, method: str, target: str,
                      body: bytes) -> Tuple[int, Dict]:
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
@@ -514,14 +467,6 @@ class HttpApi(HttpServerBase):
                 return 405, {"error": "method-not-allowed",
                              "status": 405, "allow": ["GET"]}
             return await self._get_job(path[len("/v1/jobs/"):], query)
-        if path == "/v1/store":
-            if method != "GET":
-                return 405, {"error": "method-not-allowed",
-                             "status": 405, "allow": ["GET"]}
-            return 200, {"keys": self.service.store.keys()}
-        if path.startswith("/v1/store/"):
-            return self._store_entry(method, path[len("/v1/store/"):],
-                                     body)
         if path == "/v1/healthz":
             return 200, self.service.healthz()
         if path == "/v1/metrics":
@@ -590,32 +535,3 @@ class HttpApi(HttpServerBase):
             if prog is not None:
                 out["progress"] = prog
         return 200, out
-
-    def _store_entry(self, method: str, key: str,
-                     body: bytes) -> Tuple[int, Dict]:
-        """The replication substrate: read or write one stored result."""
-        if not _is_result_key(key):
-            return 400, {"error": "bad-key", "status": 400,
-                         "message": "store keys are 64 lowercase hex "
-                                    "characters"}
-        if method == "GET":
-            payload = self.service.store.peek(key)
-            if payload is None:
-                return 404, {"error": "unknown-key", "status": 404,
-                             "key": key}
-            return 200, {"key": key, "result": payload}
-        if method == "PUT":
-            try:
-                payload = json.loads(body.decode() or "null")
-            except (ValueError, UnicodeDecodeError) as exc:
-                return 400, {"error": "bad-json", "status": 400,
-                             "message": str(exc)}
-            if not isinstance(payload, dict):
-                return 400, {"error": "bad-payload", "status": 400,
-                             "message": "store payloads are result "
-                                        "objects"}
-            self.service.store.put(key, payload)
-            self.service.metrics.inc("store_replica_puts")
-            return 200, {"stored": True, "key": key}
-        return 405, {"error": "method-not-allowed", "status": 405,
-                     "allow": ["GET", "PUT"]}

@@ -10,10 +10,10 @@ body the service went to the trouble of writing.
 With ``retries`` > 0 the client absorbs transient pressure on its own:
 a 429/503 is retried after the server's ``Retry-After`` header (falling
 back to exponential backoff with jitter), and *idempotent* requests —
-the GET polls — are also retried on connection resets, which a fleet
-node being killed mid-poll produces.  Retries default to **0** so
-callers that assert on the first response (the admission tests, for
-one) see exactly what the server said; the CLI and the fleet opt in.
+the GET polls — are also retried on connection resets, which a server
+restarting mid-poll produces.  Retries default to **0** so callers
+that assert on the first response (the admission tests, for one) see
+exactly what the server said; the CLI opts in.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ class ServeClient:
     def __init__(self, url: str = DEFAULT_URL,
                  timeout: float = 30.0,
                  retries: int = 0,
-                 backoff: float = 0.25,
-                 client_id: Optional[str] = None) -> None:
+                 backoff: float = 0.25) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.client_id = client_id
 
     # -- transport -----------------------------------------------------
 
@@ -59,11 +57,9 @@ class ServeClient:
         """One attempt: ``(status, payload, Retry-After header)``.
         Raises the underlying transport error unconverted."""
         data = None if body is None else json.dumps(body).encode()
-        headers = {"Content-Type": "application/json"}
-        if self.client_id is not None:
-            headers["X-Client-Id"] = self.client_id
         req = urllib.request.Request(
-            self.url + path, data=data, method=method, headers=headers)
+            self.url + path, data=data, method=method,
+            headers={"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 return (resp.status, json.loads(resp.read().decode()),
@@ -119,7 +115,7 @@ class ServeClient:
     # -- endpoints -----------------------------------------------------
 
     def get(self, path: str) -> Tuple[int, Dict]:
-        """GET an arbitrary API path (e.g. ``/v1/fleet/status``)."""
+        """GET an arbitrary API path (e.g. ``/v1/jobs/<id>``)."""
         return self._request("GET", path)
 
     def healthz(self) -> Dict:

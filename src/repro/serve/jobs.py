@@ -16,8 +16,8 @@ exist:
   per-policy leakage report (``SystemStats.leakage``).
 * ``synth`` — search one chunk of a bounded litmus-program space for
   model-pair distinguishers (:mod:`repro.synth`); pure CPU, no
-  simulation, and chunks of the same space are independent — the shape
-  the fleet scatters for service-scale synthesis.
+  simulation, and chunks of the same space are independent, so
+  ``repro synth --url`` scatters them across the service's shards.
 
 Every request derives an **idempotency key**: the same content hash the
 sweep cache uses (:func:`~repro.sweep.runner.job_key` /

@@ -72,17 +72,6 @@ class ResultStore:
         if self.disk is not None:
             self.disk.put(key, payload)
 
-    def peek(self, key: str) -> Optional[Dict]:
-        """Like :meth:`get` but without hit/miss accounting — used by
-        the fleet's replication reads, which would otherwise skew the
-        client-facing cache-hit rate every anti-entropy pass."""
-        payload = self._memory.get(key)
-        if payload is None and self.disk is not None:
-            payload = self.disk.get(key)
-            if payload is not None:
-                self._memory[key] = payload
-        return payload
-
     def progress(self, key: str) -> Optional[Dict]:
         """The latest checkpoint progress document for ``key``, or None.
 
@@ -93,15 +82,6 @@ class ResultStore:
         if self.disk is None:
             return None
         return self.disk.get_progress(key)
-
-    def keys(self) -> "list[str]":
-        """Sorted keys of every durable result this store holds — the
-        manifest the fleet's replication layer diffs between nodes.
-        Disk tier when persistent (it outlives the process and is what
-        a replica peer could actually fetch), memory tier otherwise."""
-        if self.disk is not None:
-            return self.disk.keys()
-        return sorted(self._memory)
 
     def cache_dir(self) -> Optional[str]:
         """The disk tier's directory (where workers should put

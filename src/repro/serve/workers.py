@@ -147,8 +147,8 @@ class ShardedWorkerPool:
         self.draining = False
         # (monotonic time, reason) of the most recent shard incident —
         # a watchdog recycle or a broken-pool replacement.  healthz()
-        # reports "degraded" while an incident is recent, so the fleet
-        # coordinator can tell a sick node from a dead one.
+        # reports "degraded" while an incident is recent, so a health
+        # check can tell a sick service from a dead one.
         self.last_incident: Optional[Tuple[float, str]] = None
         self._arrival = itertools.count()
         self._primaries: Dict[str, Job] = {}     # key -> executing job

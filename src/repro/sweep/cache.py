@@ -227,18 +227,6 @@ class ResultCache:
         except OSError:
             pass
 
-    def keys(self) -> "list[str]":
-        """Sorted keys of every stored *result* entry (progress side
-        files excluded) — the manifest the fleet's anti-entropy sync
-        diffs between nodes.  Best-effort like every read here: an
-        unlistable directory is an empty manifest, not an error."""
-        try:
-            paths = list(self.directory.glob("*.json"))
-        except OSError:
-            return []
-        return sorted(path.name[:-len(".json")] for path in paths
-                      if not path.name.endswith(".progress.json"))
-
     # -- bounding ------------------------------------------------------
 
     def _entries(self) -> "list[tuple[float, int, pathlib.Path]]":

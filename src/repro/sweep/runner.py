@@ -35,7 +35,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policies import POLICY_ORDER
 from repro.sim.config import SystemConfig
@@ -145,10 +145,8 @@ class SweepOutcome:
     cached: int = 0                    # jobs answered from the cache
     elapsed: float = 0.0               # wall-clock seconds
     workers: int = 1                   # pool size used (1 = in-process)
-    # How the simulated cells were executed: "serial"/"parallel" when
-    # the caller fixed the worker count, "adaptive-serial"/
-    # "adaptive-parallel" when the runner sized itself from a probe of
-    # the first cell (see run_sweep).
+    # How the simulated cells were executed: "serial" (in-process) or
+    # "parallel" (a process pool of ``workers``).
     mode: str = "serial"
     keys: List[str] = field(default_factory=list)  # cache key per job
     # Per-job observability summary dicts (None for non-obs jobs), in
@@ -324,29 +322,23 @@ def with_deadline(fn: Callable[[], Dict], timeout: Optional[float],
 def _execute_job_guarded(job: SweepJob, timeout: Optional[float],
                          cache_dir: Union[str, os.PathLike, None] = None
                          ) -> Dict:
-    """Worker entry point: :func:`execute_job` under a wall-clock
-    deadline.  Module-level so it pickles for the process pool."""
+    """:func:`execute_job` under a wall-clock deadline."""
     return with_deadline(lambda: execute_job(job, cache_dir), timeout,
                          f"{job.name}/{job.policy}")
 
 
-def _execute_chunk(jobs: List[SweepJob], timeout: Optional[float],
-                   cache_dir: Union[str, os.PathLike, None] = None
-                   ) -> List:
-    """Run several jobs in one worker call; one pool task per *chunk*.
-
-    Amortizes task dispatch and result IPC over multiple cells.  Each
-    entry of the returned list is ``("ok", payload)`` or ``("err",
-    info)`` in input order — failures are data, not exceptions, so one
-    bad cell never poisons its chunk-mates."""
-    out = []
-    for job in jobs:
-        try:
-            out.append(("ok", _execute_job_guarded(job, timeout,
-                                                   cache_dir)))
-        except Exception as exc:
-            out.append(("err", _exc_info(exc)))
-    return out
+def _execute_cell(job: SweepJob, timeout: Optional[float],
+                  cache_dir: Union[str, os.PathLike, None] = None
+                  ) -> Tuple[str, Dict]:
+    """One cell under its deadline: ``("ok", payload)`` or ``("err",
+    info)``.  Module-level so it pickles for the process pool; failures
+    come back as data, not exceptions, so the error payload is built in
+    the process that raised it whether the cell ran in a pool worker or
+    in-process."""
+    try:
+        return "ok", _execute_job_guarded(job, timeout, cache_dir)
+    except Exception as exc:
+        return "err", _exc_info(exc)
 
 
 def _exc_info(exc: BaseException) -> Dict:
@@ -361,14 +353,8 @@ def _exc_info(exc: BaseException) -> Dict:
     }
 
 
-def _error_payload(job: SweepJob, exc: BaseException,
-                   attempts: int) -> Dict:
+def _error_payload(job: SweepJob, info: Dict, attempts: int) -> Dict:
     """The structured record of a failed cell (JSON-safe)."""
-    return _error_payload_from_info(job, _exc_info(exc), attempts)
-
-
-def _error_payload_from_info(job: SweepJob, info: Dict,
-                             attempts: int) -> Dict:
     return {
         "name": job.name,
         "policy": job.policy,
@@ -403,21 +389,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-#: Estimated seconds to stand up a process pool and re-import the
-#: simulator in each worker — the fixed overhead a parallel round must
-#: amortize before it can beat running the same cells in-process.
-POOL_SPAWN_COST = 1.0
-
-
-def pool_spawn_cost() -> float:
-    """The amortization threshold; ``REPRO_POOL_SPAWN_COST`` overrides
-    (useful for tests and for hosts with unusually slow fork/spawn)."""
-    env = os.environ.get("REPRO_POOL_SPAWN_COST")
-    if env:
-        return max(0.0, float(env))
-    return POOL_SPAWN_COST
-
-
 def run_sweep(jobs: Sequence[SweepJob],
               workers: Optional[int] = None,
               cache: bool = True,
@@ -426,20 +397,15 @@ def run_sweep(jobs: Sequence[SweepJob],
               timeout: Optional[float] = None,
               retries: int = 0,
               backoff: float = 0.5) -> SweepOutcome:
-    """Execute a batch of sweep jobs, in parallel where it pays.
+    """Execute a batch of sweep jobs, one pool task per uncached cell.
 
-    ``workers=None`` sizes adaptively: the pool is capped at
-    :func:`default_workers`, but the serial-vs-parallel choice is made
-    from a timed in-process probe of the first cell — a pool is spawned
-    only when the estimated parallel saving on the remaining cells
-    exceeds :func:`pool_spawn_cost`, so a sweep of short jobs (or any
-    sweep on a 1-CPU host) is never slower than running serially.  The
-    decision is recorded in ``SweepOutcome.mode``.  An explicit
-    ``workers`` count skips the probe; ``workers=1`` (or a single
-    uncached job) runs in-process with no pool.  With
-    ``cache`` enabled (the default), finished results are read from and
-    written to ``cache_dir`` (default: ``$REPRO_SWEEP_CACHE`` or
-    ``.sweep-cache``).  ``progress`` receives human-readable status
+    The pool holds ``workers`` processes (default
+    :func:`default_workers`), capped at the number of uncached jobs;
+    when that leaves one worker the cells run in-process with no pool.
+    ``SweepOutcome.mode`` records which (``"serial"``/``"parallel"``).
+    With ``cache`` enabled (the default), finished results are read
+    from and written to ``cache_dir`` (default: ``$REPRO_SWEEP_CACHE``
+    or ``.sweep-cache``).  ``progress`` receives human-readable status
     lines, including an ETA once a completion time is known.
 
     ``timeout`` bounds each job's wall-clock seconds; a cell that blows
@@ -500,26 +466,14 @@ def run_sweep(jobs: Sequence[SweepJob],
     # jobs (same directory as the result cache, same key namespace).
     chk_dir = str(store.directory) if store is not None else None
 
-    if workers is not None:
-        nworkers = max(1, min(workers, len(todo) or 1))
-        mode: Optional[str] = "serial" if nworkers <= 1 else "parallel"
-    else:
-        # Adaptive sizing: cap by the host, but defer the serial-vs-
-        # parallel decision until the first cell has been timed (the
-        # probe in the execution loop below) — a pool only pays off
-        # once the remaining serial work exceeds its spawn cost, which
-        # a bare CPU count cannot know.
-        nworkers = max(1, min(default_workers(), len(todo) or 1))
-        if nworkers <= 1 or len(todo) <= 1:
-            nworkers, mode = 1, "adaptive-serial"
-        else:
-            mode = None  # decided by the probe
+    if workers is None:
+        workers = default_workers()
+    nworkers = max(1, min(workers, len(todo) or 1))
+    mode = "serial" if nworkers <= 1 else "parallel"
 
     if todo:
-        sizing = (f"{nworkers} worker(s)" if mode is not None
-                  else f"adaptive, <= {nworkers} workers")
         note(f"sweep: {len(todo)} of {len(jobs)} jobs to simulate "
-             f"({cached} cached), {sizing}")
+             f"({cached} cached), {nworkers} worker(s)")
     elif jobs:
         note(f"sweep: all {len(jobs)} jobs cached, nothing to simulate")
     done = 0
@@ -544,110 +498,83 @@ def run_sweep(jobs: Sequence[SweepJob],
         note(f"sweep: [{done}/{len(todo)}] {job.name}/{job.policy} "
              f"done, ETA {eta:.0f}s")
 
-    def failed_info(idx: int, info: Dict, attempts: int) -> None:
+    def failed(idx: int, info: Dict, attempts: int) -> None:
         job = jobs[idx]
-        errors_by_key[keys[idx]] = _error_payload_from_info(
-            job, info, attempts)
+        errors_by_key[keys[idx]] = _error_payload(job, info, attempts)
         note(f"sweep: [fail] {job.name}/{job.policy}: "
              f"{info['type']}: {info['message']}")
 
-    def failed(idx: int, exc: BaseException, attempts: int) -> None:
-        failed_info(idx, _exc_info(exc), attempts)
-
     def run_serial(indices: List[int], attempts: int
-                   ) -> "tuple[List[int], bool]":
+                   ) -> Tuple[List[int], bool]:
         """In-process execution; returns (retryable indices, interrupted)."""
         retryable: List[int] = []
         for pos, idx in enumerate(indices):
             try:
-                finished(idx, _execute_job_guarded(jobs[idx], timeout,
-                                                   chk_dir))
+                status, payload = _execute_cell(jobs[idx], timeout, chk_dir)
+                if status == "ok":
+                    finished(idx, payload)
+                    continue
             except KeyboardInterrupt:
                 note("sweep: interrupted — keeping completed cells")
                 for cancelled in indices[pos:]:
                     errors_by_key.setdefault(
                         keys[cancelled], _cancel_payload(jobs[cancelled]))
                 return [], True
-            except Exception as exc:
-                failed(idx, exc, attempts)
-                retryable.append(idx)
+            failed(idx, payload, attempts)
+            retryable.append(idx)
         return retryable, False
 
     def run_pool(indices: List[int], attempts: int
-                 ) -> "tuple[List[int], bool]":
-        """Process-pool execution; returns (retryable, interrupted).
+                 ) -> Tuple[List[int], bool]:
+        """Process-pool execution, one task per cell; returns
+        (retryable, interrupted).
 
         A fresh pool per round: a worker that died (OOM, signal) breaks
         the pool, failing every in-flight future with BrokenProcessPool;
         those cells are simply retryable like any other failure, and the
         next round starts with working processes.
-
-        Cells are dispatched in contiguous *chunks* (several per
-        worker), so task pickling and result IPC are amortized while an
-        unlucky slow chunk still cannot serialize the whole round.  One
-        failing cell inside a chunk is data, not an exception — its
-        chunk-mates' results survive (see :func:`_execute_chunk`).
         """
         retryable: List[int] = []
         interrupted = False
-        pool_size = min(nworkers, len(indices))
-        chunksize = max(1, len(indices) // (pool_size * 4))
-        chunked = [indices[i:i + chunksize]
-                   for i in range(0, len(indices), chunksize)]
-        pool = ProcessPoolExecutor(max_workers=pool_size)
-        futures = {pool.submit(_execute_chunk, [jobs[i] for i in chunk],
-                               timeout, chk_dir): chunk
-                   for chunk in chunked}
+        pool = ProcessPoolExecutor(max_workers=min(nworkers, len(indices)))
+        futures = {pool.submit(_execute_cell, jobs[idx], timeout, chk_dir):
+                   idx for idx in indices}
         try:
             for future in as_completed(futures):
-                chunk = futures[future]
+                idx = futures[future]
                 try:
-                    outcomes = future.result()
+                    status, payload = future.result()
                 except Exception as exc:
-                    # The worker running this chunk died; every cell in
-                    # it is retryable.
-                    for idx in chunk:
-                        failed(idx, exc, attempts)
-                        retryable.append(idx)
-                    continue
-                for idx, (status, payload) in zip(chunk, outcomes):
-                    if status == "ok":
-                        finished(idx, payload)
-                    else:
-                        failed_info(idx, payload, attempts)
-                        retryable.append(idx)
+                    # The worker running this cell died.
+                    status, payload = "err", _exc_info(exc)
+                if status == "ok":
+                    finished(idx, payload)
+                else:
+                    failed(idx, payload, attempts)
+                    retryable.append(idx)
         except KeyboardInterrupt:
             interrupted = True
             note("sweep: interrupted — cancelling outstanding jobs, "
                  "keeping completed cells")
             for future in futures:
                 future.cancel()
-            # Salvage chunks that finished but were not yet collected.
-            for future, chunk in futures.items():
-                if future.done() and not future.cancelled():
-                    try:
-                        outcomes = future.result()
-                    except BaseException as exc:
-                        for idx in chunk:
-                            errors_by_key.setdefault(
-                                keys[idx],
-                                _error_payload(jobs[idx], exc, attempts))
-                        continue
-                    for idx, (status, payload) in zip(chunk, outcomes):
-                        key = keys[idx]
-                        if key in stats_by_key or key in errors_by_key:
-                            continue
-                        if status == "ok":
-                            finished(idx, payload, quiet=True)
-                        else:
-                            errors_by_key[key] = _error_payload_from_info(
-                                jobs[idx], payload, attempts)
+            # Salvage cells that finished but were not yet collected.
+            for future, idx in futures.items():
+                key = keys[idx]
+                if key in stats_by_key or key in errors_by_key:
+                    continue
+                if not future.done() or future.cancelled():
+                    errors_by_key[key] = _cancel_payload(jobs[idx])
+                    continue
+                try:
+                    status, payload = future.result()
+                except BaseException as exc:
+                    status, payload = "err", _exc_info(exc)
+                if status == "ok":
+                    finished(idx, payload, quiet=True)
                 else:
-                    for idx in chunk:
-                        key = keys[idx]
-                        if key not in stats_by_key \
-                                and key not in errors_by_key:
-                            errors_by_key[key] = _cancel_payload(jobs[idx])
+                    errors_by_key[key] = _error_payload(
+                        jobs[idx], payload, attempts)
             retryable = []
         finally:
             pool.shutdown(wait=not interrupted,
@@ -665,40 +592,10 @@ def run_sweep(jobs: Sequence[SweepJob],
                  f"(attempt {attempt}, backoff {delay:.1f}s)")
             if delay > 0:
                 time.sleep(delay)
-        probe_retry: List[int] = []
-        if mode is None:
-            # Adaptive probe: run the first cell in-process and time
-            # it.  The probe's result counts — nothing is wasted.
-            t_probe = time.perf_counter()
-            probe_retry, interrupted = run_serial(pending[:1], attempt)
-            probe_cost = time.perf_counter() - t_probe
-            pending = pending[1:]
-            # A pool saves about cost * (1 - 1/workers) of the
-            # remaining serial time; spawn it only when that beats its
-            # own startup cost, otherwise parallel is *slower* than
-            # serial (the regression this sizing exists to prevent).
-            saving = probe_cost * len(pending) * (1.0 - 1.0 / nworkers)
-            threshold = pool_spawn_cost()
-            if saving > threshold:
-                mode = "adaptive-parallel"
-                note(f"sweep: adaptive — parallel with {nworkers} "
-                     f"worker(s) (probe {probe_cost:.2f}s/cell, "
-                     f"~{saving:.1f}s to recover)")
-            else:
-                mode, nworkers = "adaptive-serial", 1
-                note(f"sweep: adaptive — staying serial (probe "
-                     f"{probe_cost:.2f}s/cell does not amortize a "
-                     f"{threshold:.1f}s pool spawn)")
-            if interrupted:
-                continue
-        if pending:
-            if nworkers <= 1 or len(pending) <= 1:
-                pending, interrupted = run_serial(pending, attempt)
-            else:
-                pending, interrupted = run_pool(pending, attempt)
-        # A failed probe cell retries with the *next* round, like any
-        # other failure (never twice within one attempt round).
-        pending = sorted(pending + probe_retry)
+        if nworkers <= 1 or len(pending) <= 1:
+            pending, interrupted = run_serial(pending, attempt)
+        else:
+            pending, interrupted = run_pool(pending, attempt)
         if attempt > retries:
             break
 
@@ -721,8 +618,7 @@ def run_sweep(jobs: Sequence[SweepJob],
     return SweepOutcome(results=results, simulated=done,
                         cached=cached,
                         elapsed=time.perf_counter() - t0,
-                        workers=nworkers,
-                        mode=mode or "adaptive-serial", keys=keys,
+                        workers=nworkers, mode=mode, keys=keys,
                         obs=[obs_by_key.get(key) for key in keys],
                         errors=errors, failed=failed_cells,
                         interrupted=interrupted)

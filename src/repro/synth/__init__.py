@@ -9,8 +9,8 @@ canonically de-duplicate the witnesses, cross-check every survivor
 against three independent oracles (:mod:`repro.synth.oracle`), and
 promote the keepers into the battery as a generated registry module
 (:mod:`repro.synth.promote`).  ``repro synth`` drives it from the CLI;
-the ``synth`` job kind runs enumeration chunks through ``repro serve``
-and ``repro fleet``.  See docs/SYNTHESIS.md.
+the ``synth`` job kind runs enumeration chunks through ``repro serve``.
+See docs/SYNTHESIS.md.
 """
 
 from repro.synth.oracle import (OracleReport, outcome_conditions,

@@ -11,7 +11,7 @@ result holds one witness per structural identity per pair.
 
 Results are JSON-round-trippable (:class:`SynthResult`) and mergeable
 across chunks (:func:`merge_results`) — the unit of work the ``synth``
-service job executes and the fleet scatters.
+service job executes.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ A :class:`SynthBounds` names a finite shape — thread count, events per
 thread, address pool, fences or not — and :func:`enumerate_programs`
 streams every program inside it in a fixed deterministic order, so the
 space can be partitioned into ``chunks`` congruence classes that
-different service workers (or processes, or fleet nodes) enumerate
+different service workers (or processes) enumerate
 independently: chunk ``i`` judges exactly the programs whose index is
 ``i (mod chunks)``, and the union over chunks is the whole space.
 

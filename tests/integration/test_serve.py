@@ -13,6 +13,7 @@ the HTTP surface itself (long-poll, metrics, error statuses).
 import asyncio
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -27,6 +28,8 @@ from repro.serve.client import ServeClient
 from repro.serve.jobs import LitmusSpec, execute_litmus, request_key
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepJob, execute_job, run_sweep
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 # ----------------------------------------------------------------------
@@ -249,12 +252,15 @@ def test_watchdog_recycles_a_stuck_shard(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_sigterm_drains_and_persists_results(tmp_path):
+    # The server must import this checkout's sources, whatever the
+    # working directory, so its code_version() matches the key below.
     env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
+                         + env.get("PYTHONPATH", ""))
     proc = subprocess.Popen(
         [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
          "--shards", "1", "--cache-dir", str(tmp_path)],
-        cwd="/root/repo", env=env, stdout=subprocess.PIPE,
+        cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
     try:
         line = proc.stdout.readline()
@@ -327,6 +333,20 @@ def test_http_surface_statuses_and_metrics(tmp_path):
         assert status == 404 and payload["error"] == "unknown-job"
         status, payload = client._request("GET", "/v1/jobs")
         assert status == 405
+        # The store has no write route: a payload PUT under a job's key
+        # is refused, and that job is still computed, not answered
+        # with the forged payload.
+        forged = {"kind": "litmus", "name": "sb", "outcomes": {}}
+        key = request_key(LitmusSpec("sb"))
+        route = "/".join(("", "v1", "store", key))
+        status, _ = client._request("PUT", route, forged)
+        assert status == 404
+        status, doc = client.submit({"kind": "litmus", "name": "sb"})
+        assert not doc.get("cache_hit")
+        status, done = client.job(doc["id"], wait=30)
+        assert status == 200 and done["state"] == "done"
+        assert _canon(done["result"]) == _canon(
+            execute_litmus(LitmusSpec("sb")))
         status, payload = client.submit(
             {"kind": "bench", "name": "radix", "policy": "not-real"})
         assert status == 400 and payload["error"] == "invalid-job"

@@ -1,12 +1,12 @@
-"""Checkpointed sweep jobs and adaptive worker sizing.
+"""Checkpointed sweep jobs and sweep worker sizing.
 
 * ``checkpoint_every`` is a distinct deterministic mode: it joins the
   cache key, refuses observer jobs, and ``execute_job`` resumes from a
   crash blob to the exact stats of the uninterrupted run, then clears
   the blob.
-* ``workers=None`` probes the first cell and records which way it
-  went in ``SweepOutcome.mode`` — and never picks a pool whose spawn
-  cost the remaining cells cannot repay.
+* ``workers=None`` sizes the pool as ``REPRO_WORKERS`` (or the CPU
+  count) capped at the uncached jobs, runs in-process when that is 1,
+  and records which way it went in ``SweepOutcome.mode``.
 """
 
 import dataclasses
@@ -133,59 +133,30 @@ def test_checkpointed_sweep_matches_direct_execution(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# adaptive sizing
+# worker sizing
 # ---------------------------------------------------------------------------
 
-def test_explicit_workers_record_plain_modes(tmp_path):
+def test_explicit_workers_record_plain_modes(tmp_path, monkeypatch):
+    """An explicit ``workers`` and default sizing (``REPRO_WORKERS``
+    capped at the uncached jobs) record the same two modes, and every
+    mode computes the same numbers."""
+    pair = [_job(), _job(policy="x86")]
     serial = run_sweep([_job()], workers=1, cache_dir=tmp_path / "c1")
     assert serial.mode == "serial" and serial.workers == 1
-    parallel = run_sweep([_job(), _job(policy="x86")], workers=2,
-                         cache_dir=tmp_path / "c2")
+    parallel = run_sweep(pair, workers=2, cache_dir=tmp_path / "c2")
     assert parallel.mode == "parallel" and parallel.workers == 2
 
-
-def test_adaptive_stays_serial_when_pool_cannot_pay(tmp_path,
-                                                    monkeypatch):
-    """With the spawn cost pinned far above any honest saving, the
-    probe must keep the sweep in-process — and still simulate every
-    cell exactly once."""
-    monkeypatch.setenv("REPRO_POOL_SPAWN_COST", "1e9")
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    jobs = [_job(), _job(policy="x86"), _job(policy="370-NoSpec")]
-    outcome = run_sweep(jobs, cache_dir=tmp_path / "cache")
-    assert outcome.mode == "adaptive-serial"
-    assert outcome.workers == 1
-    assert outcome.simulated == len(jobs)
-
-
-def test_adaptive_goes_parallel_when_spawn_is_free(tmp_path,
-                                                   monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_SPAWN_COST", "0")
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    jobs = [_job(), _job(policy="x86"), _job(policy="370-NoSpec")]
-    outcome = run_sweep(jobs, cache_dir=tmp_path / "cache")
-    assert outcome.mode == "adaptive-parallel"
-    assert outcome.workers == 2
-    assert outcome.simulated == len(jobs)
+    sized = run_sweep(pair, cache_dir=tmp_path / "c3")
+    assert (sized.mode, sized.workers, sized.simulated) == ("parallel", 2, 2)
+    # Two of these three are cached now: one uncached job runs in-process.
+    one = run_sweep(pair + [_job(policy="370-NoSpec")],
+                    cache_dir=tmp_path / "c3")
+    assert (one.mode, one.workers, one.simulated) == ("serial", 1, 1)
 
-
-def test_adaptive_modes_agree_with_serial_reference(tmp_path,
-                                                    monkeypatch):
-    """Whatever the probe decides, the numbers are the numbers."""
-    jobs = [_job(), _job(policy="x86")]
-    reference = run_sweep(jobs, workers=1, cache_dir=tmp_path / "ref")
-
-    monkeypatch.setenv("REPRO_POOL_SPAWN_COST", "0")
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    adaptive = run_sweep(jobs, cache_dir=tmp_path / "adaptive")
-    assert adaptive.mode == "adaptive-parallel"
-    for a, b in zip(reference.results, adaptive.results):
-        assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-
-
-def test_single_job_skips_the_probe(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_SPAWN_COST", "0")
-    monkeypatch.setenv("REPRO_WORKERS", "4")
-    outcome = run_sweep([_job()], cache_dir=tmp_path / "cache")
-    assert outcome.mode == "adaptive-serial"
-    assert outcome.simulated == 1
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    pinned = run_sweep(pair, cache_dir=tmp_path / "c4")
+    assert (pinned.mode, pinned.workers, pinned.simulated) == ("serial", 1, 2)
+    for a, b, c in zip(parallel.results, sized.results, pinned.results):
+        assert (dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+                == dataclasses.asdict(c.stats))

@@ -17,14 +17,13 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
     Entries: ``("status", code, payload, headers)`` sends a JSON
     response; ``("reset",)`` slams the connection shut with no bytes —
-    what a SIGKILLed fleet node looks like mid-poll.
+    what a server killed mid-poll looks like.
     """
 
     def _play(self):
         server = self.server
         with server.lock:
-            server.seen.append((self.command, self.path,
-                                self.headers.get("X-Client-Id")))
+            server.seen.append((self.command, self.path))
             step = (server.script.pop(0) if server.script
                     else ("status", 200, {"ok": True}, {}))
         if step[0] == "reset":
@@ -125,10 +124,3 @@ def test_post_never_retries_transport_errors(scripted_server):
     with pytest.raises(ServeError):
         client.submit({"kind": "litmus", "name": "mp"})
     assert len(scripted_server.seen) == 1
-
-
-def test_client_id_header_is_sent(scripted_server):
-    scripted_server.script = [("status", 200, {"ok": True}, {})]
-    client = _client(scripted_server, client_id="bench-7")
-    client.get("/v1/healthz")
-    assert scripted_server.seen[0][2] == "bench-7"
