@@ -33,18 +33,17 @@ Commands:
 ``lint [PATH ...]``               static determinism/zero-overhead
                                   discipline analysis (AST rules, see
                                   docs/STATIC_ANALYSIS.md) and, with
-                                  ``--litmus``, the herd-style relation
-                                  classifier cross-checked against the
-                                  axiomatic enumerator
+                                  ``--litmus``, the conformance check
+                                  and store-atomicity race report
 ``synth``                         exhaustive bounded litmus synthesis:
                                   enumerate every small program, keep
                                   model-pair distinguishers, minimize,
-                                  triple-check, and ``--promote`` them
+                                  check, and ``--promote`` them
                                   into the battery (docs/SYNTHESIS.md)
 ``zoo``                           the memory-model registry: model
-                                  table, machine-checked conformance
-                                  lattice over the battery, optional
-                                  triple-oracle cross-check of random
+                                  table, conformance check (axiomatic vs
+                                  operational, lattice) over the
+                                  battery and, optionally, random
                                   RMW/acquire-release programs
                                   (docs/MEMORY_MODELS.md)
 
@@ -721,30 +720,23 @@ def cmd_lint(args) -> int:
             failed = True
 
     if args.litmus or args.random:
-        from repro.lint.memory_model import (cross_check_battery,
-                                             cross_check_random,
-                                             find_races)
-        result = cross_check_battery()
+        from repro.lint.races import find_races
+        from repro.models.conformance import check, random_corpus
+        battery = [case.program for case in ALL_CASES + EXTRA_CASES]
+        result = check(battery)
         print(f"litmus cross-check: battery {result.programs_checked} "
-              f"programs ({result.programs_skipped} rmw skipped), "
-              f"{len(result.mismatches)} mismatches")
+              f"programs, {len(result.problems)} mismatches")
         if args.random:
-            rand = cross_check_random(args.random, seed=args.seed)
-            result.programs_checked += rand.programs_checked
-            result.mismatches.extend(rand.mismatches)
+            rand = check(random_corpus(args.random, args.seed,
+                                       allow_fences=True))
             print(f"litmus cross-check: {rand.programs_checked} random "
                   f"programs (seed {args.seed}), "
-                  f"{len(rand.mismatches)} mismatches")
-        for mismatch in result.mismatches:
-            print(f"  MISMATCH {mismatch}")
-        races = []
-        for case in ALL_CASES + EXTRA_CASES:
-            try:
-                race_report = find_races(case.program)
-            except NotImplementedError:
-                continue
-            for race in race_report.races:
-                races.append((case.program.name, race))
+                  f"{len(rand.problems)} mismatches")
+            result.programs.extend(rand.programs)
+        for problem in result.problems:
+            print(f"  MISMATCH {problem}")
+        races = [(program.name, race) for program in battery
+                 for race in find_races(program).races]
         print(f"store-atomicity races in the battery: {len(races)}")
         for name, race in races:
             print(f"  {name}: {race.shape} race, x86-allowed / "
@@ -754,8 +746,7 @@ def cmd_lint(args) -> int:
             payload = {
                 "ok": result.ok,
                 "programs_checked": result.programs_checked,
-                "programs_skipped": result.programs_skipped,
-                "mismatches": result.mismatches,
+                "mismatches": result.problems,
                 "races": [{"program": name, "shape": race.shape,
                            "outcome": str(race.outcome),
                            "cycle": [f"{e.src}--{e.kind}-->{e.dst}"
@@ -848,12 +839,9 @@ def _synth_via_service(url: str, bounds, pairs: List[List[str]],
 
 def cmd_zoo(args) -> int:
     import json
-    import random
 
-    from repro.litmus.checker import random_program
     from repro.models import model_table
-    from repro.models.lattice import check_lattice
-    from repro.synth.oracle import triple_check
+    from repro.models.conformance import battery_corpus, check, random_corpus
 
     header = ("model", "title", "relaxations", "formalizations",
               "stronger than")
@@ -867,27 +855,21 @@ def cmd_zoo(args) -> int:
                                in zip(row, widths)).rstrip())
     print()
 
-    report = check_lattice()
+    report = check([case.program for case in battery_corpus()])
     print(report.summary())
-    for violation in report.violations:
-        print(f"  {violation.program}: {violation.strong} allows "
-              f"{', '.join(violation.outcomes)} which "
-              f"{violation.weak} forbids")
+    for problem in report.problems:
+        print(f"  {problem}")
 
-    oracle_reports = []
+    rand = check(random_corpus(args.random, args.seed, allow_fences=True,
+                               allow_rmws=True, allow_acqrel=True))
     if args.random:
-        rng = random.Random(args.seed)
-        programs = [random_program(rng, name=f"zoo-random-{i}",
-                                   allow_fences=True, allow_rmws=True,
-                                   allow_acqrel=True)
-                    for i in range(args.random)]
-        oracle_reports = [triple_check(program) for program in programs]
-        disagreements = [r for r in oracle_reports if not r.agree]
-        print(f"triple-oracle cross-check: {len(programs)} random "
-              f"programs (seed {args.seed}, rmw/acq-rel vocabulary) — "
+        disagreements = [r for r in rand.programs if not r.agree]
+        print(f"axiomatic-vs-operational cross-check: "
+              f"{rand.programs_checked} random programs (seed "
+              f"{args.seed}, rmw/acq-rel vocabulary) — "
               f"{len(disagreements)} disagreements")
-        for r in disagreements:
-            print("\n".join(r.mismatches))
+        for problem in rand.problems:
+            print(problem)
 
     if args.json:
         payload = {
@@ -896,14 +878,13 @@ def cmd_zoo(args) -> int:
                        for row in model_table()],
             "lattice": report.to_dict(),
             "random": {"programs": args.random, "seed": args.seed,
-                       "reports": [r.to_dict() for r in oracle_reports]},
+                       "reports": [r.to_dict() for r in rand.programs]},
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
 
-    ok = report.ok and all(r.agree for r in oracle_reports)
-    return 0 if ok else 1
+    return 0 if report.ok and not rand.problems else 1
 
 
 def cmd_synth(args) -> int:
@@ -914,8 +895,9 @@ def cmd_synth(args) -> int:
     from repro.litmus.battery import EXTRA_CASES as _EXTRA
     from repro.litmus.program import canonical_key
     from repro.litmus.tests import ALL_CASES as _ALL
+    from repro.models.conformance import check
     from repro.synth import (battery_duplicates, case_name,
-                             pool_distinguishers, search, triple_check,
+                             pool_distinguishers, search,
                              write_generated_module)
 
     spaces = [_parse_space(token) for token in args.spaces.split(",")]
@@ -967,10 +949,8 @@ def cmd_synth(args) -> int:
 
     mismatches: List[str] = []
     if not args.no_check:
-        for dist in pooled:
-            report = triple_check(dist.program)
-            mismatches.extend(report.mismatches)
-        print(f"oracle cross-check: {len(pooled)} programs x 3 oracles, "
+        mismatches = check(dist.program for dist in pooled).problems
+        print(f"oracle cross-check: {len(pooled)} programs x 2 oracles, "
               f"{len(mismatches)} mismatches")
         for mismatch in mismatches:
             print(f"  ORACLE MISMATCH {mismatch}")
@@ -1189,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="conformance under deterministic fault injection: the "
              "litmus battery with NoC jitter, forced evictions, spurious "
              "squashes and delayed SB drains — outcomes must stay within "
-             "the axiomatic models")
+             "the memory models")
     p.add_argument("--trials", type=int, default=25,
                    help="fault seeds per (test, policy) cell")
     p.add_argument("--seed", type=int, default=0)
@@ -1321,8 +1301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="static determinism/zero-overhead discipline analysis "
-             "plus the herd-style litmus relation classifier "
-             "(docs/STATIC_ANALYSIS.md)")
+             "plus the litmus conformance check and store-atomicity "
+             "race report (docs/STATIC_ANALYSIS.md)")
     p.add_argument("paths", nargs="*", metavar="path",
                    help="files or directories (default: the installed "
                         "repro package)")
@@ -1341,8 +1321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", default="main",
                    help="git ref for --changed (default: main)")
     p.add_argument("--litmus", action="store_true",
-                   help="cross-check the static litmus classifier "
-                        "against litmus/axiomatic.py on the battery and "
+                   help="check the axiomatic engine against the "
+                        "operational machines on the battery and "
                         "report store-atomicity races")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="also cross-check N seeded random programs "
@@ -1356,12 +1336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "zoo",
         help="the memory-model registry: print the model table, "
-             "machine-check the conformance lattice over the battery, "
-             "and optionally triple-oracle random RMW/acquire-release "
-             "programs (docs/MEMORY_MODELS.md)")
+             "run the conformance check over the battery, and "
+             "optionally over random RMW/acquire-release programs "
+             "(docs/MEMORY_MODELS.md)")
     p.add_argument("--random", type=int, default=0, metavar="N",
-                   help="also triple-oracle N seeded random programs "
-                        "drawn with the full event vocabulary")
+                   help="also check N seeded random programs drawn "
+                        "with the full event vocabulary")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --random program generation")
     p.add_argument("--json", default=None, metavar="PATH",
@@ -1373,7 +1353,7 @@ def build_parser() -> argparse.ArgumentParser:
         "synth",
         help="exhaustive bounded litmus synthesis: enumerate small "
              "programs, keep model-pair distinguishers, minimize, "
-             "triple-check, optionally promote (docs/SYNTHESIS.md)")
+             "check, optionally promote (docs/SYNTHESIS.md)")
     p.add_argument("--spaces", default="2x3x2", metavar="SPACES",
                    help="comma list of THREADSxOPSxADDRS[f][r][a][tN] "
                         "spaces (f = fences, r = locked RMWs, a = "
@@ -1387,8 +1367,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop a space after N distinct witnesses "
                         "(0 = exhaust it)")
     p.add_argument("--no-check", action="store_true",
-                   help="skip the three-oracle cross-check (discovery "
-                        "only; --promote refuses this)")
+                   help="skip the axiomatic-vs-operational check "
+                        "(discovery only; --promote refuses this)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the synthesis report as JSON")
     p.add_argument("--promote", action="store_true",

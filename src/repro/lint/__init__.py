@@ -13,13 +13,12 @@ only dynamically:
 
 This package proves those disciplines at review time with an AST-based
 rule engine (:mod:`repro.lint.engine`, rules in
-:mod:`repro.lint.discipline`), and provides a second, independent
-memory-model oracle: a herd-style axiomatic relation analysis over
-litmus programs (:mod:`repro.lint.memory_model`) cross-checked against
-:mod:`repro.litmus.axiomatic`.
+:mod:`repro.lint.discipline`), and reports the litmus battery's
+store-atomicity races (:mod:`repro.lint.races`) from the witness cycles
+of the axiomatic engine (:mod:`repro.models.axiomatic`).
 
 Entry points: ``repro lint`` (CLI), :func:`run_lint`, and
-:func:`repro.lint.memory_model.classify`.
+:func:`repro.lint.races.find_races`.
 """
 
 from repro.lint.engine import (LintReport, Rule, SourceFile, Violation,

@@ -1,9 +1,9 @@
-"""Litmus-test engines: operational executors for every registered
-model (SC / 370 / x86-TSO / PC / WMM — see :mod:`repro.models`),
-exhaustive interleaving, axiomatic happens-before checking, the paper's
-litmus tests, and the 370-vs-x86 ConsistencyChecker."""
+"""Litmus tests and their operational engines: executors for every
+registered model (SC / 370 / x86-TSO / PC / WMM — see
+:mod:`repro.models`), exhaustive interleaving, happens-before
+explanations, the paper's litmus tests, and the 370-vs-x86
+ConsistencyChecker."""
 
-from repro.litmus.axiomatic import enumerate_axiomatic
 from repro.litmus.battery import (CORR_CASE, EXTRA_CASES, LB, LB_CASE, N5,
                                   N5_CASE, RWC, RWC_CASE, SB_BOTH_RMW,
                                   SB_ONE_RMW, W22, W22_CASE, WRC, WRC_CASE)
@@ -32,7 +32,7 @@ __all__ = ["Ld", "St", "Fence", "Rmw", "Cas", "Instruction", "Program",
            "Outcome",
            "make_program", "enumerate_outcomes", "matching_outcomes",
            "machine_for",
-           "allows", "enumerate_axiomatic", "SC", "M370", "X86", "PC",
+           "allows", "SC", "M370", "X86", "PC",
            "WMM", "MODELS", "sample", "SampleReport", "explain",
            "litmus_registry",
            "run_once", "observed_outcomes", "check_conformance",

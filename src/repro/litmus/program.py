@@ -3,7 +3,7 @@
 A :class:`Program` is a tuple of threads, each a sequence of loads,
 stores and fences on named memory locations.  Programs are executed
 exhaustively by the operational models (:mod:`repro.litmus.operational`)
-and enumerated axiomatically (:mod:`repro.litmus.axiomatic`); both
+and enumerated axiomatically (:mod:`repro.models.axiomatic`); both
 produce :class:`Outcome` values — final register and memory contents —
 that can be compared across memory models.
 """

@@ -2,9 +2,11 @@
 
 One registry maps model names to :class:`~repro.models.base.MemoryModel`
 objects bundling an axiomatic definition (relation predicates evaluated
-by both axiomatic engines), an operational machine factory, and a
-declared conformance-lattice position that
-:mod:`repro.models.lattice` machine-checks over the litmus battery.
+by the axiomatic engine, :mod:`repro.models.axiomatic`), an operational
+machine factory, and a declared conformance-lattice position
+(:mod:`repro.models.lattice`).  :mod:`repro.models.conformance` checks
+the two formalizations against each other and the lattice over any
+corpus of litmus programs.
 
 ``lint``, ``synth``, ``repro explain`` and the serve job kinds
 all resolve models by name from here.
@@ -14,8 +16,7 @@ from repro.models.base import (AxiomaticDef, Event, MemoryModel, PoPair,
                                po_access_pairs, thread_accesses)
 from repro.models.defs import (M370, MODEL_ORDER, PC, REGISTRY, SC, WMM,
                                X86)
-from repro.models.lattice import (LatticeReport, LatticeViolation,
-                                  check_lattice, check_program,
+from repro.models.lattice import (LatticeViolation, containment_violations,
                                   declared_edges, lattice_edges)
 
 
@@ -55,7 +56,7 @@ __all__ = [
     "AxiomaticDef", "Event", "MemoryModel", "PoPair",
     "po_access_pairs", "thread_accesses",
     "SC", "M370", "X86", "PC", "WMM", "REGISTRY", "MODEL_ORDER",
-    "LatticeReport", "LatticeViolation", "check_lattice",
-    "check_program", "declared_edges", "lattice_edges",
+    "LatticeViolation", "containment_violations", "declared_edges",
+    "lattice_edges",
     "get_model", "model_names", "model_table",
 ]

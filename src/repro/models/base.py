@@ -4,13 +4,12 @@ A :class:`MemoryModel` is a first-class object bundling
 
 * an **axiomatic definition** (:class:`AxiomaticDef`) — two composable
   relation predicates, ``ppo`` over program-order pairs and ``grf``
-  over read-from edge kinds, that the lint ghb engine
-  (:mod:`repro.lint.memory_model`) and the independent enumerator
-  (:mod:`repro.litmus.axiomatic`) both evaluate;
+  over read-from edge kinds, that the axiomatic engine
+  (:mod:`repro.models.axiomatic`) evaluates;
 * an **operational machine factory** — the exhaustively enumerable
   transition system of :mod:`repro.litmus.operational`; and
-* its declared position in the conformance lattice (``stronger_than``),
-  machine-checked over the whole battery by :mod:`repro.models.lattice`.
+* its declared position in the conformance lattice (``stronger_than``,
+  closed transitively by :mod:`repro.models.lattice`).
 
 The event vocabulary covers plain loads/stores, acquire loads, release
 stores, mfence/lwfence, and the locked read-modify-writes (xchg / cas).
@@ -118,9 +117,8 @@ class MemoryModel:
 
 
 # ----------------------------------------------------------------------
-# Shared event extraction: both axiomatic engines evaluate the same
-# registry predicates over the same po pairs (their independence lies
-# in the closure/acyclicity machinery, not the event vocabulary).
+# Event extraction: the program-ordered access pairs the registry's
+# ppo predicates are evaluated over.
 # ----------------------------------------------------------------------
 
 #: Per-access roles: (event, op, is_write, acquire, release, locked)
@@ -162,7 +160,7 @@ def _fence_between(thread: Tuple, idx_a: int, idx_b: int) -> str:
 
 def po_access_pairs(program: Program) -> Iterator[PoPair]:
     """Every program-ordered access pair of ``program`` with its flags
-    — the single source both axiomatic engines feed to ``ppo``."""
+    — the pairs the axiomatic engine feeds to ``ppo``."""
     for tid, thread in enumerate(program.threads):
         accesses = thread_accesses(thread, tid)
         for i, (ev_a, op_a, a_st, a_acq, _a_rel, a_lk) in \

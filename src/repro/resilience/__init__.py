@@ -13,7 +13,7 @@ Three layers (see ``docs/RESILIENCE.md``):
   into a structured :class:`DeadlockError`.
 * :mod:`repro.resilience.chaos` — :func:`run_chaos` runs the litmus
   battery through the pipeline under injected faults and diffs observed
-  outcomes against the axiomatic models: faults may change *timing*,
+  outcomes against the operational models: faults may change *timing*,
   never *allowed outcomes*.
 """
 

@@ -8,12 +8,11 @@ invariants.Watchdog`, so a fault that wedges the pipeline surfaces as a
 structured error payload instead of a hang.
 
 This is the adversarial version of the conformance tests in
-``tests/integration/test_pipeline_conformance.py`` (in the spirit of
-validating an operational implementation against an axiomatic oracle):
-the allowed sets come from :func:`repro.litmus.axiomatic.
-enumerate_axiomatic` where the program is expressible there, falling
-back to the operational enumerator (the two are cross-checked equal by
-the litmus test suite).
+``tests/integration/test_pipeline_conformance.py``: as there
+(:func:`repro.litmus.pipeline_runner.check_conformance`), the allowed
+sets come from the operational machines
+(:func:`repro.litmus.operational.enumerate_outcomes`), which
+:mod:`repro.models.conformance` holds equal to the axiomatic engine.
 
 CLI: ``repro chaos --seed 0 --trials 25`` (exit 1 on any violation or
 error) — the CI smoke gate.
@@ -25,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.policies import POLICY_ORDER
+from repro.litmus.operational import enumerate_outcomes
 from repro.litmus.pipeline_runner import POLICY_MODEL, run_once
 from repro.litmus.tests import ALL_CASES, LitmusCase
 from repro.resilience.faults import DEFAULT_CHAOS, FaultPlan, FaultSpec
@@ -85,7 +85,7 @@ class ChaosReport:
                 status = f"{len(cell.errors)} error(s)"
             lines.append(f"  {cell.case:12s} {cell.policy:16s} "
                          f"{cell.outcomes} outcome(s)  {status}")
-        verdict = ("all outcomes allowed by the axiomatic models"
+        verdict = ("all outcomes allowed by the memory models"
                    if self.ok else
                    f"{len(self.violations)} violation(s), "
                    f"{len(self.errors)} error(s)")
@@ -97,18 +97,6 @@ class ChaosReport:
                 "spec": self.spec.to_dict(), "ok": self.ok,
                 "injected": dict(self.injected),
                 "cells": [cell.to_dict() for cell in self.cells]}
-
-
-def _allowed_outcomes(case: LitmusCase, model: str) -> FrozenSet:
-    from repro.litmus.axiomatic import enumerate_axiomatic
-    from repro.litmus.operational import enumerate_outcomes
-    try:
-        return enumerate_axiomatic(case.program, model)
-    except Exception:
-        # Axiomatic enumeration does not cover every construct (e.g.
-        # RMWs); the operational model is cross-checked equal where both
-        # apply, so it is a sound oracle for the rest.
-        return enumerate_outcomes(case.program, model)
 
 
 def run_chaos(trials: int = 25, seed: int = 0,
@@ -133,7 +121,7 @@ def run_chaos(trials: int = 25, seed: int = 0,
             model = POLICY_MODEL[policy]
             allowed = allowed_cache.get((name, model))
             if allowed is None:
-                allowed = _allowed_outcomes(case, model)
+                allowed = enumerate_outcomes(case.program, model)
                 allowed_cache[(name, model)] = allowed
             cell = ChaosCell(case=name, policy=policy, trials=trials,
                              outcomes=0)

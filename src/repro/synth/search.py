@@ -2,8 +2,9 @@
 
 :func:`search` walks a chunk of a bounded program space
 (:mod:`repro.synth.space`), computes each surviving program's complete
-per-model outcome sets (:mod:`repro.synth.profile`), and keeps the
-programs whose sets differ between a requested model pair.  Each hit is
+per-model outcome sets (:func:`repro.models.axiomatic.outcome_profile`),
+and keeps the programs whose sets differ between a requested model
+pair.  Each hit is
 **minimized** by greedy event deletion (delete any event whose removal
 preserves the distinction, to a local minimum) and **de-duplicated** by
 canonical form (:func:`repro.litmus.program.canonical_key`), so the
@@ -19,16 +20,34 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.litmus.axiomatic import M370, SC, WMM, X86
 from repro.litmus.parser import parse_litmus, render_litmus
 from repro.litmus.program import Outcome, Program, canonical_key
-from repro.synth.profile import (lattice_violations, outcome_profile,
-                                 profile_diff)
+from repro.models.axiomatic import Profile, outcome_profile
+from repro.models.lattice import containment_violations
 from repro.synth.space import SynthBounds, enumerate_programs, may_distinguish
 
 #: The (strong, weak) pairs worth distinguishing, lattice order.
-MODEL_PAIRS = ((SC, M370), (SC, X86), (M370, X86),
-               (X86, WMM), (M370, WMM), (SC, WMM))
+MODEL_PAIRS = (("SC", "370"), ("SC", "x86"), ("370", "x86"),
+               ("x86", "WMM"), ("370", "WMM"), ("SC", "WMM"))
+
+
+def lattice_violations(profile: Profile) -> List[str]:
+    """The SC ⊆ 370 ⊆ x86 ⊆ WMM containment, checked on a profile.
+
+    Every outcome a stronger model allows, every weaker model must
+    allow too; a violation here means a bug in the ghb engine, not an
+    interesting program — the search treats it as fatal.
+    """
+    return [violation.describe()
+            for violation in containment_violations(profile)]
+
+
+def profile_diff(profile: Profile, pair: Tuple[str, str]
+                 ) -> Tuple[Outcome, ...]:
+    """Outcomes the weak model admits that the strong model forbids,
+    sorted — empty iff the pair's outcome sets coincide."""
+    strong, weak = pair
+    return tuple(sorted(profile[weak] - profile[strong], key=str))
 
 
 def distinguishing_outcomes(program: Program, pair: Tuple[str, str]

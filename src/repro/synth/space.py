@@ -28,13 +28,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.litmus.axiomatic import M370, SC, WMM, X86
 from repro.litmus.program import (Cas, Fence, Instruction, Ld, Program,
                                   Rmw, St)
+from repro.models import get_model, model_names, po_access_pairs
 
 #: The model lattice, strongest first (SC ⊆ 370 ⊆ x86 ⊆ WMM outcome
 #: sets — PC is operational-only and not judged by the synth profiler).
-LATTICE = (SC, M370, X86, WMM)
+LATTICE = model_names(axiomatic_only=True)
 
 #: Address pool (bounds.addresses says how many are in play).
 _ADDRESSES = ("x", "y", "z", "w")
@@ -213,18 +213,17 @@ def may_distinguish(program: Program, pair: Tuple[str, str]) -> bool:
       directly on the registry predicates, so the filter stays sound as
       the vocabulary grows.
     """
-    if WMM in pair:
-        strong = pair[0] if pair[1] == WMM else pair[1]
-        from repro.models import get_model, po_access_pairs
+    if "WMM" in pair:
+        strong = pair[0] if pair[1] == "WMM" else pair[1]
         strong_ax = get_model(strong).axiomatic
-        wmm_ax = get_model(WMM).axiomatic
+        wmm_ax = get_model("WMM").axiomatic
         for po_pair in po_access_pairs(program):
             if strong_ax.ppo(po_pair) and not wmm_ax.ppo(po_pair):
                 return True
-        if strong == M370:
-            return may_distinguish(program, (M370, X86))
+        if strong == "370":
+            return may_distinguish(program, ("370", "x86"))
         return False
-    need_same_addr = SC not in pair
+    need_same_addr = "SC" not in pair
     for thread in program.threads:
         pending: List[Tuple[int, str]] = []    # (fence epoch, addr)
         epoch = 0

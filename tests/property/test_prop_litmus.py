@@ -1,16 +1,19 @@
 """Property-based tests of the memory-model engines.
 
 The two independent implementations — the operational abstract machines
-and the axiomatic happens-before checker — must agree on *every*
-program; and the model hierarchy SC ⊆ 370 ⊆ x86 must hold everywhere.
+and the axiomatic happens-before engine — must agree on *every*
+program; the model hierarchy SC ⊆ 370 ⊆ x86 must hold everywhere; and
+the engine's Kahn-peel cycle finder must agree with a plain DFS over the
+transitive closure.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.litmus.axiomatic import enumerate_axiomatic
-from repro.litmus.operational import M370, PC, SC, X86, enumerate_outcomes
+from repro.litmus.operational import (M370, PC, SC, WMM, X86,
+                                      enumerate_outcomes)
 from repro.litmus.program import Fence, Ld, Program, St
+from repro.models.axiomatic import Edge, find_cycle, outcome_profile
 
 ADDRESSES = ("x", "y")
 
@@ -41,13 +44,48 @@ def small_programs(draw, max_threads=2, max_ops=3, fences=False):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_programs())
+@given(small_programs(fences=True))
 def test_operational_equals_axiomatic_all_models(program):
     """The abstract machine and the axiom system are two formalizations
-    of the same three models — they must agree exactly."""
-    for model in (SC, M370, X86):
-        assert enumerate_outcomes(program, model) \
-            == enumerate_axiomatic(program, model), model
+    of the same four models — they must agree exactly."""
+    profile = outcome_profile(program)
+    assert set(profile) == {SC, M370, X86, WMM}
+    for model, allowed in profile.items():
+        assert enumerate_outcomes(program, model) == allowed, model
+
+
+def _cyclic_by_closure(edges):
+    """Reference: DFS each node's transitive successors; the relation
+    is cyclic iff some node reaches itself."""
+    succ = {}
+    for edge in edges:
+        succ.setdefault(edge.src, set()).add(edge.dst)
+    for start in succ:
+        seen, stack = set(), list(succ[start])
+        while stack:
+            node = stack.pop()
+            if node == start:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(succ.get(node, ()))
+    return False
+
+
+_NODES = st.tuples(st.integers(-1, 1), st.integers(0, 1))   # <= 6 events
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_NODES, _NODES, st.sampled_from(("po", "co"))),
+                max_size=12))
+def test_cycle_finder_agrees_with_closure_dfs(raw):
+    edges = [Edge(src, dst, kind) for src, dst, kind in raw]
+    cycle = find_cycle(edges)
+    assert (cycle is None) == (not _cyclic_by_closure(edges))
+    if cycle is not None:
+        assert all(edge in edges for edge in cycle)
+        for first, second in zip(cycle, cycle[1:] + cycle[:1]):
+            assert first.dst == second.src
 
 
 @settings(max_examples=60, deadline=None)

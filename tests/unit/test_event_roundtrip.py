@@ -3,8 +3,9 @@
 Every new instruction kind — acquire loads, release stores, the
 lightweight fence, ``xchg`` and ``cas`` — must round-trip through the
 parser, keep a stable canonical form, sample to legal outcomes on
-every machine, and produce exact three-way oracle agreement, both on
-hand-picked programs and on a seeded random population.
+every machine, and produce exact agreement between the axiomatic engine
+and the operational machines, both on hand-picked programs and on a
+seeded random population.
 """
 
 import random
@@ -17,7 +18,7 @@ from repro.litmus.parser import parse_litmus, render_litmus
 from repro.litmus.program import (Cas, Fence, Ld, Rmw, St, canonical_form,
                                   canonical_key, make_program)
 from repro.litmus.sampler import sample
-from repro.synth.oracle import triple_check
+from repro.models.conformance import check
 
 VOCAB = make_program(
     "vocab",
@@ -83,8 +84,8 @@ class TestSamplerRoundTrip:
 class TestOracleAgreement:
     @pytest.mark.parametrize("program", SMALL_PROGRAMS, ids=_IDS)
     def test_hand_programs_agree_exactly(self, program):
-        report = triple_check(program)
-        assert report.agree, "\n".join(report.mismatches)
+        report = check([program])
+        assert report.ok, "\n".join(report.problems)
 
     def test_random_population_agrees_exactly(self):
         rng = random.Random(11)
@@ -100,8 +101,8 @@ class TestOracleAgreement:
                 getattr(op, "release", False) or
                 (isinstance(op, Fence) and op.kind == "lw")
                 for op in ops)
-            report = triple_check(program)
-            assert report.agree, "\n".join(report.mismatches)
+            report = check([program])
+            assert report.ok, "\n".join(report.problems)
         # The population must actually exercise the new vocabulary.
         assert saw_locked >= 5
         assert saw_annotated >= 5

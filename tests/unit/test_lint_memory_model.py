@@ -1,41 +1,41 @@
-"""The static herd-style relation analysis against the axiomatic
-oracle, plus the race classifier and the explain() chain rendering."""
+"""The axiomatic relation engine against the operational machines,
+plus the lint race classifier and the explain() chain rendering."""
 
-import pytest
-
-from repro.lint.memory_model import (Edge, classify, cross_check_battery,
-                                     cross_check_program,
-                                     cross_check_random, find_cycle,
-                                     find_races, program_shapes)
+from repro.lint.races import find_races, program_shapes
 from repro.litmus import FIG5, IRIW, MP, N6, SB, M370, SC, X86
+from repro.litmus.battery import EXTRA_CASES
 from repro.litmus.explain import explain, explain_chain
 from repro.litmus.program import Ld, St, make_program
+from repro.litmus.tests import ALL_CASES
+from repro.models.axiomatic import Edge, classify, find_cycle
+from repro.models.conformance import check, random_corpus
 
 # ----------------------------------------------------------------------
 # Oracle agreement
 # ----------------------------------------------------------------------
 
 def test_battery_agrees_with_axiomatic_oracle():
-    result = cross_check_battery()
-    assert result.ok, "\n".join(result.mismatches)
-    assert result.programs_checked >= 10
-    assert result.programs_skipped == 0     # Rmw cases are modeled now
+    # The hand-written battery, locked-RMW cases included (the
+    # generated cases are checked in test_models_registry.py).
+    result = check(case.program for case in ALL_CASES + EXTRA_CASES)
+    assert result.ok, "\n".join(result.problems)
+    assert result.programs_checked == len(ALL_CASES + EXTRA_CASES)
 
 
 def test_random_programs_agree_with_axiomatic_oracle():
-    result = cross_check_random(200, seed=20260805)
-    assert result.ok, "\n".join(result.mismatches[:5])
+    result = check(random_corpus(200, 20260805, allow_fences=True))
+    assert result.ok, "\n".join(result.problems[:5])
     assert result.programs_checked == 200
 
 
 def test_random_three_thread_programs_agree():
-    result = cross_check_random(40, seed=11, threads=3, max_ops=2)
-    assert result.ok, "\n".join(result.mismatches[:5])
+    result = check(random_corpus(40, 11, threads=3, max_ops=2,
+                                 allow_fences=True))
+    assert result.ok, "\n".join(result.problems[:5])
 
 
-def test_single_program_cross_check_reports_no_mismatch():
-    assert cross_check_program(N6) == []
-    assert cross_check_program(IRIW) == []
+def test_single_program_check_reports_no_mismatch():
+    assert check([N6, IRIW]).problems == []
 
 
 # ----------------------------------------------------------------------
@@ -112,12 +112,12 @@ def test_wrc_shape_detected_structurally():
 # Cycle finder
 # ----------------------------------------------------------------------
 
-def test_find_cycle_returns_none_on_acyclic_graph():
+def test_cycle_finder_returns_none_on_acyclic_graph():
     edges = [Edge((0, 0), (0, 1), "po"), Edge((0, 1), (1, 0), "rf")]
     assert find_cycle(edges) is None
 
 
-def test_find_cycle_extracts_the_loop_not_the_tail():
+def test_cycle_finder_extracts_the_loop_not_the_tail():
     edges = [
         Edge((9, 9), (0, 0), "po"),            # tail into the cycle
         Edge((0, 0), (0, 1), "po"),

@@ -1,14 +1,18 @@
-"""Axiomatic checker tests: cross-validation against the operational
+"""Axiomatic engine tests: cross-validation against the operational
 models and the rfi-globality distinction the paper relies on."""
 
 import pytest
 
-from repro.litmus.axiomatic import enumerate_axiomatic
 from repro.litmus.operational import enumerate_outcomes
 from repro.litmus.program import Fence, Ld, St, make_program
 from repro.litmus.tests import ALL_CASES, FIG5, N6
+from repro.models.axiomatic import classify
 
 MODELS = ("SC", "370", "x86")
+
+
+def allowed(program, model):
+    return classify(program, model).allowed
 
 
 class TestCrossValidation:
@@ -20,7 +24,7 @@ class TestCrossValidation:
         "case", ALL_CASES, ids=[c.program.name for c in ALL_CASES])
     def test_operational_equals_axiomatic(self, case, model):
         operational = enumerate_outcomes(case.program, model)
-        axiomatic = enumerate_axiomatic(case.program, model)
+        axiomatic = allowed(case.program, model)
         assert operational == axiomatic
 
 
@@ -29,16 +33,14 @@ class TestRfiGlobality:
     internal read-from (store-to-load forwarding) is globally ordered."""
 
     def test_n6_cycle_through_rfi(self):
-        x86_only = (enumerate_axiomatic(N6, "x86")
-                    - enumerate_axiomatic(N6, "370"))
+        x86_only = allowed(N6, "x86") - allowed(N6, "370")
         assert len(x86_only) == 1
         (outcome,) = x86_only
         assert outcome.reg(0, "rx") == 1   # forwarded from own store
         assert outcome.reg(0, "ry") == 0
 
     def test_fig5_disagreement_through_double_rfi(self):
-        x86_only = (enumerate_axiomatic(FIG5, "x86")
-                    - enumerate_axiomatic(FIG5, "370"))
+        x86_only = allowed(FIG5, "x86") - allowed(FIG5, "370")
         assert len(x86_only) == 1
 
 
@@ -47,13 +49,13 @@ class TestUniproc:
         program = make_program(
             "coRR", [[St("x", 1), St("x", 2), Ld("x", "r0")]])
         for model in MODELS:
-            for outcome in enumerate_axiomatic(program, model):
+            for outcome in allowed(program, model):
                 assert outcome.reg(0, "r0") == 2
 
     def test_no_loads_no_stores_single_outcome(self):
         program = make_program("empty", [[Ld("x", "r0")]])
         for model in MODELS:
-            assert len(enumerate_axiomatic(program, model)) == 1
+            assert len(allowed(program, model)) == 1
 
 
 class TestFenceAxioms:
@@ -63,11 +65,16 @@ class TestFenceAxioms:
             [St("y", 1), Fence(), Ld("x", "rx")],
         ])
         for model in MODELS:
-            bad = [o for o in enumerate_axiomatic(program, model)
+            bad = [o for o in allowed(program, model)
                    if o.reg(0, "ry") == 0 and o.reg(1, "rx") == 0]
             assert bad == []
 
 
 def test_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        enumerate_axiomatic(N6, "PSO")
+    with pytest.raises(ValueError, match="unknown model 'PSO'"):
+        classify(N6, "PSO")
+    # PC is registered but operational-only.
+    with pytest.raises(ValueError, match=(
+            "no axiomatic definition for model 'PC'; "
+            "axiomatic models: SC, 370, x86, WMM")):
+        classify(N6, "PC")

@@ -4,10 +4,12 @@ the sampler, and the happens-before explainer."""
 import pytest
 
 from repro.litmus import (EXTRA_CASES, FIG5, IRIW, MP, N6, PC, SB, WRC, X86,
-                          allows, enumerate_axiomatic, enumerate_outcomes,
-                          explain, sample)
+                          allows, enumerate_outcomes, explain, sample)
 from repro.litmus.battery import SB_BOTH_RMW, SB_ONE_RMW
 from repro.litmus.program import Ld, Rmw, St, make_program
+from repro.models import model_names
+from repro.models.axiomatic import classify, outcome_profile
+from repro.models.conformance import battery_corpus
 
 
 class TestProcessorConsistency:
@@ -80,7 +82,7 @@ class TestRmw:
         assert allows(SB_ONE_RMW, PC, **witness)
 
     def test_rmw_modeled_by_axiomatic_checker(self):
-        assert enumerate_axiomatic(SB_BOTH_RMW, X86) \
+        assert classify(SB_BOTH_RMW, X86).allowed \
             == enumerate_outcomes(SB_BOTH_RMW, X86)
 
 
@@ -95,9 +97,9 @@ class TestBattery:
     @pytest.mark.parametrize(
         "case", EXTRA_CASES, ids=[c.program.name for c in EXTRA_CASES])
     def test_battery_operational_equals_axiomatic(self, case):
-        for model in ("SC", "370", "x86", "WMM"):
-            assert enumerate_outcomes(case.program, model) \
-                == enumerate_axiomatic(case.program, model), model
+        for model, allowed in outcome_profile(case.program).items():
+            assert enumerate_outcomes(case.program, model) == allowed, \
+                model
 
 
 class TestSampler:
@@ -163,18 +165,17 @@ class TestExplain:
         assert "po-loc" in text
 
     def test_explain_matches_enumeration_on_battery(self):
-        for case in EXTRA_CASES:
-            if any(isinstance(op, Rmw)
-                   for th in case.program.threads for op in th):
-                continue
-            for model in ("SC", "370", "x86"):
+        # Every case, locked RMWs included, under every axiomatic model.
+        # The verdict is the line after the header: the x86 note in a
+        # FORBIDDEN body says "ALLOWED there" too.
+        for case in battery_corpus():
+            for model in model_names(axiomatic_only=True):
                 text = explain(case.program, model, **case.witness_dict())
+                verdict = text.splitlines()[1].split(":")[0].strip()
                 expected = case.expected_dict()[model]
-                if expected:
-                    assert "ALLOWED" in text, (case.program.name, model)
-                else:
-                    assert "ALLOWED" not in text, (case.program.name,
-                                                   model)
+                assert verdict == ("ALLOWED" if expected
+                                   else "FORBIDDEN"), \
+                    (case.program.name, model, text)
 
     def test_pc_not_supported(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,26 @@
-"""The memory-model registry and its machine-checked lattice.
+"""The memory-model registry, its lattice, and the conformance check.
 
 Every battery and generated case is judged under every registered
 model; allowed-outcome monotonicity must hold along every (transitive)
-lattice edge, and the classic WMM-vs-x86 witnesses must be confirmed
-by all three oracles.
+lattice edge, the axiomatic engine must agree with the operational
+machines, and the classic WMM-vs-x86 witnesses must be confirmed by
+both formalizations.
 """
+
+import json
 
 import pytest
 
+from repro.cli import main
+from repro.litmus import operational
 from repro.litmus.battery import EXTRA_CASES
 from repro.litmus.generated import GENERATED_CASES
-from repro.litmus.operational import MODELS
-from repro.litmus.tests import ALL_CASES
+from repro.litmus.operational import MODELS, enumerate_outcomes
+from repro.litmus.tests import ALL_CASES, N6
 from repro.models import (MODEL_ORDER, REGISTRY, get_model, lattice_edges,
                           declared_edges, model_names, model_table)
-from repro.models.lattice import check_lattice, check_program
-from repro.synth.oracle import triple_check
+from repro.models.conformance import battery_corpus, check, random_corpus
+from repro.models.lattice import containment_violations
 
 _CORPUS = ALL_CASES + EXTRA_CASES + GENERATED_CASES
 _IDS = [case.program.name for case in _CORPUS]
@@ -73,18 +78,75 @@ class TestLattice:
 
     @pytest.mark.parametrize("case", _CORPUS, ids=_IDS)
     def test_monotone_along_every_edge(self, case):
-        assert check_program(case.program) == []
+        sets = {model: enumerate_outcomes(case.program, model)
+                for model in model_names()}
+        assert containment_violations(sets, case.program.name) == []
 
     def test_full_corpus_report(self):
-        report = check_lattice()
-        assert report.ok
+        assert battery_corpus() == list(_CORPUS)
+        report = check(case.program for case in battery_corpus())
+        assert report.ok, "\n".join(report.problems)
         assert report.programs_checked == len(_CORPUS)
         assert report.edges == lattice_edges()
 
 
+class TestConformance:
+    def test_disagreement_is_reported_with_its_chain(self, monkeypatch):
+        # A machine that forwards under 370 admits the n6 witness, which
+        # the axioms forbid: the check must name it and render the rfi
+        # chain behind the axiomatic verdict.
+        real = enumerate_outcomes
+
+        def forwarding_370(program, model):
+            return real(program, "x86" if model == "370" else model)
+
+        monkeypatch.setattr(operational, "enumerate_outcomes",
+                            forwarding_370)
+        report = check([N6])
+        assert not report.ok
+        [program] = report.programs
+        assert list(program.disagreements) == ["370"]
+        [mismatch] = program.mismatches
+        assert mismatch.startswith("n6: operational allows [")
+        assert "which axiomatic forbids under 370" in mismatch
+        assert "--rfi-->" in mismatch
+        assert report.problems == [mismatch]
+        assert program.to_dict()["agree"] is False
+
+    def test_empty_corpus_is_not_ok(self):
+        assert not check([]).ok
+
+    def test_random_corpus_is_seeded(self):
+        first = random_corpus(5, 3, allow_rmws=True)
+        again = random_corpus(5, 3, allow_rmws=True)
+        assert [p.threads for p in first] == [p.threads for p in again]
+        assert [p.name for p in first] == [f"random-3-{i}"
+                                           for i in range(5)]
+
+
+class TestZooCli:
+    def test_zoo_json_report(self, tmp_path, capsys):
+        path = tmp_path / "zoo.json"
+        assert main(["zoo", "--random", "5", "--seed", "0",
+                     "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        lattice = report["lattice"]
+        assert lattice["ok"] and lattice["programs_checked"] == 27
+        edges = {tuple(edge) for edge in lattice["edges"]}
+        assert len(edges) == 10
+        assert ("SC", "WMM") in edges and ("x86", "PC") in edges
+        randoms = report["random"]
+        assert randoms["programs"] == 5 and len(randoms["reports"]) == 5
+        assert all(doc["agree"] for doc in randoms["reports"])
+        assert [m["name"] for m in report["models"]] == \
+            ["SC", "370", "x86", "PC", "WMM"]
+        out = capsys.readouterr().out
+        assert "27 programs" in out and "0 disagreements" in out
+
+
 class TestWmmWitnesses:
     """The registry's weakest member must be observably weaker than
-    x86 — on at least two classic programs, via all three oracles."""
+    x86 — on at least two classic programs, in both formalizations."""
 
     WITNESSES = [case for case in _CORPUS
                  if case.expected_dict().get("WMM") is True
@@ -99,8 +161,8 @@ class TestWmmWitnesses:
         "case", WITNESSES, ids=[c.program.name for c in WITNESSES])
     def test_witness_confirmed_by_all_three_oracles(self, case):
         from repro.litmus.operational import matching_outcomes
-        report = triple_check(case.program, models=("x86", "WMM"))
-        assert report.agree, "\n".join(report.mismatches)
+        report = check([case.program])
+        assert report.ok, "\n".join(report.problems)
         witness = case.witness_dict()
         assert matching_outcomes(case.program, "WMM", **witness)
         assert not matching_outcomes(case.program, "x86", **witness)

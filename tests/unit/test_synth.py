@@ -1,17 +1,17 @@
-"""Unit tests for ``repro.synth``: space, profile, search, oracle."""
+"""Unit tests for ``repro.synth``: space, profile, search, and the
+conformance check of what it finds."""
 
 import pytest
 
-from repro.lint.memory_model import classify
 from repro.litmus.program import canonical_key
 from repro.litmus.tests import MP, N6, SB
+from repro.models.axiomatic import classify, outcome_profile
+from repro.models.conformance import check
 from repro.synth import (MODEL_PAIRS, SynthBounds, SynthResult,
                          count_programs, distinguishing_outcomes,
                          enumerate_programs, lattice_violations,
                          may_distinguish, merge_results, minimize_program,
-                         outcome_profile, pool_distinguishers, search,
-                         triple_check, triple_check_many)
-from repro.synth.profile import profile_diff
+                         pool_distinguishers, profile_diff, search)
 from repro.synth.space import LATTICE
 
 SMALL = SynthBounds(threads=2, max_ops=2, addresses=2)
@@ -194,16 +194,16 @@ class TestOracle:
     @pytest.mark.parametrize("program", [SB, N6, MP],
                              ids=lambda p: p.name)
     def test_oracles_agree_on_classics(self, program):
-        report = triple_check(program)
-        assert report.agree, "\n".join(report.mismatches)
-        assert report.counts["SC"] >= 1
+        report = check([program])
+        assert report.ok, "\n".join(report.problems)
+        assert report.programs[0].counts["SC"] >= 1
 
-    def test_triple_check_many(self):
-        ok, reports = triple_check_many([SB, MP])
-        assert ok and len(reports) == 2
+    def test_check_many(self):
+        report = check([SB, MP])
+        assert report.ok and report.programs_checked == 2
 
     def test_synthesized_witnesses_pass_all_oracles(self):
         result = search(SMALL)
-        programs = [d.program for d in result.distinguishers.values()]
-        ok, reports = triple_check_many(programs)
-        assert ok, "\n".join(m for r in reports for m in r.mismatches)
+        report = check(d.program for d in result.distinguishers.values())
+        assert report.ok, "\n".join(report.problems)
+        assert report.programs_checked == result.distinct

@@ -1,10 +1,11 @@
 """The promoted (generated) battery members, re-verified from scratch.
 
 ``src/repro/litmus/generated.py`` is committed output of ``repro synth
---promote``.  Trust nothing: every case here is re-checked against all
-three oracles, its witness verdicts are recomputed, its minimality is
-re-established, and its structural novelty vs the hand-written battery
-is re-derived — so a stale or hand-edited generated module fails loudly.
+--promote``.  Trust nothing: every case here is re-checked by the
+conformance check (axiomatic engine against the operational machines),
+its witness verdicts are recomputed, its minimality is re-established,
+and its structural novelty vs the hand-written battery is re-derived —
+so a stale or hand-edited generated module fails loudly.
 """
 
 import pytest
@@ -15,7 +16,8 @@ from repro.litmus.operational import enumerate_outcomes
 from repro.litmus.program import canonical_key
 from repro.litmus.registry import litmus_registry
 from repro.litmus.tests import ALL_CASES
-from repro.synth import outcome_profile, triple_check
+from repro.models.axiomatic import outcome_profile
+from repro.models.conformance import check
 from repro.synth.space import LATTICE
 
 _IDS = [case.program.name for case in GENERATED_CASES]
@@ -49,8 +51,8 @@ def test_generated_keys_distinct_and_novel():
 
 @pytest.mark.parametrize("case", GENERATED_CASES, ids=_IDS)
 def test_three_oracles_agree_exactly(case):
-    report = triple_check(case.program)
-    assert report.agree, "\n".join(report.mismatches)
+    report = check([case.program])
+    assert report.ok, "\n".join(report.problems)
 
 
 @pytest.mark.parametrize("case", GENERATED_CASES, ids=_IDS)
