@@ -418,6 +418,7 @@ def cmd_sweep(args) -> int:
             "cached": outcome.cached,
             "mode": outcome.mode,
             "workers": outcome.workers,
+            "units": outcome.units,
         }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
@@ -425,7 +426,8 @@ def cmd_sweep(args) -> int:
     if args.verbose:
         print(f"({outcome.simulated} simulated, {outcome.cached} cached, "
               f"{outcome.failed} failed, {outcome.mode} with "
-              f"{outcome.workers} worker(s), {outcome.elapsed:.1f}s)",
+              f"{outcome.workers} worker(s) over {outcome.units} trace "
+              f"unit(s), {outcome.elapsed:.1f}s)",
               file=sys.stderr)
     return 1 if (outcome.failed or outcome.interrupted) else 0
 

@@ -5,8 +5,8 @@ exist:
 
 * ``bench`` (alias ``sweep``) — one simulation cell, exactly a
   :class:`~repro.sweep.runner.SweepJob`: benchmark profile × policy ×
-  (cores, length, seed, flags).  Executing it calls the same
-  ``execute_job`` the sweep runner uses, so a result served by the
+  (cores, length, seed, flags).  Executing it calls ``execute_job``,
+  the sweep runner's one-cell trace unit, so a result served by the
   service is byte-identical to a direct :func:`run_sweep` of the same
   cell — and the two share one cache namespace.
 * ``litmus`` — enumerate a named litmus test under one or more memory

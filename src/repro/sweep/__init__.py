@@ -1,20 +1,20 @@
 """Parallel, cached sweep runner for (benchmark × policy) experiments.
 
 The evaluation figures (Fig. 9 / Fig. 10 / Table IV) are grids of
-independent simulations: each (profile, policy, config) cell regenerates
-its traces from a seed and runs to completion with no shared state.
-This package fans those cells across worker processes and memoizes the
-resulting :class:`~repro.sim.stats.SystemStats` on disk, keyed by a
-content hash of everything that can change the answer — the trace
-specification, the system configuration, the policy, and the simulator
-source itself.
+deterministic simulations whose rows share traces: a benchmark's
+policies run on identical inputs.  This package fans *trace units* —
+the cells that share a trace specification, generated once per unit —
+across worker processes and memoizes each cell's
+:class:`~repro.sim.stats.SystemStats` on disk, keyed by a content hash
+of everything that can change the answer: the trace specification, the
+system configuration, the policy, and the simulator source itself.
 
 Entry points:
 
 * :class:`SweepJob` — one cell of the grid.
 * :func:`run_sweep` — execute a batch of jobs; returns results in input
   order regardless of completion order (the engine is deterministic, so
-  parallel and serial execution are cycle-identical).
+  every cell equals its job run alone, serially or in parallel).
 * ``python -m repro sweep`` — the CLI front end.
 """
 

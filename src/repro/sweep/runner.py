@@ -1,12 +1,12 @@
 """The sweep runner: fan (profile × policy) simulations across processes.
 
-Every job is self-contained — traces are regenerated inside the worker
-from ``(profile, cores, length, seed)``, which is deterministic — so the
-pool needs to pickle only the small :class:`SweepJob` description, never
-a trace or a simulator.  The engine itself is deterministic, which makes
-the merge trivial: results are placed back at their job's input index,
-and a parallel sweep is cycle-identical to running the same jobs in a
-loop.
+The pool's task is a *trace unit*: the cells that share a trace
+specification (profile, cores, resolved length, seed, hint stripping),
+like the five policies of a Fig. 10 row.  A unit generates its traces
+once, inside the worker, so the pool pickles only small
+:class:`SweepJob` lists.  Generation and the engine are deterministic,
+so results are placed back at their job's input index and every cell
+equals :func:`execute_job` (the one-cell unit) run alone.
 
 Completed results are stored in a :class:`~repro.sweep.cache.ResultCache`
 keyed by :func:`job_key`, so re-running a figure after editing only the
@@ -15,27 +15,30 @@ plotting code performs zero simulations.
 Crash tolerance
 ---------------
 
-A sweep survives its own cells: a per-job ``timeout`` (enforced with a
-SIGALRM timer inside the worker), bounded ``retries`` with exponential
-``backoff``, and per-cell structured error payloads.  A cell that keeps
-failing becomes ``None`` in ``SweepOutcome.results`` with its error in
-``SweepOutcome.errors`` at the same index — the sweep completes with
-partial results instead of dying.  A dead worker process (the pool
-breaks) fails every in-flight cell retryably; the next retry round gets
-a fresh pool.  Ctrl-C cancels outstanding futures, salvages cells that
-already finished, and returns (and caches) the partial outcome.
+A sweep survives its own cells: a per-cell ``timeout`` (a SIGALRM timer
+inside the worker; a unit's first cell also pays for generation),
+bounded ``retries`` with exponential ``backoff``, and per-cell
+structured error payloads.  A cell that keeps failing becomes ``None``
+in ``SweepOutcome.results`` with its error in ``SweepOutcome.errors`` at
+the same index — the sweep completes with partial results instead of
+dying.  A failing cell never fails its siblings; a generation error
+fails its unit, and a dead worker process every in-flight unit, all
+retryably on a fresh pool.  Ctrl-C cancels outstanding futures, salvages
+cells that already finished, and returns (and caches) the partial outcome.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.core.policies import POLICY_ORDER
 from repro.sim.config import SystemConfig
@@ -148,6 +151,7 @@ class SweepOutcome:
     # How the simulated cells were executed: "serial" (in-process) or
     # "parallel" (a process pool of ``workers``).
     mode: str = "serial"
+    units: int = 0                     # trace units in the first round
     keys: List[str] = field(default_factory=list)  # cache key per job
     # Per-job observability summary dicts (None for non-obs jobs), in
     # input order — the ``repro.obs.session.ObsReport.to_dict()`` form.
@@ -195,18 +199,8 @@ def job_key(job: SweepJob) -> str:
     return content_key(payload)
 
 
-def execute_job(job: SweepJob,
-                cache_dir: Union[str, os.PathLike, None] = None) -> Dict:
-    """Run one job to completion; returns the stats as a JSON-safe dict.
-
-    Module-level so it pickles for the process pool.  Traces are
-    regenerated here — generation is seeded and deterministic, so every
-    worker sees byte-identical workloads.
-
-    ``cache_dir`` only matters for checkpointed jobs
-    (``job.checkpoint_every``): it is where the resume blob and the
-    progress document live between checkpoints.
-    """
+def _unit_traces(job: SweepJob) -> Tuple[list, list]:
+    """The (traces, warm-up traces) every cell of ``job``'s unit runs on."""
     profile = get_profile(job.name)
     n = resolved_length(job.name, job.length)
     traces = generate_workload(profile, job.cores, n, job.seed)
@@ -214,6 +208,12 @@ def execute_job(job: SweepJob,
     if not job.memdep_hints:
         for trace in traces:
             trace.memdep_hints = []
+    return traces, warm
+
+
+def _run_cell(job: SweepJob, traces, warm,
+              cache_dir: Union[str, os.PathLike, None]) -> Dict:
+    """One cell on its unit's traces (which no cell changes)."""
     if job.checkpoint_every is not None:
         return _execute_checkpointed(job, traces, warm, cache_dir)
     if job.obs:
@@ -231,6 +231,18 @@ def execute_job(job: SweepJob,
                      warm_caches=warm,
                      detect_violations=job.detect_violations)
     return stats.to_dict()
+
+
+def execute_job(job: SweepJob,
+                cache_dir: Union[str, os.PathLike, None] = None) -> Dict:
+    """Run one job to completion — the one-cell trace unit, serve's
+    ``bench`` path; returns the stats as a JSON-safe dict.
+
+    ``cache_dir`` only matters for checkpointed jobs
+    (``job.checkpoint_every``): it is where the resume blob and the
+    progress document live between checkpoints.
+    """
+    return _run_cell(job, *_unit_traces(job), cache_dir)
 
 
 def _execute_checkpointed(job: SweepJob, traces, warm,
@@ -319,26 +331,59 @@ def with_deadline(fn: Callable[[], Dict], timeout: Optional[float],
             signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
 
 
-def _execute_job_guarded(job: SweepJob, timeout: Optional[float],
-                         cache_dir: Union[str, os.PathLike, None] = None
-                         ) -> Dict:
-    """:func:`execute_job` under a wall-clock deadline."""
-    return with_deadline(lambda: execute_job(job, cache_dir), timeout,
-                         f"{job.name}/{job.policy}")
+def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
+                   cache_dir: Union[str, os.PathLike, None] = None
+                   ) -> Iterator[Tuple[str, Dict]]:
+    """Run a unit's cells on traces generated once, yielding ``("ok",
+    payload)`` or ``("err", info)`` per cell, each under its own deadline
+    (the first's also covers generation, whose failure fails them all)."""
+    shared: List = []
+    for pos, job in enumerate(unit):
+        if pos:
+            # A finished System is cyclic garbage: free it before the
+            # next is built, or a unit's peak memory grows per cell.
+            gc.collect()
+
+        def cell() -> Dict:
+            if not shared:
+                shared.extend(_unit_traces(job))
+            return _run_cell(job, *shared, cache_dir)
+
+        try:
+            outcome = "ok", with_deadline(cell, timeout,
+                                          f"{job.name}/{job.policy}")
+        except Exception as exc:
+            outcome = "err", _exc_info(exc)
+        if not shared:
+            yield from [outcome] * len(unit)
+            return
+        yield outcome
 
 
-def _execute_cell(job: SweepJob, timeout: Optional[float],
+def _execute_unit(unit: Sequence[SweepJob], timeout: Optional[float],
                   cache_dir: Union[str, os.PathLike, None] = None
-                  ) -> Tuple[str, Dict]:
-    """One cell under its deadline: ``("ok", payload)`` or ``("err",
-    info)``.  Module-level so it pickles for the process pool; failures
-    come back as data, not exceptions, so the error payload is built in
-    the process that raised it whether the cell ran in a pool worker or
-    in-process."""
-    try:
-        return "ok", _execute_job_guarded(job, timeout, cache_dir)
-    except Exception as exc:
-        return "err", _exc_info(exc)
+                  ) -> List[Tuple[str, Dict]]:
+    """The pool's entry point (module-level, so it pickles)."""
+    return list(_unit_outcomes(unit, timeout, cache_dir))
+
+
+def _trace_units(jobs: Sequence[SweepJob], indices: Sequence[int],
+                 workers: int) -> List[List[int]]:
+    """Group ``indices`` by the inputs of :func:`_unit_traces`, in
+    first-appearance order; while there are fewer units than
+    min(``workers``, cells), split the largest in half."""
+    groups: Dict[Tuple, List[int]] = {}
+    for idx in indices:
+        job = jobs[idx]
+        key = (job.name, job.cores, resolved_length(job.name, job.length),
+               job.seed, job.memdep_hints)
+        groups.setdefault(key, []).append(idx)
+    units = list(groups.values())
+    while len(units) < min(workers, len(indices)):
+        big = max(range(len(units)), key=lambda i: len(units[i]))
+        half = (len(units[big]) + 1) // 2
+        units[big:big + 1] = [units[big][:half], units[big][half:]]
+    return units
 
 
 def _exc_info(exc: BaseException) -> Dict:
@@ -397,7 +442,7 @@ def run_sweep(jobs: Sequence[SweepJob],
               timeout: Optional[float] = None,
               retries: int = 0,
               backoff: float = 0.5) -> SweepOutcome:
-    """Execute a batch of sweep jobs, one pool task per uncached cell.
+    """Execute a batch of sweep jobs, one pool task per trace unit.
 
     The pool holds ``workers`` processes (default
     :func:`default_workers`), capped at the number of uncached jobs;
@@ -408,7 +453,7 @@ def run_sweep(jobs: Sequence[SweepJob],
     or ``.sweep-cache``).  ``progress`` receives human-readable status
     lines, including an ETA once a completion time is known.
 
-    ``timeout`` bounds each job's wall-clock seconds; a cell that blows
+    ``timeout`` bounds each cell's wall-clock seconds; a cell that blows
     it (or raises, or loses its worker process) is retried up to
     ``retries`` more times with exponential ``backoff`` between rounds,
     then recorded as a structured error payload — the sweep always
@@ -471,9 +516,11 @@ def run_sweep(jobs: Sequence[SweepJob],
     nworkers = max(1, min(workers, len(todo) or 1))
     mode = "serial" if nworkers <= 1 else "parallel"
 
+    units = _trace_units(jobs, todo, nworkers)
     if todo:
         note(f"sweep: {len(todo)} of {len(jobs)} jobs to simulate "
-             f"({cached} cached), {nworkers} worker(s)")
+             f"({cached} cached) in {len(units)} trace units, "
+             f"{nworkers} worker(s)")
     elif jobs:
         note(f"sweep: all {len(jobs)} jobs cached, nothing to simulate")
     done = 0
@@ -498,35 +545,42 @@ def run_sweep(jobs: Sequence[SweepJob],
         note(f"sweep: [{done}/{len(todo)}] {job.name}/{job.policy} "
              f"done, ETA {eta:.0f}s")
 
-    def failed(idx: int, info: Dict, attempts: int) -> None:
-        job = jobs[idx]
-        errors_by_key[keys[idx]] = _error_payload(job, info, attempts)
-        note(f"sweep: [fail] {job.name}/{job.policy}: "
-             f"{info['type']}: {info['message']}")
+    def settle(unit: List[int], outcomes, attempts: int,
+               quiet: bool = False) -> List[int]:
+        """Record each cell's outcome as it arrives, skipping cells
+        already settled; returns the cells that failed (retryable)."""
+        retry: List[int] = []
+        for idx, (status, payload) in zip(unit, outcomes):
+            if keys[idx] in stats_by_key:
+                continue
+            if status == "ok":
+                finished(idx, payload, quiet)
+                continue
+            job = jobs[idx]
+            errors_by_key[keys[idx]] = _error_payload(job, payload, attempts)
+            if not quiet:
+                note(f"sweep: [fail] {job.name}/{job.policy}: "
+                     f"{payload['type']}: {payload['message']}")
+            retry.append(idx)
+        return retry
 
-    def run_serial(indices: List[int], attempts: int
+    def run_serial(units: List[List[int]], attempts: int
                    ) -> Tuple[List[int], bool]:
-        """In-process execution; returns (retryable indices, interrupted)."""
+        """In-process execution, each cell settled as it finishes;
+        returns (retryable indices, interrupted)."""
         retryable: List[int] = []
-        for pos, idx in enumerate(indices):
-            try:
-                status, payload = _execute_cell(jobs[idx], timeout, chk_dir)
-                if status == "ok":
-                    finished(idx, payload)
-                    continue
-            except KeyboardInterrupt:
-                note("sweep: interrupted — keeping completed cells")
-                for cancelled in indices[pos:]:
-                    errors_by_key.setdefault(
-                        keys[cancelled], _cancel_payload(jobs[cancelled]))
-                return [], True
-            failed(idx, payload, attempts)
-            retryable.append(idx)
+        try:
+            for unit in units:
+                retryable += settle(unit, _unit_outcomes(
+                    [jobs[idx] for idx in unit], timeout, chk_dir), attempts)
+        except KeyboardInterrupt:
+            note("sweep: interrupted — keeping completed cells")
+            return [], True
         return retryable, False
 
-    def run_pool(indices: List[int], attempts: int
+    def run_pool(units: List[List[int]], attempts: int
                  ) -> Tuple[List[int], bool]:
-        """Process-pool execution, one task per cell; returns
+        """Process-pool execution, one task per unit; returns
         (retryable, interrupted).
 
         A fresh pool per round: a worker that died (OOM, signal) breaks
@@ -534,53 +588,37 @@ def run_sweep(jobs: Sequence[SweepJob],
         those cells are simply retryable like any other failure, and the
         next round starts with working processes.
         """
+        def outcomes(future, unit: List[int]) -> List[Tuple[str, Dict]]:
+            exc = future.exception()  # cells never raise: a dead worker
+            return (future.result() if exc is None
+                    else [("err", _exc_info(exc))] * len(unit))
+
         retryable: List[int] = []
         interrupted = False
-        pool = ProcessPoolExecutor(max_workers=min(nworkers, len(indices)))
-        futures = {pool.submit(_execute_cell, jobs[idx], timeout, chk_dir):
-                   idx for idx in indices}
+        pool = ProcessPoolExecutor(max_workers=min(nworkers, len(units)))
+        futures = {pool.submit(_execute_unit, [jobs[idx] for idx in unit],
+                               timeout, chk_dir): unit for unit in units}
         try:
             for future in as_completed(futures):
-                idx = futures[future]
-                try:
-                    status, payload = future.result()
-                except Exception as exc:
-                    # The worker running this cell died.
-                    status, payload = "err", _exc_info(exc)
-                if status == "ok":
-                    finished(idx, payload)
-                else:
-                    failed(idx, payload, attempts)
-                    retryable.append(idx)
+                unit = futures[future]
+                retryable += settle(unit, outcomes(future, unit), attempts)
         except KeyboardInterrupt:
             interrupted = True
             note("sweep: interrupted — cancelling outstanding jobs, "
                  "keeping completed cells")
             for future in futures:
                 future.cancel()
-            # Salvage cells that finished but were not yet collected.
-            for future, idx in futures.items():
-                key = keys[idx]
-                if key in stats_by_key or key in errors_by_key:
-                    continue
-                if not future.done() or future.cancelled():
-                    errors_by_key[key] = _cancel_payload(jobs[idx])
-                    continue
-                try:
-                    status, payload = future.result()
-                except BaseException as exc:
-                    status, payload = "err", _exc_info(exc)
-                if status == "ok":
-                    finished(idx, payload, quiet=True)
-                else:
-                    errors_by_key[key] = _error_payload(
-                        jobs[idx], payload, attempts)
+            # Salvage cells that finished but were not yet settled.
+            for future, unit in futures.items():
+                if future.done() and not future.cancelled():
+                    settle(unit, outcomes(future, unit), attempts, quiet=True)
             retryable = []
         finally:
             pool.shutdown(wait=not interrupted,
                           cancel_futures=interrupted)
         return retryable, interrupted
 
+    first_units = len(units)
     pending = list(todo)
     interrupted = False
     attempt = 0
@@ -592,10 +630,9 @@ def run_sweep(jobs: Sequence[SweepJob],
                  f"(attempt {attempt}, backoff {delay:.1f}s)")
             if delay > 0:
                 time.sleep(delay)
-        if nworkers <= 1 or len(pending) <= 1:
-            pending, interrupted = run_serial(pending, attempt)
-        else:
-            pending, interrupted = run_pool(pending, attempt)
+            units = _trace_units(jobs, pending, nworkers)
+        run = run_pool if min(nworkers, len(units)) > 1 else run_serial
+        pending, interrupted = run(units, attempt)
         if attempt > retries:
             break
 
@@ -608,8 +645,8 @@ def run_sweep(jobs: Sequence[SweepJob],
             errors.append(None)
         else:
             results.append(None)
-            # A cell never reached (interrupt during an earlier round)
-            # has no recorded error yet; mark it cancelled.
+            # A cell an interrupt cut off before it ran has no
+            # recorded error yet; mark it cancelled.
             errors.append(errors_by_key.get(key) or _cancel_payload(job))
     failed_cells = sum(1 for r in results if r is None)
     if failed_cells:
@@ -618,7 +655,8 @@ def run_sweep(jobs: Sequence[SweepJob],
     return SweepOutcome(results=results, simulated=done,
                         cached=cached,
                         elapsed=time.perf_counter() - t0,
-                        workers=nworkers, mode=mode, keys=keys,
+                        workers=nworkers, mode=mode, units=first_units,
+                        keys=keys,
                         obs=[obs_by_key.get(key) for key in keys],
                         errors=errors, failed=failed_cells,
                         interrupted=interrupted)

@@ -6,7 +6,9 @@ The load-bearing properties:
   ``run_policy_sweep`` loop (the engine is deterministic and jobs are
   independent, so process fan-out must not change any number);
 * the on-disk cache answers repeat sweeps with zero simulations, and
-  its keys distinguish everything that changes a result.
+  its keys distinguish everything that changes a result;
+* cells that share a trace specification run as one *trace unit* on
+  traces generated once, and each still equals its job run alone.
 """
 
 import dataclasses
@@ -15,7 +17,10 @@ import pytest
 
 from repro.sim.config import SKYLAKE_LIKE, TINY
 from repro.sweep import SweepJob, job_key, run_sweep
+from repro.sweep import runner
 from repro.sweep.cache import ResultCache
+from repro.sweep.runner import execute_job
+from repro.workloads import synthetic
 from repro.workloads.runner import run_policy_sweep
 
 PROFILES = ["fft", "radix", "502.gcc_1"]
@@ -25,9 +30,9 @@ CORES = 2
 LENGTH = 400
 
 
-def _grid_jobs():
+def _grid_jobs(names=PROFILES):
     return [SweepJob(name=name, policy=policy, cores=CORES, length=LENGTH)
-            for name in PROFILES for policy in POLICIES]
+            for name in names for policy in POLICIES]
 
 
 def test_parallel_sweep_matches_serial_reference(tmp_path):
@@ -168,3 +173,69 @@ def test_memdep_hint_stripping_changes_the_run(tmp_path):
     hinted_stats, cold_stats = (r.stats for r in outcome.results)
     assert (cold_stats.total.squashes_memdep
             >= hinted_stats.total.squashes_memdep)
+
+
+# ---------------------------------------------------------------------------
+# trace units: one generation per (profile, cores, length, seed, hints)
+# ---------------------------------------------------------------------------
+
+def _unit_grid():
+    """2 profiles x 5 policies, plus an obs, a detect_violations, a
+    checkpointed and a hint-stripped cell with the grid's names and
+    seed — the first three share a trace unit with grid cells, placed
+    before and after them."""
+    grid = _grid_jobs(PROFILES[:2])
+    fft, radix = grid[0], grid[5]
+    return ([dataclasses.replace(fft, policy="370-SLFSoS-key", obs=True)]
+            + grid
+            + [dataclasses.replace(radix, detect_violations=True),
+               dataclasses.replace(fft, policy="370-SLFSoS",
+                                   checkpoint_every=150),
+               dataclasses.replace(radix, policy="370-SLFSoS-key",
+                                   memdep_hints=False)])
+
+
+def test_every_unit_cell_equals_its_job_run_alone(tmp_path):
+    """Cells that share traces see exactly what a lone execute_job sees:
+    no state leaks between the cells of a unit, serially or pooled."""
+    jobs = _unit_grid()
+    alone = [execute_job(job) for job in jobs]
+    for workers in (1, 2):
+        outcome = run_sweep(jobs, workers=workers,
+                            cache_dir=tmp_path / f"w{workers}")
+        assert outcome.failed == 0 and outcome.units == 3
+        for job, result, obs, payload in zip(jobs, outcome.results,
+                                             outcome.obs, alone):
+            payload = dict(payload)
+            assert obs == payload.pop("obs", None), (workers, job)
+            assert result.stats.to_dict() == payload, (workers, job)
+
+
+def test_serial_sweep_generates_once_per_unit(monkeypatch):
+    """2 profiles x 5 policies generate 2 workloads and 2 warm-up traces
+    (which generate through generate_workload): 4 calls, not 20."""
+    calls = []
+    real = synthetic.generate_workload
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "generate_workload", counting)
+    monkeypatch.setattr(runner, "generate_workload", counting)
+    jobs = _grid_jobs(PROFILES[:2])
+    outcome = run_sweep(jobs, workers=1, cache=False)
+    assert sorted(calls) == sorted(PROFILES[:2] * 2)
+    assert outcome.simulated == len(jobs) and outcome.units == 2
+
+
+def test_one_unit_is_split_across_the_pool():
+    """A sweep of one benchmark is one trace unit; with two workers it
+    is split in two so that both run."""
+    jobs = _grid_jobs(["fft"])
+    notes = []
+    outcome = run_sweep(jobs, workers=2, cache=False, progress=notes.append)
+    assert (outcome.mode, outcome.workers, outcome.units) == (
+        "parallel", 2, 2)
+    assert outcome.failed == 0 and outcome.simulated == len(jobs)
+    assert any("in 2 trace units, 2 worker(s)" in note for note in notes)

@@ -10,7 +10,8 @@ import pytest
 from repro.sim.config import TINY
 from repro.sweep import SweepJob, run_sweep
 from repro.sweep.cache import ResultCache
-from repro.sweep.runner import JobTimeout, _execute_job_guarded, job_key
+from repro.sweep.runner import (JobTimeout, execute_job, job_key,
+                                with_deadline)
 
 CORES = 2
 #: 2 traces on a 1-core config: System.__init__ raises ValueError —
@@ -33,6 +34,13 @@ def _slow(policy="370-SLFSpec"):
                     config=TINY)
 
 
+#: A deadline that ``_good()`` always meets and ``_slow()`` never does:
+#: ``_good()`` takes 17-29 ms warm and ~80 ms as a process's first cell
+#: (generation included), on a host that runs 1-2x slow in spells;
+#: ``_slow()`` takes ~3.9 s.
+TIMEOUT = 1.0
+
+
 def test_worker_exception_becomes_structured_error(tmp_path):
     outcome = run_sweep([_good(), _raising()], workers=1,
                         cache_dir=tmp_path)
@@ -50,7 +58,7 @@ def test_worker_exception_becomes_structured_error(tmp_path):
                     reason="per-job timeouts need SIGALRM")
 def test_timeout_cell_is_flagged_and_sweep_completes(tmp_path):
     outcome = run_sweep([_good(), _slow()], workers=1,
-                        cache_dir=tmp_path, timeout=0.05)
+                        cache_dir=tmp_path, timeout=TIMEOUT)
     assert outcome.results[0] is not None
     assert outcome.results[1] is None
     err = outcome.errors[1]
@@ -65,7 +73,7 @@ def test_timeout_nests_inside_an_outer_alarm():
     signal.setitimer(signal.ITIMER_REAL, 60.0)
     try:
         with pytest.raises(JobTimeout):
-            _execute_job_guarded(_slow(), timeout=0.05)
+            with_deadline(lambda: execute_job(_slow()), 0.05, "fft/slow")
         remaining, _ = signal.setitimer(signal.ITIMER_REAL, 0)
         assert 0 < remaining <= 60.0
     finally:
@@ -74,7 +82,8 @@ def test_timeout_nests_inside_an_outer_alarm():
 
 def test_mixed_pool_sweep_completes_and_caches_survivors(tmp_path):
     jobs = [_good(), _raising(), _slow()]
-    outcome = run_sweep(jobs, workers=2, cache_dir=tmp_path, timeout=0.2)
+    outcome = run_sweep(jobs, workers=2, cache_dir=tmp_path,
+                        timeout=TIMEOUT)
     assert [r is not None for r in outcome.results] == [True, False, False]
     assert outcome.failed == 2
     # The good cell was cached despite its neighbours failing.
