@@ -1,24 +1,20 @@
-"""Kernel microbenchmark: optimized event kernel vs the pre-PR seed.
+"""Kernel and sweep-runner throughput, recorded into ``BENCH_kernel.json``.
 
-Measures events/sec of the discrete-event kernel fast path (bucketed
-engine + hot-loop pipeline optimizations) against a faithful
-reconstruction of the seed implementation: the original heap-only
-``Engine`` with per-event ``until()`` polling, the generator-based
-``StoreBuffer`` iteration, the unconditional drain-ahead RFO scan, the
-full-LQ memory-dependence scan, and the unbound dispatch loop.
+Two rows:
 
-The two kernels must produce *cycle-for-cycle identical* ``SystemStats``
-— the optimization contract — which this bench asserts before it
-reports any number.
+* **kernel** — events/sec of the discrete-event kernel on one Fig. 10
+  cell (best of ``ROUNDS`` runs), with the cell's ``stats_digest``: the
+  first 16 hex characters of SHA-256 over its canonical stats JSON, the
+  same digest ``tests/integration/test_stats_pin.py`` pins.  Read a
+  speedup against an earlier run on the same host; the pin test is the
+  identity check.
+* **sweep** — serial vs a fixed 4-worker pool vs default sizing
+  (``workers=None``) wall clock for 8 uncached jobs.  All three must
+  give identical stats, and the default must never lose to serial.
 
-Two more rows ride along: the **warm-fork** sweep (one warm-up,
-snapshot, five policy forks — vs the seed per-cell re-warm loop) and
-the **sweep runner** (a fixed pool, and default sizing ``workers=None``,
-which must never lose to serial).  All three record into
-``BENCH_kernel.json``; ``REPRO_BENCH_SCALE`` shrinks the workloads for
-CI smoke.
-
-Run standalone (CI smoke) to record events/sec into ``BENCH_kernel.json``:
+``REPRO_BENCH_SCALE`` shrinks the workloads and ``REPRO_BENCH_ROUNDS``
+the kernel timing rounds for CI smoke.  Run standalone to record the
+rows (exits nonzero if a sweep gate fails):
 
     PYTHONPATH=src python benchmarks/bench_kernel_speed.py
 
@@ -27,35 +23,19 @@ or under pytest for the assertion-only version:
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel_speed.py
 """
 
-import contextlib
-import dataclasses
-import heapq
 import json
 import os
 import pathlib
 import time
 
-from repro.coherence import cache as cache_mod
-from repro.coherence import mesi as mesi_mod
-from repro.core import policies as policies_mod
-from repro.core.reasons import GATE, SLF_SB
-from repro.cpu import branch as branch_mod
-from repro.cpu import storeset as storeset_mod
-from repro.cpu import isa
-from repro.cpu import pipeline as pipeline_mod
-from repro.cpu import store_buffer as sb_mod
-from repro.cpu.isa import LOAD, STORE
-from repro.cpu.load_queue import ISSUED, PERFORMED
 from repro.sim.system import System
-from repro.core.policies import POLICY_ORDER
 from repro.sweep import SweepJob, run_sweep
-from repro.workloads.profiles import get_profile
-from repro.workloads.runner import run_policy_sweep_forked
-from repro.workloads.synthetic import generate_warmup, generate_workload
+from repro.sweep.cache import content_key
+from repro.workloads.runner import cell_traces
 
-#: The seed Fig. 10 workload used for the measurement.  CI smoke runs
-#: at reduced scale via ``REPRO_BENCH_SCALE`` (the identity assertions
-#: are scale-independent; only the recorded ratios get noisier).
+#: The Fig. 10 cell used for the kernel measurement.  CI smoke runs at
+#: reduced scale via ``REPRO_BENCH_SCALE`` (8 cores × 750 at 0.25, the
+#: cell the stats pin test covers).
 BENCHMARK = "barnes"
 POLICY = "370-SLFSoS-key"
 CORES = 8
@@ -67,814 +47,25 @@ RESULT_FILE = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_kernel.json"
 
 
-# ----------------------------------------------------------------------
-# Seed (pre-PR) kernel, reconstructed verbatim
-# ----------------------------------------------------------------------
-
-class LegacyEngine:
-    """The seed discrete-event engine: one heap, ``until()`` polled per
-    event, ``step()`` called per dispatch."""
-
-    supports_stop = False
-
-    def __init__(self):
-        self.now = 0
-        self._queue = []
-        self._seq = 0
-
-    def schedule(self, delay, fn, *args):
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
-
-    def at(self, time_, fn, *args):
-        self.schedule(time_ - self.now, fn, *args)
-
-    @property
-    def pending(self):
-        return len(self._queue)
-
-    def step(self):
-        if not self._queue:
-            return False
-        time_, _, fn, args = heapq.heappop(self._queue)
-        if time_ < self.now:
-            raise RuntimeError("event scheduled in the past")
-        self.now = time_
-        fn(*args)
-        return True
-
-    def run(self, until=None, max_cycles=None):
-        deadline = None if max_cycles is None else self.now + max_cycles
-        while self._queue:
-            if until is not None and until():
-                break
-            if deadline is not None and self._queue[0][0] > deadline:
-                self.now = deadline
-                break
-            self.step()
-        return self.now
-
-
-def _legacy_sb_iter(self):
-    idx = self._head
-    for _ in range(self._count):
-        entry = self._slots[idx]
-        assert entry is not None
-        yield entry
-        idx = (idx + 1) % self.capacity
-
-
-def _legacy_unresolved_older(self, load_seq):
-    return [e for e in self if e.seq < load_seq and not e.resolved]
-
-
-def _legacy_drain_sb(self):
-    scanned = 0
-    for entry in self.sb:
-        if scanned >= self.RFO_AHEAD:
-            break
-        if entry.resolved and not entry.rfo_sent:
-            entry.rfo_sent = self.controller.prefetch_exclusive(entry.addr)
-        scanned += 1
-
-    candidate = None
-    for entry in self.sb:
-        if not entry.retired:
-            break
-        if not entry.issued:
-            candidate = entry
-            break
-    if candidate is None:
-        return False
-    owned = self.controller.peek_state(candidate.addr) in ("M", "E")
-    if self._sb_inflight > 0 and (not owned or self._sb_miss_inflight):
-        return False
-    candidate.issued = True
-    self._sb_inflight += 1
-    hit = self.controller.store(
-        candidate.addr, lambda: self._store_written(candidate))
-    if not hit:
-        self._sb_miss_inflight = True
-    return True
-
-
-def _legacy_check_memdep_violation(self, entry, store):
-    violators = [
-        l for l in self.lq
-        if l.seq > entry.seq and l.addr == store.addr
-        and l.state in (ISSUED, PERFORMED)
-        and (l.store_seq is None or l.store_seq < entry.seq)]
-    if not violators:
-        return
-    oldest = min(violators, key=lambda l: l.seq)
-    self.storeset.train_violation(oldest.pc, entry.op.pc)
-    self._squash(oldest.seq, "memdep")
-
-
-def _legacy_dispatch(self):
-    dispatched = 0
-    stall = 0
-    while dispatched < self.config.issue_width:
-        if self.fetch_idx >= len(self.trace):
-            break
-        if self.barrier_seq is not None:
-            break
-        op = self.trace[self.fetch_idx]
-        if self.rob.full:
-            stall = 1
-            break
-        if op.kind == LOAD and self.lq.full:
-            stall = 2
-            break
-        if op.kind == STORE and self.sb.full:
-            stall = 3
-            break
-        self._dispatch_one(op)
-        dispatched += 1
-    return dispatched > 0, stall
-
-
-def _legacy_tick(self):
-    self._tick_scheduled = False
-    if self.finished:
-        return
-    work = False
-    work |= self._retire()
-    work |= self._drain_sb()
-    work |= self._issue()
-    dispatched, stall = self._dispatch()
-    work |= dispatched
-    if stall != 0:
-        self._account_stall(stall, 1)
-
-    if (self.fetch_idx >= len(self.trace) and self.rob.empty
-            and self.sb.empty):
-        self._finish()
-        return
-    if work:
-        self._schedule_tick(1)
-    else:
-        self._sleeping = True
-        self._sleep_since = self.engine.now + 1
-        self._sleep_stall = stall
-
-
-def _legacy_retire(self):
-    retired = 0
-    while retired < self.config.retire_width:
-        head = self.rob.head()
-        if head is None or not head.completed:
-            if (head is not None and head.op.kind == isa.RMW
-                    and not head.issued and head.deps_left == 0
-                    and self.sb.empty):
-                head.issued = True
-                if self.tracer is not None:
-                    self.tracer.on_issue(head.seq, self.engine.now)
-                self._start_rmw(head)
-            break
-        op = head.op
-        if op.kind == isa.LOAD:
-            if not self._try_retire_load(head):
-                break
-        elif op.kind in (isa.FENCE, isa.RMW):
-            if self.sb.has_unwritten_older(head.seq):
-                break
-            self.rob.retire_head()
-            self._release_fence(head.seq)
-        elif op.kind == isa.STORE:
-            self.rob.retire_head()
-            entry = self.store_of.pop(head.seq)
-            entry.retired = True
-            self.stats.retired_stores += 1
-        else:
-            self.rob.retire_head()
-        if self.tracer is not None and op.kind != isa.LOAD:
-            self.tracer.on_retire(head.seq, self.engine.now)
-        self.stats.retired_instructions += 1
-        retired += 1
-    return retired > 0
-
-
-def _legacy_issue(self):
-    issued = 0
-    while issued < self.config.issue_width and self.ready:
-        seq, epoch, entry = heapq.heappop(self.ready)
-        if entry.issue_epoch != epoch or entry.issued:
-            continue
-        entry.issued = True
-        if self.tracer is not None:
-            self.tracer.on_issue(entry.seq, self.engine.now)
-        op = entry.op
-        if op.kind == isa.LOAD:
-            self._issue_load(entry)
-        elif op.kind == isa.STORE:
-            self.engine.schedule(
-                1, self._complete_store, entry, entry.issue_epoch)
-        elif op.kind == isa.FENCE:
-            self.engine.schedule(
-                1, self._complete, entry, entry.issue_epoch)
-        else:
-            self.engine.schedule(
-                max(1, op.latency), self._complete, entry,
-                entry.issue_epoch)
-        issued += 1
-    return issued > 0
-
-
-def _legacy_dispatch_one(self, op):
-    seq = self.fetch_idx
-    self.fetch_idx += 1
-    entry = self.rob.allocate(seq, op)
-    if self.tracer is not None:
-        self.tracer.on_dispatch(seq, op.kind, self.engine.now)
-    if op.kind == isa.LOAD:
-        lentry = self.lq.allocate(seq, op.pc)
-        lentry.memdep_wait = self.storeset.predicted_store(op.pc)
-        self.load_of[seq] = lentry
-    elif op.kind == isa.STORE:
-        store = self.sb.allocate(seq, op.pc, op.value)
-        self.store_of[seq] = store
-        self.storeset.store_dispatched(op.pc, seq)
-    elif op.kind in (isa.FENCE, isa.RMW):
-        self.pending_fences.append(seq)
-    elif op.kind == isa.BRANCH:
-        mispredicted = op.mispredict
-        if not mispredicted and self.branch_predictor is not None:
-            mispredicted = (self.branch_predictor.predict(op.pc)
-                            != op.taken)
-        if mispredicted:
-            self.barrier_seq = seq
-
-    deps_left = 0
-    for dep in op.deps:
-        if not self.done[dep]:
-            self.consumers.setdefault(dep, []).append(
-                (entry, entry.issue_epoch))
-            deps_left += 1
-    entry.deps_left = deps_left
-    if deps_left == 0 and op.kind != isa.RMW:
-        self._push_ready(entry)
-
-
-def _legacy_ctrl_line_of(self, addr):
-    return self.hierarchy.line_of(addr)
-
-
-def _legacy_ctrl_load(self, addr, done):
-    line = self.line_of(addr)
-    if line in self.state:
-        latency = self.hierarchy.access_latency(line)
-        assert latency is not None, "state map out of sync with tags"
-        self.system.engine.schedule(latency, done)
-        return True
-    self._miss(mesi_mod.GETS, line, done)
-    return False
-
-
-def _legacy_ctrl_store(self, addr, done):
-    line = self.line_of(addr)
-    if self.state.get(line) in (mesi_mod.M, mesi_mod.E):
-        self.state[line] = mesi_mod.M
-        latency = self.hierarchy.access_latency(line)
-        assert latency is not None, "state map out of sync with tags"
-        delay = self.system.config.store_commit_latency
-        if self.fault_store_delay is not None:
-            delay = self._faulted_commit_delay(delay)
-        self.system.engine.schedule(delay, done)
-        return True
-    self._miss(mesi_mod.GETM, line, done)
-    return False
-
-
-def _legacy_ctrl_prefetch_exclusive(self, addr):
-    line = self.line_of(addr)
-    if self.state.get(line) in (mesi_mod.M, mesi_mod.E) \
-            or line in self.txns:
-        return True
-    if len(self.txns) >= self.mshrs:
-        return False  # prefetches never queue
-    self._start_txn(mesi_mod.GETM, line, lambda: None)
-    return True
-
-
-def _legacy_ctrl_peek_state(self, addr):
-    return self.state.get(self.line_of(addr))
-
-
-def _legacy_line_of(self, addr):
-    return addr - (addr % self.line_bytes)
-
-
-def _legacy_set_of(self, line):
-    return self._sets[(line // self.line_bytes) % self.num_sets]
-
-
-def _legacy_forwarding_match(self, addr, load_seq):
-    best = None
-    for entry in self:
-        if entry.seq >= load_seq:
-            break
-        if entry.resolved and entry.addr == addr:
-            best = entry
-    return best
-
-
-def _legacy_pop_head(self):
-    entry = self._slots[self._head]
-    if entry is None:
-        raise RuntimeError("store buffer empty")
-    if not entry.written:
-        raise RuntimeError("head store not yet written to L1")
-    self._slots[self._head] = None
-    self._bits[self._head] ^= 1
-    self._head = (self._head + 1) % self.capacity
-    self._count -= 1
-    return entry
-
-
-def _legacy_squash_from(self, seq):
-    removed = []
-    while self._count:
-        tail_idx = (self._tail - 1) % self.capacity
-        entry = self._slots[tail_idx]
-        assert entry is not None
-        if entry.seq < seq:
-            break
-        if entry.retired:
-            raise RuntimeError(
-                f"attempt to squash retired store seq={entry.seq}")
-        self._slots[tail_idx] = None
-        self._bits[tail_idx] ^= 1
-        self._tail = tail_idx
-        self._count -= 1
-        removed.append(entry)
-    return removed
-
-
-def _legacy_issue_load(self, entry):
-    op = entry.op
-    lentry = self.load_of[entry.seq]
-    lentry.addr = op.addr
-    lentry.line = self.controller.line_of(op.addr)
-
-    for fence_seq in self.pending_fences:
-        if fence_seq < entry.seq:
-            entry.issued = False
-            self.deferred_on_fence.setdefault(fence_seq, []).append(
-                (entry, entry.issue_epoch))
-            return
-
-    unresolved = self.sb.unresolved_older(entry.seq)
-    if unresolved:
-        predicted = lentry.memdep_wait
-        if predicted is not None \
-                and any(s.seq == predicted for s in unresolved):
-            entry.issued = False
-            lentry.deferred = True
-            self.deferred_on_store.setdefault(predicted, []).append(
-                (entry, entry.issue_epoch))
-            return
-
-    match = self.sb.forwarding_match(op.addr, entry.seq)
-    if match is not None:
-        if self.policy.allows_forwarding:
-            self._forward(entry, lentry, match)
-        else:
-            self._wait_for_store_write(entry, lentry, match)
-        return
-    self._access_cache(entry, lentry)
-
-
-def _legacy_complete_store(self, entry, epoch):
-    if entry.issue_epoch != epoch:
-        return
-    store = self.store_of.get(entry.seq)
-    if store is None:
-        return
-    store.addr = entry.op.addr
-    store.resolved = True
-    self.storeset.store_resolved(entry.op.pc, entry.seq)
-    if not store.rfo_sent:
-        store.rfo_sent = self.controller.prefetch_exclusive(store.addr)
-        if not store.rfo_sent:
-            self._rfo_pending += 1
-    self._check_memdep_violation(entry, store)
-    for consumer, cepoch in self.deferred_on_store.pop(entry.seq, ()):
-        if consumer.issue_epoch != cepoch or consumer.issued:
-            continue
-        lentry = self.load_of.get(consumer.seq)
-        if lentry is not None:
-            lentry.deferred = False
-        self._push_ready(consumer)
-    self._complete(entry, epoch)
-
-
-def _legacy_try_retire_load(self, head):
-    lentry = self.load_of[head.seq]
-    reason = self.policy.load_retire_block(lentry)
-    if reason is not None:
-        if lentry.gate_blocked_since is None:
-            lentry.gate_blocked_since = self.engine.now
-            lentry.blocked_reason = reason
-            if reason == GATE:
-                self.stats.gate_stall_events += 1
-            elif reason == SLF_SB:
-                self.stats.slf_retire_stall_events += 1
-        return False
-    if lentry.gate_blocked_since is not None:
-        blocked = self.engine.now - lentry.gate_blocked_since
-        if lentry.blocked_reason == GATE:
-            self.stats.gate_stall_cycles += blocked
-        elif lentry.blocked_reason == SLF_SB:
-            self.stats.slf_retire_stall_cycles += blocked
-        if self._p_gate_stall is not None:
-            self._p_gate_stall(self.core_id, self.engine.now,
-                               lentry.seq, blocked,
-                               lentry.blocked_reason)
-    self.rob.retire_head()
-    self.lq.retire_head(head.seq)
-    del self.load_of[head.seq]
-    self.retired_load_values[head.seq] = lentry.value
-    if self.tracer is not None:
-        blocked = 0
-        if lentry.gate_blocked_since is not None:
-            blocked = self.engine.now - lentry.gate_blocked_since
-        self.tracer.on_retire(head.seq, self.engine.now, blocked)
-    self.stats.retired_loads += 1
-    if lentry.slf:
-        self.stats.slf_loads += 1
-    self.policy.on_load_retire(lentry)
-    if self.detector is not None:
-        self.detector.on_load_retired(lentry)
-    return True
-
-
-def _legacy_complete(self, entry, epoch):
-    if entry.issue_epoch != epoch:
-        return
-    entry.completed = True
-    self.done[entry.seq] = 1
-    if self.tracer is not None:
-        lentry = self.load_of.get(entry.seq)
-        self.tracer.on_complete(entry.seq, self.engine.now,
-                                slf=bool(lentry and lentry.slf))
-    for consumer, cepoch in self.consumers.pop(entry.seq, ()):
-        if consumer.issue_epoch != cepoch or consumer.issued:
-            continue
-        consumer.deps_left -= 1
-        if consumer.deps_left == 0 and consumer.op.kind != isa.RMW:
-            self._push_ready(consumer)
-    op = entry.op
-    if op.kind == isa.BRANCH:
-        if self.branch_predictor is not None:
-            self.branch_predictor.update(op.pc, op.taken)
-        if self.barrier_seq == entry.seq:
-            self.engine.schedule(self.config.mispredict_penalty,
-                                 self._release_barrier, entry.seq)
-    self._wake()
-
-
-def _legacy_store_written(self, entry):
-    entry.written = True
-    if not entry.rfo_sent:
-        self._rfo_pending -= 1
-    self.memory_data[entry.addr] = entry.value
-    self._sb_inflight -= 1
-    self._sb_miss_inflight = False
-    self.sb.pop_head()
-    if self._p_sb_write is not None:
-        now = self.engine.now
-        drain = now - entry.retired_at if entry.retired_at >= 0 else 0
-        self._p_sb_write(self.core_id, now, entry.seq, entry.addr,
-                         drain, entry.key)
-    self.policy.on_store_written(entry)
-    if self.detector is not None:
-        self.detector.on_store_written(entry)
-    for waiter in entry.waiters:
-        waiter()
-    entry.waiters.clear()
-    head = self.sb.head()
-    if head is None or not head.retired:
-        self.policy.on_sb_drained()
-    self._wake()
-
-
-def _legacy_tage_lookup(self, pc):
-    for table in reversed(range(len(self.tables))):
-        entry = self.tables[table][self._index(pc, table)]
-        if entry.tag == self._tag(pc, table):
-            return table, entry.counter >= 0
-    return None, self.base[self._base_index(pc)] >= 2
-
-
-def _legacy_tage_index(self, pc, table):
-    fold = self._fold(self.HISTORY_LENGTHS[table])
-    return (pc ^ (pc >> 7) ^ fold ^ (fold << (table + 1))) \
-        % self.tagged_size
-
-
-def _legacy_tage_tag(self, pc, table):
-    fold = self._fold(self.HISTORY_LENGTHS[table])
-    return ((pc >> 3) ^ (fold * 3) ^ table) & self.tag_mask
-
-
-def _legacy_tage_update(self, pc, taken):
-    provider, prediction = self._lookup(pc)
-    correct = prediction == taken
-    if not correct:
-        self.mispredictions += 1
-
-    if provider is None:
-        idx = self._base_index(pc)
-        self.base[idx] = min(3, self.base[idx] + 1) if taken \
-            else max(0, self.base[idx] - 1)
-    else:
-        tentry = self.tables[provider][self._index(pc, provider)]
-        tentry.counter = min(3, tentry.counter + 1) if taken \
-            else max(-4, tentry.counter - 1)
-        if correct:
-            tentry.useful = min(3, tentry.useful + 1)
-        elif tentry.useful > 0:
-            tentry.useful -= 1
-
-    if not correct:
-        start = 0 if provider is None else provider + 1
-        for table in range(start, len(self.tables)):
-            tentry = self.tables[table][self._index(pc, table)]
-            if tentry.useful == 0:
-                tentry.tag = self._tag(pc, table)
-                tentry.counter = 0 if taken else -1
-                break
-
-    self.history = ((self.history << 1) | int(taken)) \
-        & ((1 << 64) - 1)
-    self._updates += 1
-    if self._updates >= self.useful_reset_interval:
-        self._updates = 0
-        for table in self.tables:
-            for tentry in table:
-                tentry.useful >>= 1
-
-
-def _legacy_cache_lookup(self, line, touch=True):
-    bucket = self._set_of(line)
-    if line in bucket:
-        if touch:
-            bucket.move_to_end(line)
-        self.hits += 1
-        return True
-    self.misses += 1
-    return False
-
-
-def _legacy_cache_contains(self, line):
-    return line in self._set_of(line)
-
-
-def _legacy_cache_insert(self, line):
-    bucket = self._set_of(line)
-    if line in bucket:
-        bucket.move_to_end(line)
-        return None
-    victim = None
-    if len(bucket) >= self.ways:
-        victim, _ = bucket.popitem(last=False)
-        self.evictions += 1
-    bucket[line] = None
-    return victim
-
-
-def _legacy_cache_remove(self, line):
-    bucket = self._set_of(line)
-    if line in bucket:
-        del bucket[line]
-        return True
-    return False
-
-
-def _legacy_ss_store_dispatched(self, pc, seq):
-    self._maybe_clear()
-    ssid = self._ssit.get(self._index(pc))
-    if ssid is not None:
-        self._lfst[ssid] = seq
-
-
-def _legacy_ss_store_resolved(self, pc, seq):
-    ssid = self._ssit.get(self._index(pc))
-    if ssid is not None and self._lfst.get(ssid) == seq:
-        del self._lfst[ssid]
-
-
-def _legacy_ss_predicted_store(self, load_pc):
-    self._maybe_clear()
-    ssid = self._ssit.get(self._index(load_pc))
-    if ssid is None:
-        return None
-    return self._lfst.get(ssid)
-
-
-def _legacy_sos_on_forward(self, load, store):
-    policies_mod.ConsistencyPolicy.on_forward(self, load, store)
-    previous = self.active_forwardings.get(store.key)
-    if previous is None or load.seq < previous:
-        self.active_forwardings[store.key] = load.seq
-
-
-def _legacy_sos_load_retire_block(self, load):
-    return GATE if self.gate.closed else None
-
-
-def _legacy_sos_on_sb_drained(self):
-    key = self.gate.key
-    if self.gate.open_unconditionally(self._now()):
-        self._fire_open(key, "drain")
-    self.active_forwardings.clear()
-
-
-def _legacy_key_on_store_written(self, store):
-    if self.gate.open_with_key(store.key, self._now()):
-        self._fire_open(store.key, "key")
-    self.active_forwardings.pop(store.key, None)
-
-
-#: (owner class, attribute, seed implementation).  Some seed hot-path
-#: code cannot be restored at runtime — ``__slots__`` added to ``Op``
-#: and the MESI transaction record are class-definition changes — so the
-#: reconstructed baseline is slightly *faster* than the true seed and
-#: the measured speedup is a lower bound.
-_LEGACY = [
-    (sb_mod.StoreBuffer, "__iter__", _legacy_sb_iter),
-    (sb_mod.StoreBuffer, "unresolved_older", _legacy_unresolved_older),
-    (sb_mod.StoreBuffer, "forwarding_match", _legacy_forwarding_match),
-    (sb_mod.StoreBuffer, "pop_head", _legacy_pop_head),
-    (sb_mod.StoreBuffer, "squash_from", _legacy_squash_from),
-    (pipeline_mod.Core, "_drain_sb", _legacy_drain_sb),
-    (pipeline_mod.Core, "_check_memdep_violation",
-     _legacy_check_memdep_violation),
-    (pipeline_mod.Core, "_dispatch", _legacy_dispatch),
-    (pipeline_mod.Core, "_dispatch_one", _legacy_dispatch_one),
-    (pipeline_mod.Core, "_tick", _legacy_tick),
-    (pipeline_mod.Core, "_retire", _legacy_retire),
-    (pipeline_mod.Core, "_issue", _legacy_issue),
-    (pipeline_mod.Core, "_issue_load", _legacy_issue_load),
-    (pipeline_mod.Core, "_complete_store", _legacy_complete_store),
-    (pipeline_mod.Core, "_try_retire_load", _legacy_try_retire_load),
-    (pipeline_mod.Core, "_complete", _legacy_complete),
-    (pipeline_mod.Core, "_store_written", _legacy_store_written),
-    (branch_mod.TagePredictor, "_lookup", _legacy_tage_lookup),
-    (branch_mod.TagePredictor, "_index", _legacy_tage_index),
-    (branch_mod.TagePredictor, "_tag", _legacy_tage_tag),
-    (branch_mod.TagePredictor, "update", _legacy_tage_update),
-    (mesi_mod.PrivateController, "line_of", _legacy_ctrl_line_of),
-    (mesi_mod.PrivateController, "load", _legacy_ctrl_load),
-    (mesi_mod.PrivateController, "store", _legacy_ctrl_store),
-    (mesi_mod.PrivateController, "prefetch_exclusive",
-     _legacy_ctrl_prefetch_exclusive),
-    (mesi_mod.PrivateController, "peek_state", _legacy_ctrl_peek_state),
-    (cache_mod.CacheArray, "line_of", _legacy_line_of),
-    (cache_mod.CacheArray, "_set_of", _legacy_set_of),
-    (cache_mod.CacheArray, "lookup", _legacy_cache_lookup),
-    (cache_mod.CacheArray, "contains", _legacy_cache_contains),
-    (cache_mod.CacheArray, "insert", _legacy_cache_insert),
-    (cache_mod.CacheArray, "remove", _legacy_cache_remove),
-    (storeset_mod.StoreSetPredictor, "store_dispatched",
-     _legacy_ss_store_dispatched),
-    (storeset_mod.StoreSetPredictor, "store_resolved",
-     _legacy_ss_store_resolved),
-    (storeset_mod.StoreSetPredictor, "predicted_store",
-     _legacy_ss_predicted_store),
-    (policies_mod._SoSBase, "on_forward", _legacy_sos_on_forward),
-    (policies_mod._SoSBase, "load_retire_block",
-     _legacy_sos_load_retire_block),
-    (policies_mod.SLFSoSPolicy, "on_sb_drained", _legacy_sos_on_sb_drained),
-    (policies_mod.SLFSoSKeyPolicy, "on_store_written",
-     _legacy_key_on_store_written),
-]
-
-
-@contextlib.contextmanager
-def legacy_kernel():
-    """Swap the hot-loop methods back to their seed implementations."""
-    saved = [(owner, name, getattr(owner, name))
-             for owner, name, _ in _LEGACY]
-    for owner, name, fn in _LEGACY:
-        setattr(owner, name, fn)
-    try:
-        yield
-    finally:
-        for owner, name, fn in saved:
-            setattr(owner, name, fn)
-
-
-# ----------------------------------------------------------------------
-# Measurement
-# ----------------------------------------------------------------------
-
-def _workload():
-    profile = get_profile(BENCHMARK)
-    traces = generate_workload(profile, CORES, LENGTH, 0)
-    warm = generate_warmup(profile, CORES, LENGTH, 0)
-    return traces, warm
-
-
-def _fingerprint(stats):
-    return {
-        "execution_cycles": stats.execution_cycles,
-        "invalidations": stats.invalidations_sent,
-        "evictions": stats.evictions,
-        "network": dict(stats.network_messages),
-        "cores": {cid: dataclasses.asdict(cs)
-                  for cid, cs in stats.per_core.items()},
-    }
-
-
 def measure(rounds=ROUNDS):
-    """Run the seed and optimized kernels; return the comparison dict."""
-    traces, warm = _workload()
-
-    stats_new, events, t_new = None, None, float("inf")
+    """Run the kernel cell ``rounds`` times; return the kernel row."""
+    traces, warm = cell_traces(BENCHMARK, CORES, LENGTH, 0)
+    best = float("inf")
     for _ in range(rounds):
         system = System(traces, POLICY, warm_caches=warm)
         t0 = time.perf_counter()
-        stats_new = system.run()
-        t_new = min(t_new, time.perf_counter() - t0)
-        events = system.engine.events_dispatched
-
-    stats_old, t_old = None, float("inf")
-    with legacy_kernel():
-        for _ in range(rounds):
-            system = System(traces, POLICY, warm_caches=warm,
-                            engine=LegacyEngine())
-            t0 = time.perf_counter()
-            stats_old = system.run()
-            t_old = min(t_old, time.perf_counter() - t0)
-
-    identical = _fingerprint(stats_new) == _fingerprint(stats_old)
+        stats = system.run()
+        best = min(best, time.perf_counter() - t0)
+    events = system.engine.events_dispatched
     return {
         "benchmark": BENCHMARK,
         "policy": POLICY,
         "cores": CORES,
         "length": LENGTH,
         "events": events,
-        "identical_stats": identical,
-        "seed_seconds": round(t_old, 4),
-        "optimized_seconds": round(t_new, 4),
-        "seed_events_per_sec": round(events / t_old),
-        "optimized_events_per_sec": round(events / t_new),
-        "speedup": round(t_old / t_new, 3),
-    }
-
-
-def measure_warm_fork(rounds=ROUNDS):
-    """Seed five-policy sweep vs the snapshot warm-fork sweep.
-
-    The seed path is what ``run_policy_sweep`` (and the sweep runner's
-    per-cell workers) did before this PR: every policy cell regenerates
-    its traces and re-walks the warm-up workload through the cache
-    hierarchy, on the seed kernel.  The optimized path builds and warms
-    one system, captures it as a pristine cycle-0 snapshot, and forks
-    it into all five policy cells.  Stats must match cell for cell.
-    """
-    profile = get_profile(BENCHMARK)
-
-    def seed_sweep():
-        out = {}
-        t0 = time.perf_counter()
-        with legacy_kernel():
-            for policy in POLICY_ORDER:
-                traces = generate_workload(profile, CORES, LENGTH, 0)
-                warm = generate_warmup(profile, CORES, LENGTH, 0)
-                system = System(traces, policy, warm_caches=warm,
-                                engine=LegacyEngine())
-                out[policy] = system.run()
-        return out, time.perf_counter() - t0
-
-    def fork_sweep():
-        t0 = time.perf_counter()
-        results = run_policy_sweep_forked(BENCHMARK, POLICY_ORDER,
-                                          cores=CORES, length=LENGTH)
-        return ({p: r.stats for p, r in results.items()},
-                time.perf_counter() - t0)
-
-    t_seed, t_fork, identical = float("inf"), float("inf"), True
-    for _ in range(rounds):
-        seed_stats, t_s = seed_sweep()
-        fork_stats, t_f = fork_sweep()
-        t_seed, t_fork = min(t_seed, t_s), min(t_fork, t_f)
-        identical = identical and all(
-            seed_stats[p].to_dict() == fork_stats[p].to_dict()
-            for p in POLICY_ORDER)
-    return {
-        "benchmark": BENCHMARK,
-        "cores": CORES,
-        "length": LENGTH,
-        "policies": list(POLICY_ORDER),
-        "identical_stats": identical,
-        "seed_seconds": round(t_seed, 4),
-        "forked_seconds": round(t_fork, 4),
-        "speedup": round(t_seed / t_fork, 3),
+        "seconds": round(best, 4),
+        "events_per_sec": round(events / best),
+        "stats_digest": content_key(stats.to_dict())[:16],
     }
 
 
@@ -884,6 +75,13 @@ SWEEP_JOBS = [SweepJob(name=name, policy=policy, cores=4,
               for name in ("fft", "radix", "barnes", "raytrace")
               for policy in ("x86", "370-SLFSoS-key")]
 SWEEP_WORKERS = 4
+#: Serial and default sweeps run in this many alternating pairs and
+#: are compared best against best, as the kernel row takes the best of
+#: its rounds.  One pair cannot tell a slow spell of the host (the
+#: default pool then takes twice its usual time) from a regression: at
+#: CI scale on a 2-CPU host, one pair failed the gate in 3 runs of 5 and
+#: the best of 7 passed 10 of 10.
+SWEEP_PAIRS = 7
 
 
 def measure_sweep():
@@ -893,57 +91,41 @@ def measure_sweep():
     The fixed-pool speedup only materializes with free cores; the
     recorded ``cpu_count`` lets trajectory tracking interpret the
     number.  The default row (``workers=None``: one worker per CPU,
-    in-process on a 1-CPU host) is the no-regression guarantee, so it
-    must track serial within timer noise everywhere.
+    in-process on a 1-CPU host) is the no-regression guarantee, so its
+    best time must track serial's within timer noise everywhere.
     """
-    serial = run_sweep(SWEEP_JOBS, workers=1, cache=False)
+    serial, default = [], []
+    for _ in range(SWEEP_PAIRS):
+        serial.append(run_sweep(SWEEP_JOBS, workers=1, cache=False))
+        default.append(run_sweep(SWEEP_JOBS, cache=False))
     parallel = run_sweep(SWEEP_JOBS, workers=SWEEP_WORKERS, cache=False)
-    default = run_sweep(SWEEP_JOBS, cache=False)
-    identical = all(
-        dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-        == dataclasses.asdict(c.stats)
-        for a, b, c in zip(serial.results, parallel.results,
-                           default.results))
-    ratio = serial.elapsed / default.elapsed
+    stats = [[r.stats.to_dict() for r in outcome.results]
+             for outcome in serial + default + [parallel]]
+    serial_s = min(outcome.elapsed for outcome in serial)
+    default_s = min(outcome.elapsed for outcome in default)
+    ratio = serial_s / default_s
     return {
         "jobs": len(SWEEP_JOBS),
         "workers": SWEEP_WORKERS,
         "cpu_count": os.cpu_count() or 1,
-        "identical_stats": identical,
-        "serial_seconds": round(serial.elapsed, 4),
+        "identical_stats": all(run == stats[0] for run in stats),
+        "pairs": SWEEP_PAIRS,
+        "serial_seconds": round(serial_s, 4),
         "parallel_seconds": round(parallel.elapsed, 4),
-        "parallel_speedup": round(serial.elapsed / parallel.elapsed, 3),
+        "parallel_speedup": round(serial_s / parallel.elapsed, 3),
         # workers=None must never lose to serial (beyond timer noise)
         # on any host.
-        "default_mode": default.mode,
-        "default_workers": default.workers,
-        "default_seconds": round(default.elapsed, 4),
+        "default_mode": default[0].mode,
+        "default_workers": default[0].workers,
+        "default_seconds": round(default_s, 4),
         "default_vs_serial": round(ratio, 3),
         "not_slower": ratio >= 0.95,
     }
 
 
 # ----------------------------------------------------------------------
-# pytest entry points
+# pytest entry point
 # ----------------------------------------------------------------------
-
-def test_kernel_fast_path():
-    result = measure(rounds=3)
-    assert result["identical_stats"], \
-        "optimized kernel changed simulation results"
-    # Acceptance target is 1.5x; assert with margin for CI timer noise.
-    assert result["speedup"] >= 1.3, result
-
-
-def test_warm_fork_sweep():
-    result = measure_warm_fork(rounds=1)
-    assert result["identical_stats"], \
-        "warm-fork sweep changed simulation results"
-    # One shared warm-up replaces five; the floor is deliberately
-    # conservative against CI timer noise (full-scale runs measure
-    # well above it).
-    assert result["speedup"] >= 1.5, result
-
 
 def test_sweep_parallel_throughput():
     result = measure_sweep()
@@ -960,28 +142,21 @@ def test_sweep_parallel_throughput():
 
 def main():
     kernel = measure()
-    warm_fork = measure_warm_fork()
     sweep = measure_sweep()
-    report = {"kernel": kernel, "warm_fork": warm_fork, "sweep": sweep}
+    report = {"kernel": kernel, "sweep": sweep}
     RESULT_FILE.write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report, indent=2))
-    if not kernel["identical_stats"]:
-        raise SystemExit("optimized kernel changed simulation results")
-    if not warm_fork["identical_stats"]:
-        raise SystemExit("warm-fork sweep changed simulation results")
     if not sweep["identical_stats"]:
         raise SystemExit("parallel sweep changed simulation results")
     if not sweep["not_slower"]:
         raise SystemExit("default-sized sweep lost to serial")
-    print(f"kernel speedup: {kernel['speedup']}x "
-          f"({kernel['seed_events_per_sec']} -> "
-          f"{kernel['optimized_events_per_sec']} events/sec); "
-          f"warm-fork sweep: {warm_fork['speedup']}x over 5 policies; "
-          f"sweep: {sweep['parallel_speedup']}x with "
-          f"{sweep['workers']} workers on {sweep['cpu_count']} CPU(s), "
-          f"default ({sweep['default_mode']}, "
-          f"{sweep['default_workers']} worker(s)) "
-          f"{sweep['default_vs_serial']}x vs serial")
+    print(f"kernel: {kernel['events_per_sec']} events/sec, stats digest "
+          f"{kernel['stats_digest']}; sweep: "
+          f"{sweep['parallel_speedup']}x with {sweep['workers']} workers "
+          f"on {sweep['cpu_count']} CPU(s), default "
+          f"({sweep['default_mode']}, {sweep['default_workers']} "
+          f"worker(s)) {sweep['default_vs_serial']}x vs serial, best of "
+          f"{sweep['pairs']} pairs")
 
 
 if __name__ == "__main__":

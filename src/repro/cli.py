@@ -308,15 +308,13 @@ def cmd_leak(args) -> int:
 
 
 def cmd_record(args) -> int:
-    from repro.workloads import (generate_warmup, generate_workload,
-                                 get_profile)
+    from repro.workloads.runner import cell_traces, resolved_length
     from repro.workloads.tracefile import save_workload
-    profile = get_profile(args.name)
-    traces = generate_workload(profile, args.cores, args.length, args.seed)
-    warm = generate_warmup(profile, args.cores, args.length, args.seed)
+    length = resolved_length(args.name, args.length)
+    traces, warm = cell_traces(args.name, args.cores, length, args.seed)
     save_workload(args.path, traces, warmup=warm,
                   meta={"benchmark": args.name, "seed": args.seed,
-                        "length": args.length, "cores": args.cores})
+                        "length": length, "cores": args.cores})
     total = sum(len(t) for t in traces)
     print(f"wrote {args.path}: {len(traces)} cores, "
           f"{total} instructions (+warm-up)")
@@ -1106,7 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("path")
     p.add_argument("-c", "--cores", type=int, default=8)
-    p.add_argument("-l", "--length", type=int, default=3000)
+    p.add_argument("-l", "--length", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_record)
 

@@ -255,6 +255,11 @@ def parse_request(data: object) -> "Tuple[str, JobSpec, int]":
     _require_type(spec_fields, "cores", int, None)
     _require_type(spec_fields, "length", int, None)
     _require_type(spec_fields, "seed", int, None)
+    _require_type(spec_fields, "obs", bool, False)
+    _require_type(spec_fields, "detect_violations", bool, False)
+    _require_type(spec_fields, "memdep_hints", bool, True)
+    _require_type(spec_fields, "obs_sample_interval", int, 64)
+    _require_type(spec_fields, "checkpoint_every", int, None)
     if job.policy not in POLICY_ORDER:
         raise JobValidationError(
             f"unknown policy {job.policy!r}",
@@ -268,6 +273,8 @@ def parse_request(data: object) -> "Tuple[str, JobSpec, int]":
         raise JobValidationError("'cores' must be in [1, 64]")
     if job.length is not None and job.length < 1:
         raise JobValidationError("'length' must be >= 1")
+    if job.obs_sample_interval < 1:
+        raise JobValidationError("'obs_sample_interval' must be >= 1")
     return kind, job, priority
 
 

@@ -2,12 +2,11 @@
 
 Public surface::
 
-    from repro.snapshot import capture, restore, fork, Snapshot
+    from repro.snapshot import capture, restore, Snapshot
 
     snap = capture(system)          # quiescent System -> Snapshot
     blob = snap.to_bytes()          # versioned, compressed, durable
     system2 = restore(Snapshot.from_bytes(blob), traces)
-    system3 = fork(snap, traces, "370-SLFSoS-key")   # warm-fork
 
 See :mod:`repro.snapshot.state` for the operations,
 :mod:`repro.snapshot.quiescence` for when a system is snapshottable,
@@ -20,11 +19,10 @@ from repro.snapshot.quiescence import (NotQuiescent, check_quiescent,
                                        structurally_quiescent)
 from repro.snapshot.schema import (SNAPSHOT_SCHEMA, SNAPSHOT_VERSION,
                                    schema_buckets)
-from repro.snapshot.state import (Snapshot, SnapshotError, capture, fork,
-                                  restore)
+from repro.snapshot.state import Snapshot, SnapshotError, capture, restore
 
 __all__ = [
     "NotQuiescent", "SNAPSHOT_SCHEMA", "SNAPSHOT_VERSION", "Snapshot",
-    "SnapshotError", "capture", "check_quiescent", "fork", "is_quiescent",
+    "SnapshotError", "capture", "check_quiescent", "is_quiescent",
     "restore", "schema_buckets", "structurally_quiescent",
 ]

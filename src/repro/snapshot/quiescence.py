@@ -12,8 +12,7 @@ a fresh system on restore.
 
 Two quiescent points occur naturally:
 
-* cycle 0, after construction and cache warm-up but before ``run()`` —
-  the warm-fork point used by the five-policy sweep;
+* cycle 0, after construction and cache warm-up but before ``run()``;
 * after a drain: :meth:`repro.sim.system.System.run` with
   ``checkpoint_every`` pauses dispatch and lets the pipelines empty.
 

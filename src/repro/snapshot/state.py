@@ -1,4 +1,4 @@
-"""Capture, restore, and fork full simulator state.
+"""Capture and restore full simulator state.
 
 A :class:`Snapshot` is a pure-data (JSON-safe) image of a quiescent
 :class:`~repro.sim.system.System`: engine clock + seq counter + the
@@ -10,7 +10,7 @@ compressed JSON) and survives process boundaries — the crash-resume
 path of :mod:`repro.sweep.runner` ships these blobs through the sweep
 cache.
 
-Three operations:
+Two operations:
 
 :func:`capture`
     System -> Snapshot.  Raises
@@ -22,13 +22,6 @@ Three operations:
     where the captured one stopped.  Byte-identical: running the
     restored system yields the same :class:`SystemStats` the captured
     run would have produced.
-
-:func:`fork`
-    A *pristine* (cycle-0) snapshot + a policy name -> a System running
-    that policy over the captured warmed caches.  This is the warm-fork
-    used by the five-policy sweep: warm once, fork five times — the
-    policies only diverge after warm-up, so each fork's stats are
-    byte-identical to a from-scratch warmed run.
 """
 
 from __future__ import annotations
@@ -59,9 +52,9 @@ class SnapshotError(RuntimeError):
 
 def _cache_state(arr) -> Dict:
     # Sets are stored sparsely (index, resident lines) — most arrays in
-    # a warmed system still have many empty sets, and fork() restores a
-    # snapshot into dozens of arrays per system, so skipping empties is
-    # a measurable win on both capture and install.
+    # a warmed system still have many empty sets, and a restore installs
+    # a snapshot into dozens of arrays per system, so skipping empties
+    # is a measurable win on both capture and install.
     return {
         "num_sets": arr.num_sets,
         "sets": [[i, list(lines)] for i, lines in enumerate(arr._sets)
@@ -78,7 +71,7 @@ def _install_cache(arr, data: Dict) -> None:
             f"cache geometry mismatch: snapshot has {num_sets} sets, "
             f"target has {arr.num_sets}")
     # Install helpers only ever run on freshly constructed systems
-    # (inside restore()/fork()), so every set starts empty and only the
+    # (inside restore()), so every set starts empty and only the
     # sparse non-empty entries need to be rebuilt.
     sets = arr._sets
     for i, lines in data["sets"]:
@@ -341,8 +334,8 @@ class Snapshot:
 
     @property
     def pristine(self) -> bool:
-        """True for a cycle-0 (pre-run) snapshot — the only kind
-        :func:`fork` may re-target at a different policy."""
+        """True for a cycle-0 (pre-run) snapshot; :func:`restore` wakes
+        the cores of any other kind as a checkpoint resume does."""
         eng = self.data["engine"]
         return (eng["now"] == 0 and eng["seq"] == 0
                 and not eng["events"] and eng["dispatched"] == 0)
@@ -375,13 +368,9 @@ class Snapshot:
             raise SnapshotError(f"corrupt snapshot blob: {exc}")
         return cls.from_dict(data)
 
-    def copy(self) -> "Snapshot":
-        """An independent deep copy (forks never alias mutable state)."""
-        return Snapshot(json.loads(json.dumps(self.data)))
-
 
 # ----------------------------------------------------------------------
-# capture / restore / fork
+# capture / restore
 # ----------------------------------------------------------------------
 
 def capture(system: "System") -> Snapshot:
@@ -440,33 +429,26 @@ def _rebuild_events(system: "System", events: List) -> List:
 
 
 def restore(snapshot: Snapshot, traces: Sequence["Trace"],
-            config=None, policy: Optional[str] = None) -> "System":
+            config=None) -> "System":
     """Rebuild a runnable system from ``snapshot``.
 
     ``traces`` must be the exact traces of the captured run (they are
     regenerated deterministically rather than serialized); ``config``
-    likewise (None uses the default, as System does).  ``policy``
-    overrides the captured policy — legal only for a pristine snapshot
-    (see :func:`fork`).  Call ``run()`` on the result to continue; for
-    a mid-run snapshot, pass the same ``checkpoint_every`` the captured
-    run used so the drain points line up.
+    likewise (None uses the default, as System does).  Call ``run()`` on
+    the result to continue; for a mid-run snapshot, pass the same
+    ``checkpoint_every`` the captured run used so the drain points line
+    up.
     """
     from repro.sim.system import System
 
     data = snapshot.data
-    if policy is not None and policy != data["policy"] \
-            and not snapshot.pristine:
-        raise SnapshotError(
-            "cannot re-target a mid-run snapshot at a different policy "
-            "(policies diverge after cycle 0); fork from a pristine "
-            "warm-up snapshot instead")
     if [len(t) for t in traces] != data["trace_lens"]:
         raise SnapshotError(
             f"trace shape mismatch: snapshot was captured over traces "
             f"of lengths {data['trace_lens']}, got "
             f"{[len(t) for t in traces]}")
 
-    system = System(traces, policy or data["policy"], config=config,
+    system = System(traces, data["policy"], config=config,
                     detect_violations=False, warm_caches=False)
     if repr(system.config) != data["config"]:
         raise SnapshotError(
@@ -507,16 +489,3 @@ def restore(snapshot: Snapshot, traces: Sequence["Trace"],
         # hence all future event ordering) line up byte-for-byte.
         system._resume_after_checkpoint()
     return system
-
-
-def fork(snapshot: Snapshot, traces: Sequence["Trace"], policy: str,
-         config=None) -> "System":
-    """Fork a pristine (cycle-0, post-warm-up) snapshot into a system
-    running ``policy``.  The warm-fork of the five-policy sweep: the
-    expensive trace generation + functional warm-up happen once, each
-    policy cell restores the warmed image and runs."""
-    if not snapshot.pristine:
-        raise SnapshotError(
-            f"fork requires a pristine cycle-0 snapshot; this one was "
-            f"captured at cycle {snapshot.cycle}")
-    return restore(snapshot, traces, config=config, policy=policy)

@@ -19,8 +19,7 @@ Entry points:
 """
 
 from repro.sweep.cache import ResultCache, code_version
-from repro.sweep.runner import (SweepJob, SweepOutcome, job_key, run_sweep,
-                                sweep_policies)
+from repro.sweep.runner import SweepJob, SweepOutcome, job_key, run_sweep
 
 __all__ = [
     "ResultCache",
@@ -29,5 +28,4 @@ __all__ = [
     "code_version",
     "job_key",
     "run_sweep",
-    "sweep_policies",
 ]

@@ -40,15 +40,13 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.core.policies import POLICY_ORDER
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SystemStats
 from repro.sim.system import simulate
 from repro.sweep.cache import ResultCache, code_version, content_key
 from repro.workloads.profiles import get_profile
 from repro.workloads.runner import (DEFAULT_CORES, BenchmarkResult,
-                                    resolved_length)
-from repro.workloads.synthetic import generate_warmup, generate_workload
+                                    cell_traces, resolved_length)
 
 ProgressFn = Callable[[str], None]
 
@@ -199,18 +197,6 @@ def job_key(job: SweepJob) -> str:
     return content_key(payload)
 
 
-def _unit_traces(job: SweepJob) -> Tuple[list, list]:
-    """The (traces, warm-up traces) every cell of ``job``'s unit runs on."""
-    profile = get_profile(job.name)
-    n = resolved_length(job.name, job.length)
-    traces = generate_workload(profile, job.cores, n, job.seed)
-    warm = generate_warmup(profile, job.cores, n, job.seed)
-    if not job.memdep_hints:
-        for trace in traces:
-            trace.memdep_hints = []
-    return traces, warm
-
-
 def _run_cell(job: SweepJob, traces, warm,
               cache_dir: Union[str, os.PathLike, None]) -> Dict:
     """One cell on its unit's traces (which no cell changes)."""
@@ -242,7 +228,9 @@ def execute_job(job: SweepJob,
     (``job.checkpoint_every``): it is where the resume blob and the
     progress document live between checkpoints.
     """
-    return _run_cell(job, *_unit_traces(job), cache_dir)
+    traces, warm = cell_traces(job.name, job.cores, job.length, job.seed,
+                               job.memdep_hints)
+    return _run_cell(job, traces, warm, cache_dir)
 
 
 def _execute_checkpointed(job: SweepJob, traces, warm,
@@ -346,7 +334,8 @@ def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
 
         def cell() -> Dict:
             if not shared:
-                shared.extend(_unit_traces(job))
+                shared.extend(cell_traces(job.name, job.cores, job.length,
+                                          job.seed, job.memdep_hints))
             return _run_cell(job, *shared, cache_dir)
 
         try:
@@ -369,7 +358,7 @@ def _execute_unit(unit: Sequence[SweepJob], timeout: Optional[float],
 
 def _trace_units(jobs: Sequence[SweepJob], indices: Sequence[int],
                  workers: int) -> List[List[int]]:
-    """Group ``indices`` by the inputs of :func:`_unit_traces`, in
+    """Group ``indices`` by the inputs of :func:`cell_traces`, in
     first-appearance order; while there are fewer units than
     min(``workers``, cells), split the largest in half."""
     groups: Dict[Tuple, List[int]] = {}
@@ -660,26 +649,6 @@ def run_sweep(jobs: Sequence[SweepJob],
                         obs=[obs_by_key.get(key) for key in keys],
                         errors=errors, failed=failed_cells,
                         interrupted=interrupted)
-
-
-def sweep_policies(name: str,
-                   policies: Sequence[str] = POLICY_ORDER,
-                   cores: int = DEFAULT_CORES,
-                   length: Optional[int] = None, seed: int = 0,
-                   config: Optional[SystemConfig] = None,
-                   workers: Optional[int] = None,
-                   cache: bool = True,
-                   cache_dir: Union[str, os.PathLike, None] = None,
-                   progress: Optional[ProgressFn] = None
-                   ) -> Dict[str, BenchmarkResult]:
-    """One benchmark under several policies — the parallel, cached
-    equivalent of :func:`repro.workloads.runner.run_policy_sweep`."""
-    jobs = [SweepJob(name=name, policy=policy, cores=cores, length=length,
-                     seed=seed, config=config) for policy in policies]
-    outcome = run_sweep(jobs, workers=workers, cache=cache,
-                        cache_dir=cache_dir, progress=progress)
-    return {policy: result
-            for policy, result in zip(policies, outcome.results)}
 
 
 def stderr_progress(msg: str) -> None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.policies import POLICY_ORDER
+from repro.cpu.isa import Trace
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SystemStats
 from repro.sim.system import simulate
@@ -50,6 +51,28 @@ def resolved_length(name: str, length: Optional[int] = None) -> int:
     return _length_for(get_profile(name), length)
 
 
+def cell_traces(name: str, cores: int, length: Optional[int], seed: int,
+                memdep_hints: bool = True
+                ) -> Tuple[List[Trace], List[Trace]]:
+    """The (traces, warm-up traces) a cell of ``name`` runs on, at the
+    resolved length (:func:`resolved_length`).
+
+    Every cell entry point — these runners, the sweep's trace units,
+    ``repro record`` — builds its inputs here, so the five policies of a
+    Fig. 10 row run on identical traces however they are reached.
+    ``memdep_hints=False`` strips the profile's memory-dependence hints
+    (a cold StoreSet; the ablation bench's variant).
+    """
+    profile = get_profile(name)
+    n = _length_for(profile, length)
+    traces = generate_workload(profile, cores, n, seed)
+    warm = generate_warmup(profile, cores, n, seed)
+    if not memdep_hints:
+        for trace in traces:
+            trace.memdep_hints = []
+    return traces, warm
+
+
 @dataclass
 class BenchmarkResult:
     """One (benchmark, policy) measurement."""
@@ -70,13 +93,10 @@ def run_benchmark(name: str, policy: str = "370-SLFSoS-key",
                   config: Optional[SystemConfig] = None,
                   detect_violations: bool = False) -> BenchmarkResult:
     """Run one benchmark profile under one policy (with warm-up)."""
-    profile = get_profile(name)
-    n = _length_for(profile, length)
-    traces = generate_workload(profile, cores, n, seed)
-    warm = generate_warmup(profile, cores, n, seed)
+    traces, warm = cell_traces(name, cores, length, seed)
     stats = simulate(traces, policy, config=config, warm_caches=warm,
                      detect_violations=detect_violations)
-    return BenchmarkResult(name, profile.suite, policy, stats)
+    return BenchmarkResult(name, get_profile(name).suite, policy, stats)
 
 
 def observe_benchmark(name: str, policy: str = "370-SLFSoS-key",
@@ -94,14 +114,11 @@ def observe_benchmark(name: str, policy: str = "370-SLFSoS-key",
     """
     from repro.obs.session import observe_run
 
-    profile = get_profile(name)
-    n = _length_for(profile, length)
-    traces = generate_workload(profile, cores, n, seed)
-    warm = generate_warmup(profile, cores, n, seed)
+    traces, warm = cell_traces(name, cores, length, seed)
     stats, report, system = observe_run(
         traces, policy, config=config, warm_caches=warm,
         trace_pipeline=trace_pipeline, sample_interval=sample_interval)
-    return (BenchmarkResult(name, profile.suite, policy, stats),
+    return (BenchmarkResult(name, get_profile(name).suite, policy, stats),
             report, system)
 
 
@@ -111,50 +128,12 @@ def run_policy_sweep(name: str, policies: Sequence[str] = POLICY_ORDER,
                      config: Optional[SystemConfig] = None
                      ) -> Dict[str, BenchmarkResult]:
     """Run one benchmark under several policies on identical traces."""
-    profile = get_profile(name)
-    n = _length_for(profile, length)
-    traces = generate_workload(profile, cores, n, seed)
-    warm = generate_warmup(profile, cores, n, seed)
+    suite = get_profile(name).suite
+    traces, warm = cell_traces(name, cores, length, seed)
     results: Dict[str, BenchmarkResult] = {}
     for policy in policies:
         stats = simulate(traces, policy, config=config, warm_caches=warm)
-        results[policy] = BenchmarkResult(name, profile.suite, policy, stats)
-    return results
-
-
-def run_policy_sweep_forked(name: str,
-                            policies: Sequence[str] = POLICY_ORDER,
-                            cores: int = DEFAULT_CORES,
-                            length: Optional[int] = None, seed: int = 0,
-                            config: Optional[SystemConfig] = None
-                            ) -> Dict[str, BenchmarkResult]:
-    """The Fig. 9/10 five-policy sweep with a single shared warm-up.
-
-    :func:`run_policy_sweep` regenerates nothing but re-*warms*
-    everything: each policy cell walks the warm-up workload through the
-    cache hierarchy again, although cache warm-up is policy-independent
-    (it runs functionally, before any core exists).  Here the system is
-    built and warmed **once**, captured as a pristine cycle-0 snapshot
-    (:func:`repro.snapshot.capture`), and forked into every policy cell
-    (:func:`repro.snapshot.fork`) — per-cell stats are byte-identical
-    to the re-warmed path (``BENCH_kernel.json`` enforces this via its
-    ``identical_stats`` field).
-    """
-    from repro.sim.system import System
-    from repro.snapshot import capture, fork
-
-    profile = get_profile(name)
-    n = _length_for(profile, length)
-    traces = generate_workload(profile, cores, n, seed)
-    warm = generate_warmup(profile, cores, n, seed)
-    base = System(traces, policies[0], config=config, warm_caches=warm)
-    snap = capture(base)
-    results: Dict[str, BenchmarkResult] = {}
-    for policy in policies:
-        system = fork(snap, traces, policy, config=config)
-        stats = system.run()
-        results[policy] = BenchmarkResult(name, profile.suite, policy,
-                                          stats)
+        results[policy] = BenchmarkResult(name, suite, policy, stats)
     return results
 
 

@@ -17,10 +17,9 @@ import pytest
 
 from repro.sim.config import SKYLAKE_LIKE, TINY
 from repro.sweep import SweepJob, job_key, run_sweep
-from repro.sweep import runner
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import execute_job
-from repro.workloads import synthetic
+from repro.workloads import runner, synthetic
 from repro.workloads.runner import run_policy_sweep
 
 PROFILES = ["fft", "radix", "502.gcc_1"]

@@ -80,10 +80,8 @@ def test_execute_job_resumes_from_crash_blob(tmp_path):
     # then hand the half-done cache to a fresh execute_job
     snaps = []
     from repro.sim.system import System
-    from repro.workloads.profiles import PROFILES
-    from repro.workloads.synthetic import generate_warmup, generate_workload
-    traces = generate_workload(PROFILES[NAME], CORES, LENGTH, job.seed)
-    warm = generate_warmup(PROFILES[NAME], CORES, LENGTH, job.seed)
+    from repro.workloads.runner import cell_traces
+    traces, warm = cell_traces(NAME, CORES, LENGTH, job.seed)
     System(traces, POLICY, warm_caches=warm).run(
         checkpoint_every=150, on_checkpoint=snaps.append)
     assert snaps, "run too short to checkpoint — lengthen the trace"

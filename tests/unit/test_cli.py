@@ -159,6 +159,21 @@ def test_replay_json_and_obs(tmp_path, capsys):
     assert "top stalls" in capsys.readouterr().out
 
 
+def test_record_defaults_to_the_bench_length(tmp_path, capsys, monkeypatch):
+    """Without -l, record stores the length bench runs (the suite
+    default scaled by REPRO_SCALE), so its replay is the bench run."""
+    from repro.workloads.tracefile import load_workload
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    path = tmp_path / "w.json"
+    assert main(["record", "505.mcf", str(path)]) == 0
+    assert load_workload(path)[2]["length"] == 600
+    capsys.readouterr()
+    assert main(["replay", str(path), "--json"]) == 0
+    replayed = capsys.readouterr().out
+    assert main(["bench", "505.mcf", "--json"]) == 0
+    assert replayed == capsys.readouterr().out
+
+
 def test_replay_missing_file(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", str(tmp_path / "missing.json")])

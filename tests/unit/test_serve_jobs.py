@@ -56,6 +56,13 @@ class TestParseRequest:
         {"kind": "litmus", "name": "mp", "models": []},
         {"kind": "litmus", "name": "mp", "models": ["alpha"]},
         {"kind": "litmus", "name": "mp", "stray": 1},
+        {"name": "radix", "policy": "x86", "obs_sample_interval": 0},
+        {"name": "radix", "policy": "x86", "obs_sample_interval": "64"},
+        {"name": "radix", "policy": "x86", "obs": "no"},
+        {"name": "radix", "policy": "x86", "detect_violations": 1},
+        {"name": "radix", "policy": "x86", "memdep_hints": "false"},
+        {"name": "radix", "policy": "x86", "checkpoint_every": 2.5},
+        {"name": "radix", "policy": "x86", "obs_sample_interval": None},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(JobValidationError) as err:

@@ -2,13 +2,11 @@
 
 The contract under test (docs/SNAPSHOT.md):
 
-* a pristine cycle-0 snapshot forks into any policy with stats
-  byte-identical to building and re-warming the system from scratch;
 * a checkpointed run is its own deterministic mode — two runs agree,
   and a run resumed from *any* checkpoint blob finishes with exactly
   the stats of the uninterrupted checkpointed run, fault plan and all;
 * capture refuses non-quiescent systems, restore refuses mismatched
-  traces/config/policy, and the binary form fails fast on foreign or
+  traces/config, and the binary form fails fast on foreign or
   version-skewed blobs.
 """
 
@@ -21,9 +19,8 @@ from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.sim.config import TINY
 from repro.sim.system import System
 from repro.snapshot import (NotQuiescent, Snapshot, SnapshotError, capture,
-                            fork, restore)
+                            restore)
 from repro.workloads.profiles import PROFILES
-from repro.workloads.runner import run_policy_sweep, run_policy_sweep_forked
 from repro.workloads.synthetic import generate_warmup, generate_workload
 
 CORES = 2
@@ -36,34 +33,6 @@ def _traces(name="fft", length=LENGTH, seed=0):
 
 def _warm(name="fft", length=LENGTH, seed=0):
     return generate_warmup(PROFILES[name], CORES, length, seed)
-
-
-# ---------------------------------------------------------------------------
-# warm fork (the Fig. 9/10 sweep path)
-# ---------------------------------------------------------------------------
-
-def test_forked_sweep_matches_rewarmed_sweep():
-    """fork() from one shared warm-up == rebuild-and-rewarm per policy,
-    stat for stat, for all five policies."""
-    rewarmed = run_policy_sweep("fft", POLICY_ORDER, cores=CORES,
-                                length=LENGTH)
-    forked = run_policy_sweep_forked("fft", POLICY_ORDER, cores=CORES,
-                                     length=LENGTH)
-    assert list(forked) == list(rewarmed)
-    for policy in POLICY_ORDER:
-        assert (forked[policy].stats.to_dict()
-                == rewarmed[policy].stats.to_dict()), policy
-
-
-def test_fork_requires_pristine_snapshot():
-    traces = _traces()
-    system = System(traces, "370-SLFSoS", warm_caches=_warm())
-    snaps = []
-    system.run(checkpoint_every=150, on_checkpoint=snaps.append)
-    assert snaps, "run too short to checkpoint — lengthen the trace"
-    assert not snaps[0].pristine
-    with pytest.raises(SnapshotError):
-        fork(snaps[0], traces, "x86")
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +122,6 @@ def test_restore_rejects_mismatched_config():
     snap = capture(System(traces, "370-SLFSoS"))
     with pytest.raises(SnapshotError):
         restore(snap, traces, config=TINY)
-
-
-def test_policy_retarget_only_when_pristine():
-    traces = _traces()
-    pristine = capture(System(traces, "370-SLFSoS", warm_caches=_warm()))
-    assert pristine.pristine
-    retargeted = restore(pristine, traces, policy="x86")
-    assert retargeted.policy_name == "x86"
-
-    snaps = []
-    System(traces, "370-SLFSoS", warm_caches=_warm()).run(
-        checkpoint_every=150, on_checkpoint=snaps.append)
-    assert snaps and not snaps[0].pristine
-    with pytest.raises(SnapshotError):
-        restore(snaps[0], traces, policy="x86")
 
 
 # ---------------------------------------------------------------------------
