@@ -38,8 +38,7 @@ BOUNDS = SynthBounds(threads=2, max_ops=3, addresses=2)
 ENLARGED = SynthBounds(threads=2, max_ops=2, addresses=2,
                        rmws=True, acqrel=True)
 CHUNKS = 4
-SHARDS = 2
-SHARD_WORKERS = 2
+SHARDS = 4
 
 RESULT_FILE = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_synth.json"
@@ -60,9 +59,7 @@ class _Server:
         asyncio.run(self._main())
 
     async def _main(self):
-        self.service = ServeService(shards=SHARDS,
-                                    shard_workers=SHARD_WORKERS,
-                                    cache_dir=self.cache_dir)
+        self.service = ServeService(shards=SHARDS, cache_dir=self.cache_dir)
         self.api = HttpApi(self.service, port=0)
         self._loop = asyncio.get_running_loop()
         await self.api.start()
@@ -126,7 +123,6 @@ def measure():
         "programs": count_programs(BOUNDS),
         "chunks": CHUNKS,
         "shards": SHARDS,
-        "shard_workers": SHARD_WORKERS,
         "all_done": (cold_states.count("done") == CHUNKS
                      and warm_states.count("done") == CHUNKS),
         "merged_equals_serial": identical,

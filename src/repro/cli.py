@@ -462,9 +462,8 @@ def cmd_serve(args) -> int:
     note = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
         if args.verbose else None
     service = ServeService(
-        shards=args.shards, shard_workers=args.shard_workers,
-        queue_limit=args.queue_limit, timeout=args.timeout,
-        retries=args.retries, backoff=args.backoff,
+        shards=args.shards, queue_limit=args.queue_limit,
+        timeout=args.timeout, retries=args.retries, backoff=args.backoff,
         stuck_after=args.stuck_after, cache=not args.no_cache,
         cache_dir=args.cache_dir, cache_max_bytes=args.cache_max_bytes,
         on_note=note)
@@ -1203,13 +1202,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 = pick a free one; the bound port "
                         "is printed on stdout)")
     p.add_argument("--shards", type=int, default=2,
-                   help="worker-pool shards (jobs are sharded by "
-                        "content key)")
-    p.add_argument("--shard-workers", type=int, default=1,
-                   help="processes per shard")
+                   help="worker processes; the longest-idle one takes "
+                        "the next queued job")
     p.add_argument("--queue-limit", type=int, default=64,
-                   help="per-shard queue depth before admission "
-                        "control rejects (429)")
+                   help="queued plus running jobs per shard before "
+                        "admission control rejects (429)")
     p.add_argument("--timeout", type=float, default=None, metavar="SEC",
                    help="per-job wall-clock budget (SIGALRM, as in "
                         "'sweep')")

@@ -274,29 +274,6 @@ def _pc_successors(program: Program, state):
     return out
 
 
-def _pc_enumerate(program: Program) -> FrozenSet[Outcome]:
-    start = _pc_initial_state(program)
-    seen = {start}
-    stack = [start]
-    outcomes: Set[Outcome] = set()
-    lengths = tuple(len(t) for t in program.threads)
-    while stack:
-        state = stack.pop()
-        pcs, sbs, channels, mems, vers, regs = state
-        if (pcs == lengths and all(not sb for sb in sbs)
-                and all(not ch for ch in channels)):
-            # Versioned delivery guarantees all copies converged.
-            memory = tuple(sorted((addr, value)
-                                  for addr, (value, _) in mems[0]))
-            outcomes.add(Outcome(registers=regs, memory=memory))
-            continue
-        for nxt in _pc_successors(program, state):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(outcomes)
-
-
 # ----------------------------------------------------------------------
 # The WMM machine (Zhang et al., "Taming Weak Memory Models"): one
 # monolithic memory, out-of-order store buffers (same-address entries

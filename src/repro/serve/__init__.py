@@ -12,8 +12,9 @@ The layers, bottom up:
 * :mod:`~repro.serve.jobs` — the job model: request parsing, idempotency
   keys, worker-side execution;
 * :mod:`~repro.serve.store` — job records + two-tier result store;
-* :mod:`~repro.serve.workers` — sharded pool, priority queues, admission
-  control, single-flight dedup, stuck-shard watchdog;
+* :mod:`~repro.serve.workers` — single-process shards fed from one
+  priority queue, admission control, single-flight dedup, stuck-shard
+  watchdog;
 * :mod:`~repro.serve.api` — :class:`ServeService` orchestration and the
   hand-rolled HTTP surface, with graceful SIGTERM drain;
 * :mod:`~repro.serve.client` — blocking client for CLI/scripts.

@@ -65,11 +65,10 @@ DEGRADED_WINDOW_S = 60.0
 
 class ServeService:
     """Everything behind the HTTP surface, usable directly in-process
-    (the tests and the throughput benchmark drive it both ways)."""
+    (the tests drive it both ways)."""
 
     def __init__(self,
                  shards: int = 2,
-                 shard_workers: int = 1,
                  queue_limit: int = 64,
                  timeout: Optional[float] = None,
                  retries: int = 1,
@@ -78,7 +77,6 @@ class ServeService:
                  cache: bool = True,
                  cache_dir=None,
                  cache_max_bytes: Optional[int] = None,
-                 degraded_window: float = DEGRADED_WINDOW_S,
                  on_note: Optional[NoteFn] = None) -> None:
         self.on_note = on_note
         self.metrics = MetricsRegistry()
@@ -86,14 +84,12 @@ class ServeService:
                                  max_bytes=cache_max_bytes,
                                  on_warning=on_note)
         self.pool = ShardedWorkerPool(
-            self.store, self.metrics, shards=shards,
-            shard_workers=shard_workers, queue_limit=queue_limit,
+            self.store, self.metrics, shards=shards, queue_limit=queue_limit,
             timeout=timeout, retries=retries, backoff=backoff,
             stuck_after=stuck_after, on_note=on_note,
             on_complete=self._job_completed)
         self.started_at = time.monotonic()
         self.draining = False
-        self.degraded_window = degraded_window
         self._register_gauges()
 
     def _note(self, msg: str) -> None:
@@ -106,9 +102,8 @@ class ServeService:
                 lambda: round(time.monotonic() - self.started_at, 3))
         m.gauge("draining", lambda: self.draining)
         m.gauge("shards", lambda: len(self.pool.shards))
-        m.gauge("queue_depth", lambda: sum(self.pool.queue_depths()))
-        m.gauge("inflight", lambda: sum(
-            len(s.inflight) for s in self.pool.shards))
+        m.gauge("queue_depth", lambda: self.pool.depth)
+        m.gauge("inflight", lambda: self.pool.running)
         m.gauge("jobs_tracked", lambda: self.store.jobs_tracked)
         m.gauge("cache_hit_rate",
                 lambda: round(self.store.hit_rate(), 4))
@@ -208,7 +203,7 @@ class ServeService:
             reasons.append("drain-in-progress")
         incident = self.pool.last_incident
         if incident is not None and (
-                time.monotonic() - incident[0] < self.degraded_window):
+                time.monotonic() - incident[0] < DEGRADED_WINDOW_S):
             reasons.append(incident[1])
         return {
             "ok": True,
@@ -217,7 +212,7 @@ class ServeService:
             "draining": self.draining,
             "uptime_s": round(time.monotonic() - self.started_at, 3),
             "shards": len(self.pool.shards),
-            "queue_depth": sum(self.pool.queue_depths()),
+            "queue_depth": self.pool.depth,
             "recycles": self.metrics.counter("shard_recycles"),
             "pool_replacements": self.metrics.counter(
                 "pool_replacements"),
@@ -276,11 +271,20 @@ class HttpApi:
 
     # -- wire helpers --------------------------------------------------
 
+    @staticmethod
+    async def _readline(reader: asyncio.StreamReader) -> bytes:
+        """One line; ``readline`` raises ValueError for a line past the
+        stream's limit (64 KiB), which is the client's fault."""
+        try:
+            return await reader.readline()
+        except ValueError as exc:
+            raise _BadRequest(f"line too long: {exc}") from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
         """One request → (method, path, headers, body) or None at EOF."""
         try:
-            line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
+            line = await self._readline(reader)
+        except ConnectionError:
             return None
         if not line:
             return None
@@ -290,7 +294,7 @@ class HttpApi:
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._readline(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             if len(headers) > 100:

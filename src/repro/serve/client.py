@@ -1,6 +1,6 @@
 """A small synchronous client for the serve API (stdlib ``urllib``).
 
-Used by ``repro submit`` / ``repro poll``, the CI smoke, the throughput
+Used by ``repro submit`` / ``repro poll``, the CI smoke, the synth
 benchmark, and the tests — anything that talks to the service from a
 plain blocking process.  Transport failures raise :class:`ServeError`;
 HTTP-level rejections (429/503/400) come back as normal

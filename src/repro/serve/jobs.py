@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover — keeps the synth machinery off
 #: Request kinds accepted by ``POST /v1/jobs``.
 JOB_KINDS = ("bench", "sweep", "litmus", "leak", "synth")
 
-#: Default priority; lower runs earlier within a shard.
+#: Default priority; lower runs earlier.
 DEFAULT_PRIORITY = 100
 
 

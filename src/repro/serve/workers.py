@@ -1,34 +1,36 @@
 """The sharded worker pool: where admitted jobs actually run.
 
-Jobs are sharded by idempotency key onto N shards, each a private
-:class:`~concurrent.futures.ProcessPoolExecutor` fed from a per-shard
-priority queue (a heap ordered by ``(priority, arrival)``).  Sharding by
-*content key* — not round-robin — means concurrent duplicates always
-land on the same shard, which is what makes single-flight dedup a local
-decision: the first submission of a key becomes the *primary*, later
-ones attach as *followers* and complete with the primary's result,
-having cost zero queue slots and zero simulations.
+Each of the N shards is one worker process (a private
+``ProcessPoolExecutor(max_workers=1)``) running at most one job.  All
+shards take work from one priority heap ordered by ``(priority,
+arrival)``: while a shard is idle and the heap is not empty, the shard
+that has been idle longest starts the next job, so no job waits next to
+an idle worker and priority applies across the whole service.
 
-Backpressure is per shard and enforced at admission: a shard whose
-queue depth (heap + in-flight) has reached ``queue_limit`` rejects new
-primaries with a structured 429-style payload instead of queueing
-unboundedly.  Draining rejects everything with a 503-style payload.
+Single-flight dedup is pool-wide: the first submission of a key becomes
+the *primary*, later ones attach as *followers* and complete with the
+primary's result, having cost zero queue slots and zero simulations.
+
+Backpressure is enforced at admission: once queued plus running
+primaries reach ``queue_limit`` per shard, new primaries get a
+structured 429-style payload instead of queueing unboundedly.
+Draining rejects everything with a 503-style payload.
 
 Failures reuse the sweep runner's crash-tolerance vocabulary: each
 attempt runs under the worker-side SIGALRM deadline
 (:func:`~repro.sweep.runner.with_deadline` via ``execute_request``),
-failed attempts retry with exponential backoff — on a fresh future, and
-on a fresh *pool* if the old one broke — and a cell that keeps failing
+failed attempts retry on the same shard with exponential backoff — in
+a fresh process if the old one broke — and a cell that keeps failing
 completes as a structured error payload, never a hung request.
 
-A :class:`ShardWatchdog` (the service-side sibling of
+The stuck-shard watchdog (the service-side sibling of
 ``repro.resilience``'s in-simulation :class:`~repro.resilience.
 invariants.Watchdog`) covers the one failure the deadline cannot: a
 worker wedged *outside* SIGALRM's reach (stuck in a syscall, or on a
-platform without it).  It periodically checks every shard's oldest
-in-flight job; one older than ``stuck_after`` seconds gets its shard's
-processes terminated and replaced, and fails with a structured
-diagnostic in the same shape as the resilience layer's.
+platform without it).  It periodically checks every shard's running
+job; one older than ``stuck_after`` seconds gets its shard's process
+terminated and replaced, and fails with a structured diagnostic in the
+same shape as the resilience layer's.
 """
 
 from __future__ import annotations
@@ -49,30 +51,24 @@ NoteFn = Callable[[str], None]
 
 
 class _Shard:
-    """One shard: a priority heap feeding a private process pool."""
+    """One shard: a single worker process and the job it runs."""
 
-    __slots__ = ("index", "workers", "pool", "heap", "inflight",
+    __slots__ = ("index", "pool", "job", "started", "idle_since",
                  "executed", "failed", "recycles")
 
-    def __init__(self, index: int, workers: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.workers = workers
         self.pool: Optional[ProcessPoolExecutor] = None
-        # (priority, arrival, Job) — heapq keeps FIFO within a priority.
-        self.heap: List[Tuple[int, int, Job]] = []
-        # job.id -> (job, started_monotonic)
-        self.inflight: Dict[str, Tuple[Job, float]] = {}
+        self.job: Optional[Job] = None
+        self.started = 0.0                 # monotonic, when job began
+        self.idle_since = time.monotonic()
         self.executed = 0
         self.failed = 0
         self.recycles = 0
 
-    @property
-    def depth(self) -> int:
-        return len(self.heap) + len(self.inflight)
-
     def executor(self) -> ProcessPoolExecutor:
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+            self.pool = ProcessPoolExecutor(max_workers=1)
         return self.pool
 
     def recycle(self) -> None:
@@ -114,7 +110,8 @@ class StuckShardError(RuntimeError):
 
 
 class ShardedWorkerPool:
-    """N process-pool shards + admission control + single-flight dedup.
+    """N single-process shards fed from one priority heap, with
+    admission control and single-flight dedup.
 
     All methods are event-loop-thread only.  ``on_complete`` is called
     for every job (primaries *and* followers) as it reaches a terminal
@@ -122,8 +119,7 @@ class ShardedWorkerPool:
     """
 
     def __init__(self, store: ResultStore, metrics: MetricsRegistry,
-                 shards: int = 2, shard_workers: int = 1,
-                 queue_limit: int = 64,
+                 shards: int = 2, queue_limit: int = 64,
                  timeout: Optional[float] = None,
                  retries: int = 1, backoff: float = 0.5,
                  stuck_after: Optional[float] = None,
@@ -136,7 +132,7 @@ class ShardedWorkerPool:
             raise ValueError("queue_limit must be >= 1")
         self.store = store
         self.metrics = metrics
-        self.shards = [_Shard(i, shard_workers) for i in range(shards)]
+        self.shards = [_Shard(i) for i in range(shards)]
         self.queue_limit = queue_limit
         self.timeout = timeout
         self.retries = retries
@@ -151,7 +147,9 @@ class ShardedWorkerPool:
         # check can tell a sick service from a dead one.
         self.last_incident: Optional[Tuple[float, str]] = None
         self._arrival = itertools.count()
-        self._primaries: Dict[str, Job] = {}     # key -> executing job
+        # (priority, arrival, Job) — heapq keeps FIFO within a priority.
+        self._heap: List[Tuple[int, int, Job]] = []
+        self._primaries: Dict[str, Job] = {}     # key -> queued/running
         self._followers: Dict[str, List[Job]] = {}
         self._tasks: "set[asyncio.Task]" = set()
         self._watchdog_task: Optional[asyncio.Task] = None
@@ -162,18 +160,19 @@ class ShardedWorkerPool:
 
     # -- topology ------------------------------------------------------
 
-    def shard_of(self, key: str) -> int:
-        """Stable key → shard mapping (leading 64 bits of the hash)."""
-        return int(key[:16], 16) % len(self.shards)
+    @property
+    def running(self) -> int:
+        return sum(shard.job is not None for shard in self.shards)
 
-    def queue_depths(self) -> List[int]:
-        return [shard.depth for shard in self.shards]
+    @property
+    def depth(self) -> int:
+        """Queued plus running primaries, service-wide."""
+        return len(self._heap) + self.running
 
     def occupancy(self) -> List[Dict]:
         """Per-shard occupancy for ``/v1/metrics``."""
         return [{"shard": shard.index,
-                 "queued": len(shard.heap),
-                 "inflight": len(shard.inflight),
+                 "inflight": int(shard.job is not None),
                  "executed": shard.executed,
                  "failed": shard.failed,
                  "recycles": shard.recycles}
@@ -181,7 +180,7 @@ class ShardedWorkerPool:
 
     @property
     def idle(self) -> bool:
-        return all(shard.depth == 0 for shard in self.shards)
+        return self.depth == 0
 
     # -- admission + submission ---------------------------------------
 
@@ -189,22 +188,22 @@ class ShardedWorkerPool:
         """None if ``job`` may enter, else the structured rejection.
 
         Draining beats everything; duplicates of an in-flight key are
-        always admitted (they consume no capacity); otherwise the target
-        shard's queue depth decides.
+        always admitted (they consume no capacity); otherwise the
+        service-wide depth decides.
         """
         if self.draining:
             return {"error": "draining", "status": 503,
                     "message": "service is draining; not admitting jobs"}
         if job.key in self._primaries:
             return None
-        shard = self.shards[self.shard_of(job.key)]
-        if shard.depth >= self.queue_limit:
+        depth = self.depth
+        limit = self.queue_limit * len(self.shards)
+        if depth >= limit:
             return {"error": "queue-full", "status": 429,
-                    "message": f"shard {shard.index} is at its queue "
-                               f"limit ({self.queue_limit})",
-                    "shard": shard.index,
-                    "depth": shard.depth,
-                    "limit": self.queue_limit,
+                    "message": f"the service is at its queue limit "
+                               f"({limit})",
+                    "depth": depth,
+                    "limit": limit,
                     "retry_after_s": 1.0}
         return None
 
@@ -214,32 +213,40 @@ class ShardedWorkerPool:
         if primary is not None:
             job.deduped = True
             job.shard = primary.shard
-            job.state = primary.state if primary.state == RUNNING \
-                else QUEUED
+            job.state = primary.state
             self._followers.setdefault(job.key, []).append(job)
             self.metrics.inc("jobs_deduped")
             return
-        shard = self.shards[self.shard_of(job.key)]
-        job.shard = shard.index
         job.state = QUEUED
         self._primaries[job.key] = job
-        heapq.heappush(shard.heap,
+        heapq.heappush(self._heap,
                        (job.priority, next(self._arrival), job))
-        self._pump(shard)
+        self._pump()
 
     # -- execution -----------------------------------------------------
 
-    def _pump(self, shard: _Shard) -> None:
-        while shard.heap and len(shard.inflight) < shard.workers:
-            _, _, job = heapq.heappop(shard.heap)
-            job.state = RUNNING
-            for follower in self._followers.get(job.key, ()):
-                follower.state = RUNNING
-            shard.inflight[job.id] = (job, time.monotonic())
+    def _pump(self) -> None:
+        """Start queued jobs while any shard is idle, longest-idle
+        shard first."""
+        while self._heap:
+            idle = [shard for shard in self.shards if shard.job is None]
+            if not idle:
+                return
+            shard = min(idle, key=lambda s: s.idle_since)
+            _, _, job = heapq.heappop(self._heap)
+            shard.job = job
+            shard.started = time.monotonic()
+            for twin in [job, *self._followers.get(job.key, ())]:
+                twin.shard = shard.index
+                twin.state = RUNNING
             task = asyncio.get_running_loop().create_task(
                 self._run_job(shard, job))
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
+
+    def _release(self, shard: _Shard) -> None:
+        shard.job = None
+        shard.idle_since = time.monotonic()
 
     async def _run_job(self, shard: _Shard, job: Job) -> None:
         loop = asyncio.get_running_loop()
@@ -257,6 +264,8 @@ class ShardedWorkerPool:
                 self._note(f"serve: retrying {job.id} "
                            f"(attempt {attempt}, backoff {delay:.1f}s)")
                 await asyncio.sleep(delay)
+                if shard.job is not job:
+                    return  # the watchdog failed it during the backoff
             try:
                 payload = await loop.run_in_executor(
                     shard.executor(), execute_request, job.spec,
@@ -266,7 +275,7 @@ class ShardedWorkerPool:
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:
-                if job.id not in shard.inflight:
+                if shard.job is not job:
                     # The watchdog already failed this job and recycled
                     # the shard; this is the corpse's broken future.
                     return
@@ -274,7 +283,7 @@ class ShardedWorkerPool:
                 self._note(f"serve: {job.id} failed "
                            f"({error['type']}: {error['message']})")
                 # A broken pool poisons every later submit; recycle it
-                # so the retry (or the next job) gets live processes.
+                # so the retry (or the next job) gets a live process.
                 if shard.pool is not None and getattr(
                         shard.pool, "_broken", False):
                     shard.recycle()
@@ -285,9 +294,9 @@ class ShardedWorkerPool:
 
     def _finish(self, shard: _Shard, job: Job,
                 payload: Optional[Dict], error: Optional[Dict]) -> None:
-        if job.id not in shard.inflight:
+        if shard.job is not job:
             return  # watchdog got there first
-        del shard.inflight[job.id]
+        self._release(shard)
         if payload is not None:
             self.store.put(job.key, payload)
             shard.executed += 1
@@ -306,7 +315,7 @@ class ShardedWorkerPool:
             shard.failed += 1
             self.metrics.inc("jobs_failed")
         self._complete_key(job.key, payload, error)
-        self._pump(shard)
+        self._pump()
 
     def _complete_key(self, key: str, payload: Optional[Dict],
                       error: Optional[Dict]) -> None:
@@ -338,18 +347,14 @@ class ShardedWorkerPool:
             await asyncio.sleep(period)
             now = time.monotonic()
             for shard in self.shards:
-                stuck = [(job, started)
-                         for job, started in shard.inflight.values()
-                         if now - started > self.stuck_after]
-                if not stuck:
-                    continue
-                self._recycle_shard(shard, stuck, now)
+                if shard.job is not None and \
+                        now - shard.started > self.stuck_after:
+                    self._recycle_shard(shard, now)
 
-    def _recycle_shard(self, shard: _Shard,
-                       stuck: List[Tuple[Job, float]], now: float) -> None:
-        names = [job.id for job, _ in stuck]
+    def _recycle_shard(self, shard: _Shard, now: float) -> None:
+        job, running_s = shard.job, now - shard.started
         self._note(f"serve: watchdog recycling shard {shard.index} "
-                   f"(stuck: {', '.join(names)})")
+                   f"(stuck: {job.id})")
         self.metrics.inc("shard_recycles")
         self.last_incident = (now, "watchdog-recycle")
         diagnostic = {
@@ -357,27 +362,22 @@ class ShardedWorkerPool:
             "stuck_after_s": self.stuck_after,
             "inflight": [{"job": job.id, "kind": job.kind,
                           "key": job.key,
-                          "running_s": round(now - started, 3)}
-                         for job, started in stuck],
+                          "running_s": round(running_s, 3)}],
             "occupancy": self.occupancy()[shard.index],
         }
         shard.recycle()
-        for job, started in stuck:
-            if job.id not in shard.inflight:
-                continue
-            del shard.inflight[job.id]
-            shard.failed += 1
-            self.metrics.inc("jobs_failed")
-            exc = StuckShardError(
-                f"{job.id} ran {now - started:.1f}s on shard "
-                f"{shard.index} (stuck_after={self.stuck_after:g}s); "
-                f"worker terminated", diagnostic)
-            error = _failure_payload(job, exc, job.attempts)
-            error["diagnostic"] = diagnostic
-            self._complete_key(job.key, None, error)
-        # Anything that was merely queued behind the corpse continues
-        # on the fresh pool.
-        self._pump(shard)
+        self._release(shard)
+        shard.failed += 1
+        self.metrics.inc("jobs_failed")
+        exc = StuckShardError(
+            f"{job.id} ran {running_s:.1f}s on shard {shard.index} "
+            f"(stuck_after={self.stuck_after:g}s); worker terminated",
+            diagnostic)
+        error = _failure_payload(job, exc, job.attempts)
+        error["diagnostic"] = diagnostic
+        self._complete_key(job.key, None, error)
+        # The fresh process takes queued work like any idle shard.
+        self._pump()
 
     # -- drain / shutdown ---------------------------------------------
 

@@ -228,26 +228,3 @@ class SystemStats:
 def _pct(num: int, den: int) -> float:
     return 100.0 * num / den if den else 0.0
 
-
-def partial_stats(per_core: Dict[int, CoreStats], cycle: int,
-                  unfinished: int) -> Dict:
-    """A JSON-safe progress document for a run still in flight.
-
-    Emitted at every checkpoint of a ``checkpoint_every`` run
-    (:meth:`repro.sim.system.System.run`) and streamed to clients
-    through the serve API's long-poll as the ``progress`` field of a
-    running job.  Deliberately *not* a :class:`SystemStats`: mid-run
-    counters do not satisfy :meth:`SystemStats.validate` (cycles are
-    still 0 on unfinished cores, stall attribution is mid-episode), so
-    partial progress gets its own shape instead of a relaxed variant of
-    the final one.
-    """
-    retired = sum(s.retired_instructions for s in per_core.values())
-    return {
-        "cycle": cycle,
-        "cores": len(per_core),
-        "unfinished": unfinished,
-        "retired_instructions": retired,
-        "per_core_retired": {str(cid): s.retired_instructions
-                             for cid, s in sorted(per_core.items())},
-    }

@@ -1,13 +1,15 @@
 """Integration tests for ``repro.serve``: the full service lifecycle.
 
-Each test boots a real :class:`HttpApi` server (loopback, port 0) on a
-background thread and drives it over HTTP with :class:`ServeClient` —
-the same path production clients use.  The battery covers the
-acceptance criteria: a mixed batch served byte-identically to direct
-execution, warm resubmits answered from the store, admission-control
-rejections, single-flight dedup of concurrent duplicates, the
-stuck-shard watchdog, graceful SIGTERM drain of a real subprocess, and
-the HTTP surface itself (long-poll, metrics, error statuses).
+Most tests boot a real :class:`HttpApi` server (loopback, port 0) on a
+background thread and drive it over HTTP with :class:`ServeClient` —
+the same path production clients use; the shared-queue tests drive a
+:class:`ServeService` directly.  The battery covers the acceptance
+criteria: a mixed batch served byte-identically to direct execution,
+warm resubmits answered from the store, admission-control rejections,
+single-flight dedup of concurrent duplicates, any idle shard taking
+the next job, the stuck-shard watchdog, graceful SIGTERM drain of a
+real subprocess, and the HTTP surface itself (long-poll, metrics,
+error statuses, over-long lines).
 """
 
 import asyncio
@@ -15,6 +17,7 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -25,7 +28,8 @@ import pytest
 from repro.core.policies import POLICY_ORDER
 from repro.serve.api import HttpApi, ServeService
 from repro.serve.client import ServeClient
-from repro.serve.jobs import LitmusSpec, execute_litmus, request_key
+from repro.serve.jobs import (DONE, FAILED, RUNNING, LitmusSpec,
+                              execute_litmus, parse_request, request_key)
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import SweepJob, execute_job, run_sweep
 
@@ -104,8 +108,7 @@ def test_mixed_batch_byte_identity_and_warm_resubmit(tmp_path):
                  for name in LITMUS_NAMES]
     assert len(requests) >= 32
 
-    with ServerThread(shards=2, shard_workers=2,
-                      cache_dir=tmp_path) as server:
+    with ServerThread(shards=4, cache_dir=tmp_path) as server:
         client = server.client()
 
         t0 = time.monotonic()
@@ -153,8 +156,7 @@ def test_mixed_batch_byte_identity_and_warm_resubmit(tmp_path):
 
 def test_concurrent_duplicates_simulate_once(tmp_path):
     cell = _bench("radix", "x86", length=700, seed=9)
-    with ServerThread(shards=2, shard_workers=2,
-                      cache_dir=tmp_path) as server:
+    with ServerThread(shards=4, cache_dir=tmp_path) as server:
         client = server.client()
         batch = client.submit_batch([cell] * 6)
         assert batch["accepted"] == 6
@@ -179,8 +181,7 @@ def test_admission_rejects_beyond_queue_limit(tmp_path):
     slow = [_bench("radix", policy, length=8000)
             for policy in POLICY_ORDER] + [_bench("fft", "x86",
                                                   length=8000)]
-    with ServerThread(shards=1, shard_workers=1, queue_limit=3,
-                      cache_dir=tmp_path) as server:
+    with ServerThread(shards=1, queue_limit=3, cache_dir=tmp_path) as server:
         client = server.client()
         batch = client.submit_batch(slow)     # 6 distinct jobs, cap 3
         states = [d["state"] for d in batch["jobs"]]
@@ -190,7 +191,6 @@ def test_admission_rejects_beyond_queue_limit(tmp_path):
         rejection = batch["jobs"][3]["rejection"]
         assert rejection["error"] == "queue-full"
         assert rejection["status"] == 429
-        assert rejection["shard"] == 0
         assert rejection["depth"] == rejection["limit"] == 3
         assert rejection["retry_after_s"] > 0
 
@@ -220,13 +220,85 @@ def test_draining_rejects_everything_with_503(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# One queue: any idle shard takes the next job
+# ----------------------------------------------------------------------
+
+def _same_parity_pair():
+    """Two distinct bench requests whose keys agree in
+    ``int(key[:16], 16) % 2`` — the shard a key-sharded pool would
+    have pinned both of them to."""
+    by_parity = {}
+    for seed in range(64):
+        request = _bench("radix", "x86", length=300, seed=seed)
+        key = request_key(parse_request(request)[1])
+        parity = int(key[:16], 16) % 2
+        if parity in by_parity:
+            return by_parity[parity], request
+        by_parity[parity] = request
+    raise AssertionError("no same-parity pair in 64 seeds")
+
+
+def test_same_parity_keys_run_on_both_shards():
+    async def main():
+        service = ServeService(shards=2, cache=False)
+        jobs = [service.submit_one(r) for r in _same_parity_pair()]
+        placed = [(job.state, job.shard) for job in jobs]
+        assert await service.drain(60)
+        return placed, [job.state for job in jobs]
+
+    placed, final = asyncio.run(main())
+    assert sorted(placed) == [(RUNNING, 0), (RUNNING, 1)]
+    assert final == [DONE, DONE]
+
+
+def test_sequential_jobs_take_the_longest_idle_shard():
+    async def main():
+        service = ServeService(shards=2, cache=False)
+        shards = []
+        for name in ("sb", "mp", "lb"):
+            job = service.submit_one({"kind": "litmus", "name": name,
+                                      "models": ["SC"]})
+            await service.wait_for(job, 60)
+            assert job.state == DONE
+            shards.append(job.shard)
+        await service.drain(60)
+        return shards
+
+    assert asyncio.run(main()) == [0, 1, 0]
+
+
+def test_watchdog_recycles_only_the_stuck_shard():
+    heavy = _bench("radix", "x86", length=500_000)
+    heavy["cores"] = 8
+
+    async def main():
+        service = ServeService(shards=2, cache=False, retries=0,
+                               stuck_after=1.5)
+        service.start()
+        stuck = service.submit_one(heavy)
+        quick = service.submit_one({"kind": "litmus", "name": "sb",
+                                    "models": ["SC"]})
+        await service.wait_for(quick, 30)
+        await service.wait_for(stuck, 30)
+        await service.drain(60)
+        return stuck, quick, service.metrics_snapshot()["shards"]
+
+    stuck, quick, shards = asyncio.run(main())
+    assert (stuck.state, stuck.shard) == (FAILED, 0)
+    assert stuck.error["type"] == "StuckShardError"
+    assert stuck.error["diagnostic"]["shard"] == 0
+    assert (quick.state, quick.shard) == (DONE, 1)
+    assert [row["recycles"] for row in shards] == [1, 0]
+
+
+# ----------------------------------------------------------------------
 # Watchdog
 # ----------------------------------------------------------------------
 
 def test_watchdog_recycles_a_stuck_shard(tmp_path):
     heavy = _bench("radix", "x86", length=500_000)
     heavy["cores"] = 8
-    with ServerThread(shards=1, shard_workers=1, retries=0,
+    with ServerThread(shards=1, retries=0,
                       stuck_after=0.5, cache_dir=tmp_path) as server:
         client = server.client()
         status, doc = client.submit(heavy)
@@ -293,6 +365,18 @@ def test_sigterm_drains_and_persists_results(tmp_path):
 # ----------------------------------------------------------------------
 # HTTP surface details
 # ----------------------------------------------------------------------
+
+def _raw_exchange(port, request):
+    """Send raw request bytes; return all the server answers before it
+    closes the connection."""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+        return reply
+
 
 def test_http_surface_statuses_and_metrics(tmp_path):
     with ServerThread(shards=1, cache_dir=tmp_path) as server:
@@ -365,3 +449,15 @@ def test_http_surface_statuses_and_metrics(tmp_path):
             raised = (exc.code, json.loads(exc.read().decode()))
         assert raised is not None
         assert raised[0] == 400 and raised[1]["error"] == "bad-json"
+        # A request line or header line past the stream's 64 KiB line
+        # limit is a counted 400, not a dropped connection.
+        errors = client.metrics()["counters"].get("http_errors", 0)
+        for request in (
+                b"GET /v1/" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"y" * 70_000
+                + b"\r\n\r\n"):
+            head, _, body = _raw_exchange(server.port,
+                                          request).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 "), head
+            assert json.loads(body)["error"] == "bad-request"
+        assert client.metrics()["counters"]["http_errors"] == errors + 2

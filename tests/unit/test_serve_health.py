@@ -4,7 +4,7 @@ the incident window passes."""
 
 import time
 
-from repro.serve.api import ServeService
+from repro.serve.api import DEGRADED_WINDOW_S, ServeService
 
 
 def _service(**kw):
@@ -42,8 +42,8 @@ def test_recent_incident_reports_degraded():
 
 
 def test_incident_ages_out_of_the_window():
-    service = _service(degraded_window=5.0)
-    service.pool.last_incident = (time.monotonic() - 6.0,
+    service = _service()
+    service.pool.last_incident = (time.monotonic() - DEGRADED_WINDOW_S - 1,
                                   "pool-replacement")
     doc = service.healthz()
     assert doc["state"] == "ok"
