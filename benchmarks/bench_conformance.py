@@ -6,6 +6,8 @@ observed architectural outcome is legal under the configuration's
 abstract memory model, and (b) witness reachability: the x86 pipeline
 exhibits the n6 / fig5 store-atomicity violations, the 370 pipelines
 never do — the paper's claim, demonstrated on the implementation.
+Every run goes through :func:`repro.models.conformance.check_pipelines`
+without faults (``spec=FaultSpec()``): timing padding alone.
 """
 
 import pytest
@@ -14,8 +16,9 @@ from conftest import add_report
 from repro.analysis.report import format_table
 from repro.core.policies import POLICY_ORDER
 from repro.litmus.operational import _matches
-from repro.litmus.pipeline_runner import check_conformance
 from repro.litmus.tests import FIG5, MP, N6, SB
+from repro.models.conformance import check_pipelines
+from repro.resilience import FaultSpec
 
 _WITNESSES = {
     "n6": (N6, dict(r0_rx=1, r0_ry=0, mem_x=1, mem_y=2)),
@@ -25,13 +28,14 @@ _WITNESSES = {
 _rows = []
 
 
-def _probe(name, policy, seeds):
+def _probe(name, policy, trials):
     program, witness = _WITNESSES[name]
-    conforms, observed, allowed = check_conformance(
-        program, policy, seeds=range(seeds))
-    assert conforms, (name, policy)
-    witnessed = any(_matches(o, witness) for o in observed)
-    return witnessed, len(observed), len(allowed)
+    report = check_pipelines([program], (policy,), trials=trials,
+                             spec=FaultSpec())
+    assert report.ok, report.summary()
+    cell = report.cells[0]
+    witnessed = any(_matches(o, witness) for o in cell.observed)
+    return witnessed, len(cell.observed), len(cell.allowed)
 
 
 @pytest.mark.parametrize("name", list(_WITNESSES))
@@ -39,8 +43,8 @@ def test_conformance_and_witness_reachability(name, once):
     def sweep():
         results = {}
         for policy in POLICY_ORDER:
-            seeds = 300 if policy == "x86" else 120
-            results[policy] = _probe(name, policy, seeds)
+            trials = 300 if policy == "x86" else 120
+            results[policy] = _probe(name, policy, trials)
         return results
 
     results = once(sweep)
@@ -56,12 +60,8 @@ def test_conformance_and_witness_reachability(name, once):
 
 def test_basic_tests_conform(once):
     def sweep():
-        for program in (SB, MP):
-            for policy in POLICY_ORDER:
-                ok, obs, allowed = check_conformance(program, policy,
-                                                     seeds=range(30))
-                assert ok, (program.name, policy,
-                            sorted(map(str, obs - allowed)))
+        report = check_pipelines([SB, MP], trials=30, spec=FaultSpec())
+        assert report.ok, report.summary()
         return True
 
     assert once(sweep)

@@ -14,8 +14,9 @@ Run:  python examples/dekker_lock.py
 from repro.litmus import M370, X86, allows
 from repro.litmus.battery import SB_BOTH_RMW
 from repro.litmus.operational import _matches
-from repro.litmus.pipeline_runner import observed_outcomes
 from repro.litmus.tests import SB, SB_FENCED
+from repro.models.conformance import check_pipelines
+from repro.resilience import FaultSpec
 
 BOTH_ZERO = dict(r0_ry=0, r1_rx=0)
 
@@ -43,14 +44,15 @@ def pipeline_view():
     print("The same three programs, executed on the cycle-level "
           "pipeline (timing-perturbed)")
     print("=" * 72)
-    for name, program in (("plain stores", SB),
-                          ("with mfence", SB_FENCED),
-                          ("with lock xchg", SB_BOTH_RMW)):
-        for policy in ("x86", "370-SLFSoS-key"):
-            outcomes = observed_outcomes(program, policy, seeds=range(60))
-            broken = any(_matches(o, BOTH_ZERO) for o in outcomes)
-            print(f"  {name:16s} {policy:16s} "
-                  f"{'BROKEN (both read 0 observed)' if broken else 'safe'}")
+    names = {SB.name: "plain stores", SB_FENCED.name: "with mfence",
+             SB_BOTH_RMW.name: "with lock xchg"}
+    report = check_pipelines([SB, SB_FENCED, SB_BOTH_RMW],
+                             ("x86", "370-SLFSoS-key"), trials=60,
+                             spec=FaultSpec())
+    for cell in report.cells:
+        broken = any(_matches(o, BOTH_ZERO) for o in cell.observed)
+        print(f"  {names[cell.case]:16s} {cell.policy:16s} "
+              f"{'BROKEN (both read 0 observed)' if broken else 'safe'}")
     print()
 
 

@@ -14,8 +14,10 @@ Commands:
 ``sweep NAME [NAME ...]``         benchmarks under all 5 configs, in
                                   parallel, with on-disk result caching,
                                   per-job timeouts and bounded retries
-``chaos``                         litmus conformance under deterministic
-                                  fault injection (the chaos gate)
+``chaos``                         the pipeline conformance check: every
+                                  litmus battery program on the five
+                                  pipelines under deterministic fault
+                                  injection (the chaos gate)
 ``serve``                         long-lived batch simulation service:
                                   asyncio HTTP JSON API over a sharded
                                   worker pool with admission control and
@@ -60,8 +62,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.core.policies import POLICY_ORDER
-from repro.litmus import (ALL_CASES, EXTRA_CASES, MODELS,
-                          enumerate_outcomes, explain, sample)
+from repro.litmus import MODELS, enumerate_outcomes, explain, sample
 from repro.resilience import DEFAULT_CHAOS as DEFAULT_CHAOS_SPEC
 from repro.litmus.checker import compare
 from repro.litmus.program import Program
@@ -433,19 +434,17 @@ def cmd_sweep(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.resilience import DEFAULT_CHAOS, FaultSpec, run_chaos
+    from repro.models.conformance import battery_corpus, check_pipelines
+    from repro.resilience import FaultSpec
 
-    spec = FaultSpec(noc_jitter=args.noc_jitter,
-                     noc_jitter_prob=args.noc_jitter_prob,
-                     evict_period=args.evict_period,
-                     squash_period=args.squash_period,
-                     sb_delay=args.sb_delay,
-                     sb_delay_prob=args.sb_delay_prob)
+    spec = FaultSpec(**{knob: getattr(args, knob)
+                        for knob in DEFAULT_CHAOS_SPEC.to_dict()})
     progress = (lambda msg: print(msg, file=sys.stderr, flush=True)) \
         if args.verbose else None
-    report = run_chaos(trials=args.trials, seed=args.seed, spec=spec,
-                       policies=tuple(args.policies or POLICY_ORDER),
-                       progress=progress)
+    report = check_pipelines([case.program for case in battery_corpus()],
+                             policies=tuple(args.policies or POLICY_ORDER),
+                             trials=args.trials, seed=args.seed, spec=spec,
+                             progress=progress)
     print(report.summary())
     if args.json:
         with open(args.json, "w") as fh:
@@ -720,8 +719,9 @@ def cmd_lint(args) -> int:
 
     if args.litmus or args.random:
         from repro.lint.races import find_races
-        from repro.models.conformance import check, random_corpus
-        battery = [case.program for case in ALL_CASES + EXTRA_CASES]
+        from repro.models.conformance import (battery_corpus, check,
+                                              random_corpus)
+        battery = [case.program for case in battery_corpus()]
         result = check(battery)
         print(f"litmus cross-check: battery {result.programs_checked} "
               f"programs, {len(result.problems)} mismatches")
@@ -1165,27 +1165,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="conformance under deterministic fault injection: the "
-             "litmus battery with NoC jitter, forced evictions, spurious "
-             "squashes and delayed SB drains — outcomes must stay within "
-             "the memory models")
+        help="pipeline conformance under deterministic fault injection: "
+             "every battery program the pipeline can express, with NoC "
+             "jitter, forced evictions, spurious squashes and delayed SB "
+             "drains — outcomes must stay within the memory models")
     p.add_argument("--trials", type=int, default=25,
-                   help="fault seeds per (test, policy) cell")
+                   help="fault seeds per (program, policy) cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-p", "--policies", nargs="*", choices=POLICY_ORDER,
                    help="configurations to test (default: all five)")
-    p.add_argument("--noc-jitter", type=int,
-                   default=DEFAULT_CHAOS_SPEC.noc_jitter)
-    p.add_argument("--noc-jitter-prob", type=float,
-                   default=DEFAULT_CHAOS_SPEC.noc_jitter_prob)
-    p.add_argument("--evict-period", type=int,
-                   default=DEFAULT_CHAOS_SPEC.evict_period)
-    p.add_argument("--squash-period", type=int,
-                   default=DEFAULT_CHAOS_SPEC.squash_period)
-    p.add_argument("--sb-delay", type=int,
-                   default=DEFAULT_CHAOS_SPEC.sb_delay)
-    p.add_argument("--sb-delay-prob", type=float,
-                   default=DEFAULT_CHAOS_SPEC.sb_delay_prob)
+    for knob, default in DEFAULT_CHAOS_SPEC.to_dict().items():
+        p.add_argument("--" + knob.replace("_", "-"), type=type(default),
+                       default=default)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full chaos report as JSON")
     p.add_argument("-v", "--verbose", action="store_true",

@@ -14,8 +14,7 @@ from repro.litmus.explain import explain
 from repro.litmus.parser import (LitmusParseError, ParsedLitmus,
                                  parse_litmus, parse_litmus_file,
                                  render_litmus)
-from repro.litmus.pipeline_runner import (check_conformance,
-                                          observed_outcomes, run_once)
+from repro.litmus.pipeline_runner import run_once
 from repro.litmus.operational import (M370, MODELS, PC, SC, WMM, X86,
                                       allows, enumerate_outcomes,
                                       machine_for, matching_outcomes)
@@ -35,7 +34,7 @@ __all__ = ["Ld", "St", "Fence", "Rmw", "Cas", "Instruction", "Program",
            "allows", "SC", "M370", "X86", "PC",
            "WMM", "MODELS", "sample", "SampleReport", "explain",
            "litmus_registry",
-           "run_once", "observed_outcomes", "check_conformance",
+           "run_once",
            "parse_litmus", "parse_litmus_file", "render_litmus",
            "ParsedLitmus", "LitmusParseError",
            "EXTRA_CASES", "LB", "W22", "WRC", "RWC", "N5",

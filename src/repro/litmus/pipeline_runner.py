@@ -26,7 +26,7 @@ litmus7's run-to-run variation on real hardware.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cpu.isa import Trace, alu, fence, load, rmw, store
 from repro.litmus.program import Fence, Ld, Outcome, Program, Rmw, St
@@ -51,6 +51,7 @@ LITMUS_CONFIG = SystemConfig(
 
 _VAR_BASE = 0x10000
 _VAR_STRIDE = 64  # one cache line per litmus variable
+_MAX_PADDING = 24  # ALU/store padding ops before a thread's litmus accesses
 
 
 def _address_map(program: Program) -> Dict[str, int]:
@@ -58,14 +59,15 @@ def _address_map(program: Program) -> Dict[str, int]:
             for i, addr in enumerate(program.addresses)}
 
 
-def compile_program(program: Program, seed: int = 0,
-                    max_padding: int = 24
+def compile_program(program: Program, seed: int = 0
                     ) -> Tuple[List[Trace], Dict[Tuple[int, int], int],
                                Dict[str, int]]:
     """Compile a litmus program to per-core traces.
 
     Returns (traces, load_map, address_map) where ``load_map`` maps
     (tid, op index) of each litmus load to its trace sequence number.
+    Raises ``ValueError`` naming any op the pipeline cannot express
+    (``cas``: the ISA has no conditional write).
     """
     rng = random.Random(seed)
     addresses = _address_map(program)
@@ -74,7 +76,7 @@ def compile_program(program: Program, seed: int = 0,
     for tid, thread in enumerate(program.threads):
         trace = Trace()
         private = 0x900000 + tid * 0x100000  # invisible to the outcome
-        for k in range(rng.randrange(max_padding + 1)):
+        for k in range(rng.randrange(_MAX_PADDING + 1)):
             if rng.random() < 0.35:
                 # A cold private store: queues in the SQ/SB ahead of the
                 # litmus stores, delaying their memory-order insertion —
@@ -96,6 +98,10 @@ def compile_program(program: Program, seed: int = 0,
                 seq = trace.append(rmw(addresses[op.addr], value=op.value,
                                        pc=0x30 + idx))
                 load_map[(tid, idx)] = seq  # the old value it read
+            else:
+                raise ValueError(f"the pipeline cannot compile "
+                                 f"{type(op).__name__} ({op}) in thread "
+                                 f"{tid}")
             for _ in range(rng.randrange(4)):
                 trace.append(alu(latency=rng.choice((1, 2))))
         trace.validate()
@@ -104,7 +110,6 @@ def compile_program(program: Program, seed: int = 0,
 
 
 def run_once(program: Program, policy: str, seed: int = 0,
-             config: Optional[SystemConfig] = None,
              faults=None, watchdog=None,
              max_cycles: int = 2_000_000) -> Outcome:
     """One timed execution of the litmus test under ``policy``.
@@ -112,13 +117,14 @@ def run_once(program: Program, policy: str, seed: int = 0,
     ``faults`` is an optional :class:`repro.resilience.faults.FaultPlan`
     (single-use; make one per call) and ``watchdog`` an optional
     :class:`repro.resilience.invariants.Watchdog` — both are installed
-    on the system before the run, which is how the chaos conformance
-    gate drives this function.
+    on the system before the run, which is how
+    :func:`repro.models.conformance.check_pipelines` drives this
+    function.
     """
     traces, load_map, addresses = compile_program(program, seed)
     initial = {addr_val: program.initial_value(name)
                for name, addr_val in addresses.items()}
-    system = System(traces, policy, config or LITMUS_CONFIG,
+    system = System(traces, policy, LITMUS_CONFIG,
                     warm_caches=False, initial_memory=initial,
                     faults=faults)
     if watchdog is not None:
@@ -136,51 +142,3 @@ def run_once(program: Program, policy: str, seed: int = 0,
                                       program.initial_value(name)))
         for name, addr_val in addresses.items()))
     return Outcome(registers=tuple(sorted(registers)), memory=memory)
-
-
-def observed_outcomes(program: Program, policy: str,
-                      seeds: Sequence[int] = range(40),
-                      config: Optional[SystemConfig] = None,
-                      fault_factory=None) -> FrozenSet[Outcome]:
-    """Outcomes observed across timing-perturbed runs.
-
-    ``fault_factory`` (seed -> FaultPlan), when given, injects a fresh
-    deterministic fault plan into every run — fault perturbation on top
-    of the padding perturbation.
-    """
-    outcomes: Set[Outcome] = set()
-    for seed in seeds:
-        faults = fault_factory(seed) if fault_factory is not None else None
-        outcomes.add(run_once(program, policy, seed, config, faults=faults))
-    return frozenset(outcomes)
-
-
-#: Which abstract model each pipeline configuration must conform to.
-POLICY_MODEL = {
-    "x86": "x86",
-    "370-NoSpec": "370",
-    "370-SLFSpec": "370",
-    "370-SLFSoS": "370",
-    "370-SLFSoS-key": "370",
-}
-
-
-def check_conformance(program: Program, policy: str,
-                      seeds: Sequence[int] = range(40),
-                      config: Optional[SystemConfig] = None,
-                      fault_factory=None
-                      ) -> Tuple[bool, FrozenSet[Outcome],
-                                 FrozenSet[Outcome]]:
-    """Run the litmus test on the pipeline and compare with the model.
-
-    Returns (conforms, observed, allowed): ``conforms`` is True iff
-    every observed outcome is allowed by the policy's abstract model.
-    ``fault_factory`` forwards to :func:`observed_outcomes` — conformance
-    must hold under injected faults too (timing may change, allowed
-    outcomes may not).
-    """
-    from repro.litmus.operational import enumerate_outcomes
-    observed = observed_outcomes(program, policy, seeds, config,
-                                 fault_factory=fault_factory)
-    allowed = enumerate_outcomes(program, POLICY_MODEL[policy])
-    return observed <= allowed, observed, allowed

@@ -1,7 +1,7 @@
-"""Resilience subsystem: deterministic fault injection, runtime
-invariant enforcement, and the chaos-mode conformance gate.
+"""Resilience subsystem: deterministic fault injection and runtime
+invariant enforcement.
 
-Three layers (see ``docs/RESILIENCE.md``):
+Two layers (see ``docs/RESILIENCE.md``):
 
 * :mod:`repro.resilience.faults` — a seeded :class:`FaultPlan` that
   perturbs a run at well-defined hook points (NoC jitter, forced
@@ -11,21 +11,19 @@ Three layers (see ``docs/RESILIENCE.md``):
   model's own correctness conditions, and :class:`Watchdog` runs them
   periodically plus detects loss of forward progress, turning a hang
   into a structured :class:`DeadlockError`.
-* :mod:`repro.resilience.chaos` — :func:`run_chaos` runs the litmus
-  battery through the pipeline under injected faults and diffs observed
-  outcomes against the operational models: faults may change *timing*,
-  never *allowed outcomes*.
+
+The chaos gate (``repro chaos``) that drives both over the litmus
+battery is :func:`repro.models.conformance.check_pipelines`: faults may
+change *timing*, never *allowed outcomes*.
 """
 
 from repro.resilience.faults import DEFAULT_CHAOS, FaultPlan, FaultSpec
 from repro.resilience.invariants import (DeadlockError, InvariantViolation,
                                          Watchdog, check_system,
                                          system_diagnostic)
-from repro.resilience.chaos import ChaosReport, run_chaos
 
 __all__ = [
     "DEFAULT_CHAOS", "FaultPlan", "FaultSpec",
     "DeadlockError", "InvariantViolation", "Watchdog", "check_system",
     "system_diagnostic",
-    "ChaosReport", "run_chaos",
 ]

@@ -61,10 +61,13 @@ class FaultSpec:
         return asdict(self)
 
 
-#: An aggressive default for litmus-scale runs (a few thousand cycles):
-#: every mechanism fires several times per run.
+#: The default for litmus-scale runs.  Measured over the chaos gate's
+#: 3,125 runs (``repro chaos --seed 0 --trials 25``), which last 219–929
+#: cycles (median 508), a run sees on average 11.2 jittered messages,
+#: 1.1 forced evictions, 1.4 spurious squashes and 1.5 delayed SB
+#: commits.
 DEFAULT_CHAOS = FaultSpec(noc_jitter=8, noc_jitter_prob=0.25,
-                          evict_period=300, squash_period=900,
+                          evict_period=300, squash_period=150,
                           sb_delay=6, sb_delay_prob=0.25)
 
 

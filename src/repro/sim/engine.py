@@ -31,8 +31,9 @@ a cheap head comparison reproduces the exact global order a pure heap
 would produce.
 
 Termination uses a stop sentinel (:meth:`stop`) instead of polling an
-``until()`` closure on every event; the legacy ``until=`` argument is
-still honoured for callers that need predicate-based termination.
+``until()`` closure on every event; the ``until=`` argument remains for
+callers that wait on a condition other than "every core finished" (the
+checkpoint drain to a quiescent point) and for tests.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ _Event = Tuple[int, int, Callable[..., Any], tuple]
 
 class Engine:
     """A deterministic discrete-event engine with integer cycle time."""
-
-    #: Signals callers (e.g. :class:`repro.sim.system.System`) that this
-    #: engine supports :meth:`stop`-based termination, avoiding the
-    #: per-event ``until()`` predicate call.
-    supports_stop = True
 
     __slots__ = ("now", "_queue", "_bucket_now", "_bucket_next", "_seq",
                  "_stopped", "events_dispatched", "event_hook")

@@ -22,9 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class System:
     """A simulated multicore: N cores + coherent memory hierarchy."""
 
-    __slots__ = ("config", "policy_name", "engine", "_use_stop",
-                 "probe_bus", "memory", "cores", "memory_data",
-                 "_unfinished", "faults")
+    __slots__ = ("config", "policy_name", "engine", "probe_bus", "memory",
+                 "cores", "memory_data", "_unfinished", "faults")
 
     def __init__(self, traces: Sequence["Trace"], policy_name: str,
                  config: Optional[SystemConfig] = None,
@@ -32,7 +31,6 @@ class System:
                  warm_caches: object = True,
                  initial_memory: Optional[Dict[int, int]] = None,
                  trace_pipeline: bool = False,
-                 engine: Optional[Engine] = None,
                  probes=None, faults=None) -> None:
         from repro.coherence.mesi import CoherentMemorySystem
         from repro.coherence.warmup import warm_from_traces
@@ -47,11 +45,7 @@ class System:
                 f"{len(traces)} traces but only {base.cores} cores")
         self.config = base.with_cores(max(len(traces), 1))
         self.policy_name = policy_name
-        # An injected engine (e.g. a reference implementation in a
-        # benchmark) may lack the stop-sentinel fast path; fall back to
-        # predicate-polled termination for those.
-        self.engine = engine if engine is not None else Engine()
-        self._use_stop = getattr(self.engine, "supports_stop", False)
+        self.engine = Engine()
         self.probe_bus = probes  # None => every component uses NULL_BUS
         self.memory = CoherentMemorySystem(self.engine, self.config,
                                            probes=probes)
@@ -89,7 +83,7 @@ class System:
 
     def _core_finished(self, core: "Core") -> None:
         self._unfinished -= 1
-        if self._unfinished == 0 and self._use_stop:
+        if self._unfinished == 0:
             self.engine.stop()
 
     @staticmethod
@@ -152,11 +146,8 @@ class System:
         engine = self.engine
         deadline = engine.now + max_cycles
         while not self.done and engine.now < deadline:
-            budget = min(checkpoint_every, deadline - engine.now)
-            if self._use_stop:
-                engine.run(max_cycles=budget)
-            else:
-                engine.run(until=lambda: self.done, max_cycles=budget)
+            engine.run(max_cycles=min(checkpoint_every,
+                                      deadline - engine.now))
             if self.done or engine.now >= deadline:
                 break
             for core in self.cores:
@@ -187,10 +178,8 @@ class System:
         if checkpoint_every is not None:
             self._run_checkpointed(max_cycles, checkpoint_every,
                                    on_checkpoint)
-        elif self._use_stop:
-            self.engine.run(max_cycles=max_cycles)
         else:
-            self.engine.run(until=lambda: self.done, max_cycles=max_cycles)
+            self.engine.run(max_cycles=max_cycles)
         if not self.done:
             if self.engine.pending == 0:
                 raise RuntimeError(

@@ -47,7 +47,7 @@ SNAPSHOT_SCHEMA: Dict[str, Dict[str, FrozenSet[str]]] = {
     "System": _entry(
         covered=("memory_data", "_unfinished", "engine", "memory", "cores",
                  "faults"),
-        transient=("config", "policy_name", "_use_stop", "probe_bus"),
+        transient=("config", "policy_name", "probe_bus"),
     ),
     "Core": _entry(
         covered=("stats", "sb", "storeset", "prefetcher",

@@ -177,3 +177,22 @@ def test_record_defaults_to_the_bench_length(tmp_path, capsys, monkeypatch):
 def test_replay_missing_file(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", str(tmp_path / "missing.json")])
+
+
+def test_chaos_runs_the_whole_battery(tmp_path, capsys):
+    from repro.models.conformance import battery_corpus
+    out_path = tmp_path / "chaos.json"
+    assert main(["chaos", "--trials", "1", "-p", "x86", "--squash-period",
+                 "0", "--json", str(out_path)]) == 0
+    report = json.loads(out_path.read_text())
+    skipped = {"sb+cas-fail", "cas-race"}
+    assert set(report["skipped"]) == skipped
+    expressible = [case.program.name for case in battery_corpus()
+                   if case.program.name not in skipped]
+    assert len(expressible) == 25
+    assert [cell["case"] for cell in report["cells"]] == expressible
+    assert {cell["policy"] for cell in report["cells"]} == {"x86"}
+    assert report["ok"] is True
+    assert report["spec"]["squash_period"] == 0
+    assert report["injected"]["squash"] == 0
+    assert "all outcomes allowed" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Engine and System termination edge cases: drained queues, legacy
+"""Engine and System termination edge cases: drained queues,
 ``until=`` predicates, cycle-budget overruns, and true deadlocks must
 all end in a clean return or a descriptive error — never a hang."""
 
@@ -61,19 +61,6 @@ def test_system_cycle_budget_overrun_is_descriptive():
     system = System(_traces(length=2_000), "x86", TINY)
     with pytest.raises(RuntimeError, match="exceeded 10 cycles"):
         system.run(max_cycles=10)
-
-
-def test_system_on_legacy_engine_matches_stop_sentinel():
-    """An injected engine without the stop sentinel falls back to the
-    polled ``until=`` predicate — and must produce identical stats."""
-
-    class LegacyEngine(Engine):
-        supports_stop = False
-
-    fast = System(_traces(), "370-SLFSoS-key", TINY).run()
-    slow = System(_traces(), "370-SLFSoS-key", TINY,
-                  engine=LegacyEngine()).run()
-    assert fast.to_json() == slow.to_json()
 
 
 def test_system_deadlock_without_watchdog_is_an_error():

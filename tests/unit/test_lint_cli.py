@@ -8,6 +8,7 @@ import textwrap
 import pytest
 
 from repro.cli import main
+from repro.models.conformance import battery_corpus
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "fixtures", "lint", "repro")
@@ -94,6 +95,7 @@ def test_lint_litmus_json(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["ok"] is True
     assert payload["mismatches"] == []
+    assert payload["programs_checked"] == len(battery_corpus())
     assert any(r["program"] == "n6" and r["shape"] == "forwarding"
                for r in payload["races"])
     assert all("rfi" in "".join(r["cycle"]) for r in payload["races"])
