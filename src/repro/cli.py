@@ -1003,6 +1003,34 @@ def cmd_synth(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
+                       ) -> None:
+    """``name`` (``names``: one or more) and ``-c/-l/--seed`` of bench,
+    trace, record and sweep.  An unknown benchmark or a core count the
+    simulated system lacks is a usage error (exit 2)."""
+    def benchmark(name: str) -> str:
+        from repro.workloads.profiles import PROFILES
+        if name not in PROFILES:
+            raise argparse.ArgumentTypeError(
+                f"unknown benchmark {name!r} (see 'repro list')")
+        return name
+
+    def cores(text: str) -> int:
+        from repro.sim.config import SKYLAKE_LIKE
+        if not text.isdigit() or not 1 <= int(text) <= SKYLAKE_LIKE.cores:
+            raise argparse.ArgumentTypeError(
+                f"expected 1 to {SKYLAKE_LIKE.cores} cores, got {text!r}")
+        return int(text)
+
+    if names:
+        p.add_argument("names", nargs="+", metavar="name", type=benchmark)
+    else:
+        p.add_argument("name", type=benchmark)
+    p.add_argument("-c", "--cores", type=cores, default=8)
+    p.add_argument("-l", "--length", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1046,12 +1074,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="run one benchmark profile")
-    p.add_argument("name")
+    _add_workload_args(p)
     p.add_argument("-p", "--policy", default="370-SLFSoS-key",
                    choices=POLICY_ORDER)
-    p.add_argument("-c", "--cores", type=int, default=8)
-    p.add_argument("-l", "--length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="machine-readable stats (SystemStats.to_json)")
     p.add_argument("--obs", action="store_true",
@@ -1066,12 +1091,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run one benchmark with full observability and emit a "
              "Perfetto-loadable Chrome trace + JSONL metrics")
-    p.add_argument("name")
+    _add_workload_args(p)
     p.add_argument("-p", "--policy", default="370-SLFSoS-key",
                    choices=POLICY_ORDER)
-    p.add_argument("-c", "--cores", type=int, default=8)
-    p.add_argument("-l", "--length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", default=None,
                    help="Chrome trace JSON path "
                         "(default: NAME-POLICY.trace.json)")
@@ -1100,11 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_leak)
 
     p = sub.add_parser("record", help="save a workload to a trace file")
-    p.add_argument("name")
+    _add_workload_args(p)
     p.add_argument("path")
-    p.add_argument("-c", "--cores", type=int, default=8)
-    p.add_argument("-l", "--length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("replay", help="run a saved trace file")
@@ -1125,10 +1144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="benchmarks under all five configurations "
              "(parallel across processes, results cached on disk)")
-    p.add_argument("names", nargs="+", metavar="name")
-    p.add_argument("-c", "--cores", type=int, default=8)
-    p.add_argument("-l", "--length", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_workload_args(p, names=True)
     p.add_argument("-j", "--jobs", type=int, default=None,
                    help="worker processes (default: $REPRO_WORKERS "
                         "or the CPU count, capped at the number of "

@@ -9,7 +9,7 @@ produces evictions; coherence state is kept by the protocol controllers
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.sim.config import CacheConfig
 
@@ -50,17 +50,12 @@ class CacheArray:
             return addr & self._line_mask
         return addr - (addr % self.line_bytes)
 
-    def _set_of(self, line: int) -> "OrderedDict[int, None]":
-        if self._pow2:
-            return self._sets[(line >> self._line_shift) & self._set_mask]
-        return self._sets[(line // self.line_bytes) % self.num_sets]
-
     # ------------------------------------------------------------------
-    # The four per-access methods below inline :meth:`_set_of` — every
-    # simulated memory access and every warm-up step lands here, and the
-    # set-selection call costs as much as the dict operation it guards.
-    # Results are identical to the method form (kept above as the
-    # readable reference).
+    # The four per-access methods below select the set inline — every
+    # simulated memory access and every warm-up step lands here, and a
+    # set-selection call would cost as much as the dict operation it
+    # guards.  Power-of-two geometries (every paper configuration) take
+    # the mask/shift form; any other geometry takes the div/mod form.
 
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True if ``line`` is present; optionally update LRU order."""

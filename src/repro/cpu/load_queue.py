@@ -129,12 +129,3 @@ class LoadQueue:
                          or entry.store_seq < store_seq)):
                 out.append(entry)
         return out
-
-    def issued_or_performed_matching(self, addr: int,
-                                     after_seq: int) -> List[LoadEntry]:
-        """Loads younger than ``after_seq`` to exactly ``addr`` that have
-        already gone to memory — memory-dependence violation candidates
-        when an older store resolves to ``addr``."""
-        return [e for e in self._entries
-                if e.seq > after_seq and e.addr == addr
-                and e.state in (ISSUED, PERFORMED)]

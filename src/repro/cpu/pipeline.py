@@ -29,7 +29,7 @@ from repro.core.reasons import GATE, SLF_SB
 from repro.cpu.branch import TagePredictor
 from repro.core.violation import ViolationDetector
 from repro.cpu import isa
-from repro.cpu.isa import Op, Trace
+from repro.cpu.isa import Trace
 from repro.cpu.load_queue import (ISSUED, PERFORMED, WAITING, LoadEntry,
                                   LoadQueue)
 from repro.cpu.rob import ReorderBuffer, RobEntry
@@ -207,14 +207,9 @@ class Core:
         """One pipeline cycle: retire, drain the SB, issue, dispatch.
 
         This is the simulator's single hottest function, so the four
-        stages are *fused* here — their bodies inlined with locals
-        hoisted out of the per-instruction loops and the ROB accessed
-        through its deque directly.  The standalone stage methods below
-        (:meth:`_retire`, :meth:`_drain_sb`, :meth:`_issue`,
-        :meth:`_dispatch`, :meth:`_dispatch_one`) are the readable
-        reference implementations of exactly this logic, kept callable
-        for tests and for the kernel-speed benchmark's legacy swap; any
-        semantic change must be made in both places.
+        stages are *fused* here — one body, with locals hoisted out of
+        the per-instruction loops and the ROB accessed through its deque
+        directly.
         """
         self._tick_scheduled = False
         if self.finished:
@@ -222,24 +217,24 @@ class Core:
         engine = self.engine
         schedule = engine.schedule
         now = engine.now
-        # Next-cycle events dominate this method's scheduling; when the
-        # engine is the stock one (not a test double), append to its
-        # delay-1 bucket directly instead of calling schedule() — the
-        # bodies below mirror Engine.schedule exactly for delay == 1.
-        fast = engine.__class__ is Engine
-        bucket_next = engine._bucket_next if fast else None
+        # Next-cycle events dominate this method's scheduling, so they
+        # are appended to the engine's delay-1 bucket directly — exactly
+        # what Engine.schedule does for delay == 1, minus the call.
+        bucket_next = engine._bucket_next
         tracer = self.tracer
         stats = self.stats
         sb = self.sb
         rob_entries = self.rob._entries
         work = False
 
-        # ---- retire stage (reference: _retire) ----
+        # ---- retire stage ----
         retired = 0
         retire_width = self._retire_width
         while retired < retire_width:
             head = rob_entries[0] if rob_entries else None
             if head is None or not head.completed:
+                # A locked RMW executes only at the ROB head with the SB
+                # drained (x86 locked-instruction semantics).
                 if (head is not None and head.op.kind == _RMW
                         and not head.issued and head.deps_left == 0
                         and not sb._count):
@@ -273,7 +268,10 @@ class Core:
             retired += 1
         work = retired > 0
 
-        # ---- store-buffer drain (reference: _drain_sb) ----
+        # ---- store-buffer drain (insertion in memory order) ----
+        # Drain-ahead RFOs overlap the coherence latency of upcoming
+        # stores with the current writes; only stores whose ownership
+        # prefetch was dropped need a retry, so the scan usually skips.
         controller = self.controller
         if self._rfo_pending:
             scanned = 0
@@ -286,6 +284,11 @@ class Core:
                         entry.rfo_sent = True
                         self._rfo_pending -= 1
                 scanned += 1
+        # The pipelined L1 (Table III) streams owned-line stores out one
+        # per cycle, completing in order; a store to a line not yet
+        # owned issues only alone at the head (TSO: in-order insertion).
+        # Issued entries are exactly the first ``_sb_inflight``, so the
+        # drain candidate sits right behind them.
         inflight = self._sb_inflight
         candidate = (sb._slots[(sb._head + inflight) % sb.capacity]
                      if inflight < sb._count else None)
@@ -301,7 +304,7 @@ class Core:
                     self._sb_miss_inflight = True
                 work = True
 
-        # ---- issue stage (reference: _issue) ----
+        # ---- issue stage ----
         issued = 0
         issue_width = self._issue_width
         ready = self.ready
@@ -318,13 +321,11 @@ class Core:
             if kind == _LOAD:
                 self._issue_load(entry)
             elif kind == _STORE:
-                if fast:
-                    engine._seq = s = engine._seq + 1
-                    bucket_next.append((now + 1, s, self._complete_store,
-                                        (entry, entry.issue_epoch)))
-                else:
-                    schedule(1, self._complete_store, entry,
-                             entry.issue_epoch)
+                # Address generation: one cycle, then the SQ entry
+                # resolves.
+                engine._seq = s = engine._seq + 1
+                bucket_next.append((now + 1, s, self._complete_store,
+                                    (entry, entry.issue_epoch)))
             elif kind == _FENCE:
                 schedule(1, self._complete, entry, entry.issue_epoch)
             else:  # ALU / BRANCH
@@ -332,16 +333,14 @@ class Core:
                 if latency > 1:
                     schedule(latency, self._complete, entry,
                              entry.issue_epoch)
-                elif fast:
+                else:
                     engine._seq = s = engine._seq + 1
                     bucket_next.append((now + 1, s, self._complete,
                                         (entry, entry.issue_epoch)))
-                else:
-                    schedule(1, self._complete, entry, entry.issue_epoch)
             issued += 1
         work |= issued > 0
 
-        # ---- dispatch stage (reference: _dispatch / _dispatch_one) ----
+        # ---- dispatch stage ----
         dispatched = 0
         stall = _STALL_NONE
         ops = self._trace_ops
@@ -385,6 +384,7 @@ class Core:
                 self.store_of[seq] = store
                 self.storeset.store_dispatched(op.pc, seq)
             elif kind == _FENCE or kind == _RMW:
+                # Both serialize younger loads until they leave the ROB.
                 self.pending_fences.append(seq)
             elif kind == _BRANCH:
                 mispredicted = op.mispredict
@@ -400,6 +400,8 @@ class Core:
                     consumers.setdefault(dep, []).append((entry, epoch))
                     deps_left += 1
             entry.deps_left = deps_left
+            # RMWs never enter the ready pool: the retire stage launches
+            # them once they reach the ROB head with an empty SB.
             if deps_left == 0 and kind != _RMW:
                 heappush(ready, (seq, epoch, entry))
             dispatched += 1
@@ -415,11 +417,8 @@ class Core:
         if work:
             if not self._tick_scheduled and not self.finished:
                 self._tick_scheduled = True
-                if fast:
-                    engine._seq = s = engine._seq + 1
-                    bucket_next.append((now + 1, s, self._tick, ()))
-                else:
-                    schedule(1, self._tick)
+                engine._seq = s = engine._seq + 1
+                bucket_next.append((now + 1, s, self._tick, ()))
         else:
             # Fully stalled: every possible state change is event-driven
             # (memory response, execution completion, barrier release),
@@ -447,45 +446,6 @@ class Core:
             if consumer.issue_epoch == cepoch and not consumer.issued:
                 self._push_ready(consumer)
 
-    def _retire(self) -> bool:
-        retired = 0
-        while retired < self._retire_width:
-            head = self.rob.head()
-            if head is None or not head.completed:
-                # A locked RMW executes only at the ROB head with the SB
-                # drained (x86 locked-instruction semantics).
-                if (head is not None and head.op.kind == isa.RMW
-                        and not head.issued and head.deps_left == 0
-                        and self.sb.empty):
-                    head.issued = True
-                    if self.tracer is not None:
-                        self.tracer.on_issue(head.seq, self.engine.now)
-                    self._start_rmw(head)
-                break
-            op = head.op
-            if op.kind == isa.LOAD:
-                if not self._try_retire_load(head):
-                    break
-            elif op.kind in (isa.FENCE, isa.RMW):
-                if self.sb.has_unwritten_older(head.seq):
-                    break
-                self.rob.retire_head()
-                self._release_fence(head.seq)
-            elif op.kind == isa.STORE:
-                self.rob.retire_head()
-                entry = self.store_of.pop(head.seq)
-                entry.retired = True
-                if self._p_sb_write is not None:
-                    entry.retired_at = self.engine.now
-                self.stats.retired_stores += 1
-            else:
-                self.rob.retire_head()
-            if self.tracer is not None and op.kind != isa.LOAD:
-                self.tracer.on_retire(head.seq, self.engine.now)
-            self.stats.retired_instructions += 1
-            retired += 1
-        return retired > 0
-
     def _try_retire_load(self, head: RobEntry) -> bool:
         lentry = self.load_of[head.seq]
         reason = self.policy.load_retire_block(lentry)
@@ -508,8 +468,7 @@ class Core:
                 self._p_gate_stall(self.core_id, self.engine.now,
                                    lentry.seq, blocked,
                                    lentry.blocked_reason)
-        # ``head`` is the completed ROB head (checked by the caller), so
-        # the retire_head() guards are redundant here — pop directly.
+        # ``head`` is the completed ROB head (checked by the caller).
         self.rob._entries.popleft()
         self.lq.retire_head(head.seq)
         del self.load_of[head.seq]
@@ -534,47 +493,6 @@ class Core:
     #: How deep into the SQ/SB drain-ahead ownership prefetches look
     #: (effectively the whole SQ/SB; actual concurrency is MSHR-bound).
     RFO_AHEAD = 64
-
-    def _drain_sb(self) -> bool:
-        """Issue SB writes to the (pipelined) L1.
-
-        Table III's L1 is pipelined: owned-line stores stream out at one
-        per cycle with the hit latency each, completing in order.  A
-        store whose line is not yet owned issues only once it is alone
-        at the head (its completion time is unbounded, so nothing may
-        pipeline behind it — TSO requires in-order memory-order
-        insertion)."""
-        # Drain-ahead RFOs: overlap the coherence latency of upcoming
-        # stores with the current writes.  Only stores whose earlier
-        # prefetch attempt was dropped need a retry, so the scan is
-        # skipped entirely while none are pending.
-        if self._rfo_pending:
-            scanned = 0
-            for entry in self.sb:
-                if scanned >= self.RFO_AHEAD:
-                    break
-                if entry.resolved and not entry.rfo_sent:
-                    if self.controller.prefetch_exclusive(entry.addr):
-                        entry.rfo_sent = True
-                        self._rfo_pending -= 1
-                scanned += 1
-
-        # Issued live entries are exactly the first ``_sb_inflight``
-        # (stores issue strictly in order from the head and completions
-        # pop the head), so the drain candidate sits right behind them.
-        candidate = self.sb.entry_at(self._sb_inflight)
-        if candidate is None or not candidate.retired:
-            return False
-        owned = self.controller.peek_state(candidate.addr) in ("M", "E")
-        if self._sb_inflight > 0 and (not owned or self._sb_miss_inflight):
-            return False
-        candidate.issued = True
-        self._sb_inflight += 1
-        hit = self.controller.store(
-            candidate.addr, lambda: self._store_written(candidate))
-        if not hit:
-            self._sb_miss_inflight = True
-        return True
 
     def _store_written(self, entry: StoreEntry) -> None:
         """The head store wrote to the L1: it is now in memory order."""
@@ -609,12 +527,8 @@ class Core:
             if not self._tick_scheduled:
                 self._tick_scheduled = True
                 engine = self.engine
-                if engine.__class__ is Engine:
-                    engine._seq = s = engine._seq + 1
-                    engine._bucket_now.append((engine.now, s, self._tick,
-                                               ()))
-                else:
-                    engine.schedule(0, self._tick)
+                engine._seq = s = engine._seq + 1
+                engine._bucket_now.append((engine.now, s, self._tick, ()))
 
     # ------------------------------------------------------------------
     # Issue / execute
@@ -622,34 +536,6 @@ class Core:
 
     def _push_ready(self, entry: RobEntry) -> None:
         heapq.heappush(self.ready, (entry.seq, entry.issue_epoch, entry))
-
-    def _issue(self) -> bool:
-        issued = 0
-        ready = self.ready
-        heappop = heapq.heappop
-        while issued < self._issue_width and ready:
-            seq, epoch, entry = heappop(ready)
-            if entry.issue_epoch != epoch or entry.issued:
-                continue  # squashed incarnation or duplicate
-            entry.issued = True
-            if self.tracer is not None:
-                self.tracer.on_issue(entry.seq, self.engine.now)
-            op = entry.op
-            if op.kind == isa.LOAD:
-                self._issue_load(entry)
-            elif op.kind == isa.STORE:
-                # Address generation: one cycle, then the SQ entry resolves.
-                self.engine.schedule(
-                    1, self._complete_store, entry, entry.issue_epoch)
-            elif op.kind == isa.FENCE:
-                self.engine.schedule(
-                    1, self._complete, entry, entry.issue_epoch)
-            else:  # ALU / BRANCH
-                self.engine.schedule(
-                    max(1, op.latency), self._complete, entry,
-                    entry.issue_epoch)
-            issued += 1
-        return issued > 0
 
     def _issue_load(self, entry: RobEntry) -> None:
         op = entry.op
@@ -690,7 +576,7 @@ class Core:
             else:
                 self._wait_for_store_write(entry, lentry, match)
             return
-        # Inlined _access_cache() — the common (no-forward) case.
+        # The common (no-forward) case: access the cache.
         lentry.state = ISSUED
         self.stats.loads_issued += 1
         if self.prefetcher is not None:
@@ -735,18 +621,6 @@ class Core:
             self._wake()
 
         store.waiters.append(resume)
-
-    def _access_cache(self, entry: RobEntry, lentry: LoadEntry) -> None:
-        lentry.state = ISSUED
-        self.stats.loads_issued += 1
-        op = entry.op
-        if self.prefetcher is not None:
-            self.prefetcher.observe(op.pc, op.addr)
-        epoch = entry.issue_epoch
-        hit = self.controller.load(
-            op.addr, lambda: self._perform_load(entry, epoch))
-        if hit:
-            self.stats.l1_load_hits += 1
 
     def _perform_load(self, entry: RobEntry, epoch: int) -> None:
         if entry.issue_epoch != epoch:
@@ -820,12 +694,8 @@ class Core:
             if not self._tick_scheduled:
                 self._tick_scheduled = True
                 engine = self.engine
-                if engine.__class__ is Engine:
-                    engine._seq = s = engine._seq + 1
-                    engine._bucket_now.append((engine.now, s, self._tick,
-                                               ()))
-                else:
-                    engine.schedule(0, self._tick)
+                engine._seq = s = engine._seq + 1
+                engine._bucket_now.append((engine.now, s, self._tick, ()))
 
     def _start_rmw(self, entry: RobEntry) -> None:
         """Execute an atomic exchange: acquire ownership, then read and
@@ -890,74 +760,6 @@ class Core:
             self._wake()
 
     # ------------------------------------------------------------------
-    # Dispatch stage
-    # ------------------------------------------------------------------
-
-    def _dispatch(self) -> Tuple[bool, int]:
-        dispatched = 0
-        stall = _STALL_NONE
-        ops = self._trace_ops
-        trace_len = self._trace_len
-        rob = self.rob
-        while dispatched < self._issue_width:
-            if self.fetch_idx >= trace_len:
-                break
-            if self.barrier_seq is not None or self.dispatch_paused:
-                break
-            op = ops[self.fetch_idx]
-            if rob.full:
-                stall = _STALL_ROB
-                break
-            if op.kind == isa.LOAD and self.lq.full:
-                stall = _STALL_LQ
-                break
-            if op.kind == isa.STORE and self.sb.full:
-                stall = _STALL_SQ
-                break
-            self._dispatch_one(op)
-            dispatched += 1
-        return dispatched > 0, stall
-
-    def _dispatch_one(self, op: Op) -> None:
-        seq = self.fetch_idx
-        self.fetch_idx += 1
-        entry = self.rob.allocate(seq, op)
-        if self.tracer is not None:
-            self.tracer.on_dispatch(seq, op.kind, self.engine.now)
-        if op.kind == isa.LOAD:
-            lentry = self.lq.allocate(seq, op.pc)
-            lentry.memdep_wait = self.storeset.predicted_store(op.pc)
-            self.load_of[seq] = lentry
-        elif op.kind == isa.STORE:
-            store = self.sb.allocate(seq, op.pc, op.value)
-            self.store_of[seq] = store
-            self.storeset.store_dispatched(op.pc, seq)
-        elif op.kind in (isa.FENCE, isa.RMW):
-            # Both serialize younger loads until they leave the ROB.
-            self.pending_fences.append(seq)
-        elif op.kind == isa.BRANCH:
-            mispredicted = op.mispredict
-            if not mispredicted and self.branch_predictor is not None:
-                mispredicted = (self.branch_predictor.predict(op.pc)
-                                != op.taken)
-            if mispredicted:
-                self.barrier_seq = seq
-
-        deps_left = 0
-        done = self.done
-        consumers = self.consumers
-        epoch = entry.issue_epoch
-        for dep in op.deps:
-            if not done[dep]:
-                consumers.setdefault(dep, []).append((entry, epoch))
-                deps_left += 1
-        entry.deps_left = deps_left
-        if deps_left == 0 and op.kind != isa.RMW:
-            # RMWs never enter the ready pool: the retire stage launches
-            # them once they reach the ROB head with an empty SB.
-            self._push_ready(entry)
-
-    # ------------------------------------------------------------------
     # Squash / re-execute
     # ------------------------------------------------------------------
 
@@ -998,8 +800,7 @@ class Core:
         self.pending_fences = [f for f in self.pending_fences if f < seq]
         if self.barrier_seq is not None and self.barrier_seq >= seq:
             self.barrier_seq = None
-        if hasattr(self.policy, "on_squash"):
-            self.policy.on_squash(seq)
+        self.policy.on_squash(seq)
         if self.detector is not None:
             self.detector.on_squash(seq)
         self._wake()

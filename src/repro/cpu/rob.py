@@ -37,7 +37,9 @@ class RobEntry:
 
 
 class ReorderBuffer:
-    """Program-ordered window of in-flight instructions."""
+    """Program-ordered window of in-flight instructions.  The core's
+    tick appends to and pops ``_entries`` itself; ``check_system``
+    guards their order and count (``rob-order``, ``rob-capacity``)."""
 
     __slots__ = ("capacity", "_entries")
 
@@ -51,36 +53,14 @@ class ReorderBuffer:
         return len(self._entries)
 
     @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
     def empty(self) -> bool:
         return not self._entries
 
     def __iter__(self) -> Iterator[RobEntry]:
         return iter(self._entries)
 
-    def allocate(self, seq: int, op: Op) -> RobEntry:
-        if self.full:
-            raise RuntimeError("ROB full")
-        if self._entries and self._entries[-1].seq >= seq:
-            raise RuntimeError("ROB allocation out of program order")
-        entry = RobEntry(seq, op)
-        self._entries.append(entry)
-        return entry
-
     def head(self) -> Optional[RobEntry]:
         return self._entries[0] if self._entries else None
-
-    def tail_seq(self) -> Optional[int]:
-        return self._entries[-1].seq if self._entries else None
-
-    def retire_head(self) -> RobEntry:
-        head = self.head()
-        if head is None or not head.completed:
-            raise RuntimeError("ROB head not retirable")
-        return self._entries.popleft()
 
     def squash_from(self, seq: int) -> List[RobEntry]:
         """Remove all entries with ``seq >= seq``, youngest first."""

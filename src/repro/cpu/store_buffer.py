@@ -125,13 +125,6 @@ class StoreBuffer:
     def head(self) -> Optional[StoreEntry]:
         return self._slots[self._head] if self._count else None
 
-    def entry_at(self, index: int) -> Optional[StoreEntry]:
-        """The ``index``-th oldest live entry (0 = head), or None past
-        the tail — O(1) positional access into the circular buffer."""
-        if index >= self._count or index < 0:
-            return None
-        return self._slots[(self._head + index) % self.capacity]
-
     def resolve_store(self, entry: StoreEntry, addr: int) -> None:
         """Address generation finished: record the store's address and
         index it for forwarding searches.  All resolutions must go
@@ -219,16 +212,6 @@ class StoreBuffer:
             if entry.seq < load_seq:
                 return entry
         return None
-
-    def unresolved_older(self, load_seq: int) -> List[StoreEntry]:
-        """Stores older than the load whose address is not yet known."""
-        out: List[StoreEntry] = []
-        for entry in self:
-            if entry.seq >= load_seq:
-                break  # entries are seq-ascending
-            if not entry.resolved:
-                out.append(entry)
-        return out
 
     def has_unwritten_older(self, seq: int) -> bool:
         """True if any store older than ``seq`` has not written to L1."""

@@ -46,22 +46,13 @@ class StoreSetPredictor:
     def _index(self, pc: int) -> int:
         return pc % self.ssit_size
 
-    def _maybe_clear(self) -> None:
-        """Periodic invalidation keeps stale sets from over-serializing
-        (the cyclic-clearing scheme from the original paper)."""
-        self._accesses += 1
-        if self._accesses >= self.clear_interval:
-            self._ssit.clear()
-            self._lfst.clear()
-            self._accesses = 0
-
     # ------------------------------------------------------------------
 
-    # The three per-instruction entry points below inline
-    # :meth:`_maybe_clear` and :meth:`_index` — they run for every
-    # dynamic load and store, and the method-call overhead dominates the
-    # table lookups themselves.  Results are identical to the method
-    # forms (which remain above as the readable reference).
+    # The per-instruction entry points below inline :meth:`_index` (a
+    # call costs as much as the lookup).  Dispatching a store or
+    # predicting a load counts an access toward the periodic clearing
+    # that keeps stale sets from over-serializing (the original paper's
+    # cyclic clearing).
 
     def store_dispatched(self, pc: int, seq: int) -> None:
         """A store enters the window: becomes its set's last fetched store."""

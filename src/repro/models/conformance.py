@@ -58,8 +58,10 @@ POLICY_MODEL = {policy: "x86" if policy == "x86" else "370"
 
 #: The watchdog of every pipeline run: an invariant sweep and progress
 #: check every ``WATCHDOG_PERIOD`` cycles, a wedge reported once no core
-#: retires anything for ``STALL_LIMIT`` cycles.
-WATCHDOG_PERIOD = 2_000
+#: retires anything for ``STALL_LIMIT`` cycles.  Battery runs last about
+#: 200-950 cycles, so the period is short enough to sweep every run
+#: mid-flight (a period past a run's end would never sweep it).
+WATCHDOG_PERIOD = 100
 STALL_LIMIT = 250_000
 
 
@@ -219,8 +221,9 @@ class PipelineCell:
 @dataclass
 class PipelineReport:
     """The verdicts of one :func:`check_pipelines` call, the programs
-    it skipped (name -> why the pipeline cannot express them) and the
-    faults injected over all runs, per mechanism."""
+    it skipped (name -> why the pipeline cannot express them), the
+    faults injected over all runs, per mechanism, and the watchdog's
+    invariant sweeps summed over all runs."""
 
     seed: int
     trials: int
@@ -228,6 +231,7 @@ class PipelineReport:
     cells: List[PipelineCell] = field(default_factory=list)
     skipped: Dict[str, str] = field(default_factory=dict)
     injected: Dict[str, int] = field(default_factory=dict)
+    invariant_checks: int = 0
 
     @property
     def violations(self) -> List[Dict]:
@@ -244,7 +248,8 @@ class PipelineReport:
     def summary(self) -> str:
         lines = [f"pipeline check: seed={self.seed} trials={self.trials} "
                  f"cells={len(self.cells)} skipped={len(self.skipped)} "
-                 f"injected={self.injected}"]
+                 f"injected={self.injected} "
+                 f"invariant_checks={self.invariant_checks}"]
         for cell in self.cells:
             lines.append(f"  {cell.case:24s} {cell.policy:16s} "
                          f"{len(cell.observed)}/{len(cell.allowed)} "
@@ -262,6 +267,7 @@ class PipelineReport:
         return {"seed": self.seed, "trials": self.trials,
                 "spec": self.spec.to_dict(), "ok": self.ok,
                 "injected": dict(self.injected),
+                "invariant_checks": self.invariant_checks,
                 "skipped": dict(self.skipped),
                 "cells": [cell.to_dict() for cell in self.cells]}
 
@@ -269,15 +275,16 @@ class PipelineReport:
 def _check_cell(program: Program, policy: str, allowed: FrozenSet[Outcome],
                 report: PipelineReport, max_cycles: int) -> PipelineCell:
     """``report.trials`` runs of one cell, each with its own fault plan
-    and watchdog; adds the injected counts to ``report.injected``."""
+    and watchdog; adds the injected counts to ``report.injected`` and
+    the watchdog's sweeps to ``report.invariant_checks``."""
     cell = PipelineCell(program.name, policy, report.trials, set(), allowed)
     for trial in range(report.trials):
         run_seed = report.seed * 100_003 + trial
         plan = FaultPlan(report.spec, seed=run_seed)
+        watchdog = Watchdog(WATCHDOG_PERIOD, STALL_LIMIT)
         try:
             outcome = run_once(program, policy, seed=run_seed, faults=plan,
-                               watchdog=Watchdog(WATCHDOG_PERIOD, STALL_LIMIT),
-                               max_cycles=max_cycles)
+                               watchdog=watchdog, max_cycles=max_cycles)
         except Exception as exc:
             error = {"trial": trial, "seed": run_seed,
                      "type": type(exc).__name__, "message": str(exc)}
@@ -286,6 +293,8 @@ def _check_cell(program: Program, policy: str, allowed: FrozenSet[Outcome],
                 error["diagnostic"] = diagnostic
             cell.errors.append(error)
             continue
+        finally:
+            report.invariant_checks += watchdog.checks_run
         for kind, count in plan.injected.items():
             report.injected[kind] = report.injected.get(kind, 0) + count
         cell.observed.add(outcome)

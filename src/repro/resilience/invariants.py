@@ -11,6 +11,9 @@ the rest of the model merely *assumes*:
   rests on this).
 * **LQ age order** — load-queue entries are in ascending program order
   (the squash and snoop scans assume it).
+* **ROB order and capacity** — ROB entries are in strictly ascending
+  program order and never exceed ``rob_entries`` (the fused tick appends
+  to the ROB's deque directly, so these are its only guards).
 * **MESI SWMR** — single-writer/multiple-reader: a line held M/E by one
   private hierarchy is held by no other.  Checked between events, where
   the protocol's transient states have settled into the ``state`` maps.
@@ -141,14 +144,22 @@ def _check_sb_fifo(system: "System", core: "Core") -> None:
             seen_unretired = True
 
 
-def _check_lq_order(system: "System", core: "Core") -> None:
+def _check_ascending(system: "System", core: "Core", invariant: str,
+                     queue: str, entries) -> None:
     prev_seq = -1
-    for entry in core.lq:
+    for entry in entries:
         if entry.seq <= prev_seq:
-            _fail(system, "lq-age-order",
-                  f"core {core.core_id}: LQ seq {entry.seq} after "
-                  f"{prev_seq} — ages not monotone")
+            _fail(system, invariant,
+                  f"core {core.core_id}: {queue} seq {entry.seq} after "
+                  f"{prev_seq} — not in program order")
         prev_seq = entry.seq
+
+
+def _check_rob_capacity(system: "System", core: "Core") -> None:
+    if len(core.rob) > core.config.rob_entries:
+        _fail(system, "rob-capacity",
+              f"core {core.core_id}: {len(core.rob)} ROB entries, "
+              f"capacity {core.config.rob_entries}")
 
 
 def _check_mesi_swmr(system: "System") -> None:
@@ -174,7 +185,9 @@ def check_system(system: "System") -> None:
     for core in system.cores:
         _check_gate_key(system, core)
         _check_sb_fifo(system, core)
-        _check_lq_order(system, core)
+        _check_ascending(system, core, "lq-age-order", "LQ", core.lq)
+        _check_ascending(system, core, "rob-order", "ROB", core.rob)
+        _check_rob_capacity(system, core)
     _check_mesi_swmr(system)
 
 

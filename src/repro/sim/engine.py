@@ -163,35 +163,6 @@ class Engine:
             self._bucket_now, self._bucket_next = (self._bucket_next,
                                                    self._bucket_now)
 
-    def step(self) -> bool:
-        """Dispatch the single next event.  Returns False if queue empty."""
-        queue = self._queue
-        best: Optional[_Event] = queue[0] if queue else None
-        bucket = None
-        for candidate_bucket in (self._bucket_now, self._bucket_next):
-            if candidate_bucket and (best is None
-                                     or candidate_bucket[0][:2] < best[:2]):
-                best = candidate_bucket[0]
-                bucket = candidate_bucket
-        if best is None:
-            return False
-        if bucket is None:
-            heapq.heappop(queue)
-        else:
-            bucket.popleft()
-        time, _, fn, args = best
-        if time < self.now:  # pragma: no cover - invariant guard
-            raise RuntimeError(
-                f"event scheduled in the past (event at {time}, "
-                f"now {self.now})")
-        if time > self.now:
-            self._advance(time)
-        self.events_dispatched += 1
-        fn(*args)
-        if self.event_hook is not None:
-            self.event_hook()
-        return True
-
     def run(self, until: Callable[[], bool] = None,
             max_cycles: int = None) -> int:
         """Run events until :meth:`stop` is called, the queue drains,

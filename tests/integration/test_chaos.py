@@ -44,6 +44,17 @@ def test_chaos_report_is_json_safe():
     assert cell["outcomes"] == 1 and cell["allowed"] == 4
 
 
+def test_watchdog_sweeps_every_run():
+    """The watchdog's period is shorter than a battery run, so three
+    runs are swept at least three times; a period longer than the runs
+    would sweep none."""
+    report = check_pipelines([SB], ("370-SLFSoS-key",), trials=3, seed=0)
+    assert report.ok, report.summary()
+    assert report.invariant_checks >= 3
+    assert report.to_dict()["invariant_checks"] == report.invariant_checks
+    assert f"invariant_checks={report.invariant_checks}" in report.summary()
+
+
 def test_chaos_records_errors_instead_of_dying():
     """An impossible cycle budget makes every trial fail; the gate must
     finish and report each failure as a structured payload."""

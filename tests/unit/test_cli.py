@@ -107,6 +107,25 @@ def test_sweep(capsys):
         assert policy in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "nosuch"],
+    ["bench", "fft", "-c", "0"],
+    ["trace", "fft", "-c", "9"],
+    ["record", "nosuch", "out.trace"],
+    ["sweep", "fft", "-c", "9"],
+], ids=["bench-name", "bench-cores-0", "trace-cores-9", "record-name",
+        "sweep-cores-9"])
+def test_bad_cell_is_a_usage_error(argv, capsys):
+    """An unknown benchmark or a core count the simulated system lacks
+    exits 2 with a one-line usage error, before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument " in err
+    assert "Traceback" not in err
+
+
 def test_rmw_litmus_runs_under_every_model(capsys):
     assert main(["litmus", "sb+rmw-both"]) == 0
     out = capsys.readouterr().out

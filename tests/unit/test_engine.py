@@ -77,10 +77,6 @@ def test_run_max_cycles_bounds_time():
     assert engine.pending > 0
 
 
-def test_step_returns_false_on_empty_queue():
-    assert Engine().step() is False
-
-
 def test_events_can_cascade_within_same_cycle():
     engine = Engine()
     depth = []
@@ -101,7 +97,7 @@ def test_pending_counts_events():
     engine.schedule(1, lambda: None)
     engine.schedule(2, lambda: None)
     assert engine.pending == 2
-    engine.step()
+    engine.run(max_cycles=1)
     assert engine.pending == 1
 
 

@@ -81,8 +81,26 @@ class TestQueries:
         not_issued = lq.allocate(6)
         not_issued.addr = 0x100
         not_issued.state = WAITING
-        candidates = lq.issued_or_performed_matching(0x100, after_seq=2)
-        assert candidates == [issued]
-        # seq filter: loads at or before the store are excluded.
-        assert lq.issued_or_performed_matching(0x100, after_seq=0) \
-            == [older, issued]
+        youngest = _performed(lq, 7, 0x100)
+        _performed(lq, 8, 0x200)
+        # Youngest first; WAITING loads and other addresses excluded.
+        assert lq.memdep_violators(0x100, store_seq=2) == [youngest, issued]
+        # Seq bound: loads at or before the store are excluded.
+        assert lq.memdep_violators(0x100, store_seq=0) \
+            == [youngest, issued, older]
+        assert lq.memdep_violators(0x100, store_seq=7) == []
+
+    def test_memdep_forwarding_rule(self):
+        lq = LoadQueue(8)
+        # Forwarded from store 4, younger than the resolving store 3:
+        # it already holds the newer value.
+        fresh = _performed(lq, 6, 0x100)
+        fresh.slf, fresh.store_seq = True, 4
+        # Forwarded from store 2, older than store 3: stale.
+        stale = _performed(lq, 7, 0x100)
+        stale.slf, stale.store_seq = True, 2
+        assert lq.memdep_violators(0x100, store_seq=3) == [stale]
+        # Store 1 is older than both forwarding stores: no violator.
+        assert lq.memdep_violators(0x100, store_seq=1) == []
+        # Store 5 is younger than both: both read a stale value.
+        assert lq.memdep_violators(0x100, store_seq=5) == [stale, fresh]

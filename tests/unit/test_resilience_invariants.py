@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.cpu.isa import Trace, alu, load
+from repro.cpu.rob import ReorderBuffer
 from repro.resilience import (DeadlockError, InvariantViolation, Watchdog,
                               check_system, system_diagnostic)
 from repro.resilience.invariants import format_diagnostic
@@ -121,6 +122,28 @@ def test_lq_age_order_violation_detected():
     system.run()
     system.cores[0].lq = [_Entry(7), _Entry(2)]
     with pytest.raises(InvariantViolation, match="lq-age-order"):
+        check_system(system)
+
+
+def _rob_holding(seqs):
+    rob = ReorderBuffer(TINY.core.rob_entries)
+    rob._entries.extend(_Entry(seq) for seq in seqs)
+    return rob
+
+
+def test_rob_order_violation_detected():
+    system = _healthy_system(length=60)
+    system.run()
+    system.cores[0].rob = _rob_holding([7, 2])
+    with pytest.raises(InvariantViolation, match="rob-order"):
+        check_system(system)
+
+
+def test_rob_capacity_violation_detected():
+    system = _healthy_system(length=60)
+    system.run()
+    system.cores[0].rob = _rob_holding(range(TINY.core.rob_entries + 1))
+    with pytest.raises(InvariantViolation, match="rob-capacity"):
         check_system(system)
 
 

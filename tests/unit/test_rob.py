@@ -3,51 +3,30 @@
 import pytest
 
 from repro.cpu.isa import alu
-from repro.cpu.rob import ReorderBuffer
+from repro.cpu.rob import ReorderBuffer, RobEntry
 
 
-def test_allocation_in_order():
-    rob = ReorderBuffer(4)
-    rob.allocate(0, alu())
-    rob.allocate(1, alu())
-    with pytest.raises(RuntimeError):
-        rob.allocate(1, alu())
-
-
-def test_full():
-    rob = ReorderBuffer(2)
-    rob.allocate(0, alu())
-    rob.allocate(1, alu())
-    assert rob.full
-    with pytest.raises(RuntimeError):
-        rob.allocate(2, alu())
-
-
-def test_retire_requires_completed_head():
-    rob = ReorderBuffer(4)
-    entry = rob.allocate(0, alu())
-    with pytest.raises(RuntimeError):
-        rob.retire_head()
-    entry.completed = True
-    assert rob.retire_head() is entry
-    assert rob.empty
+def _rob(capacity, seqs):
+    """A ROB holding ``seqs``, filled the way the core's dispatch stage
+    fills it: entries appended to the deque in program order."""
+    rob = ReorderBuffer(capacity)
+    entries = [RobEntry(seq, alu()) for seq in seqs]
+    rob._entries.extend(entries)
+    return rob, entries
 
 
 def test_squash_from_bumps_epochs():
-    rob = ReorderBuffer(8)
-    keep = rob.allocate(0, alu())
-    victims = [rob.allocate(seq, alu()) for seq in (2, 4, 6)]
+    rob, (keep, *victims) = _rob(8, (0, 2, 4, 6))
     removed = rob.squash_from(2)
     assert [e.seq for e in removed] == [6, 4, 2]
     assert all(e.issue_epoch == 1 for e in victims)
     assert keep.issue_epoch == 0
-    assert rob.tail_seq() == 0
+    assert list(rob) == [keep]
+    assert rob.head() is keep
 
 
 def test_entries_order_by_seq():
-    rob = ReorderBuffer(4)
-    a = rob.allocate(1, alu())
-    b = rob.allocate(2, alu())
+    _, (a, b) = _rob(4, (1, 2))
     assert a < b
 
 

@@ -63,6 +63,9 @@ class TestParseRequest:
         {"name": "radix", "policy": "x86", "memdep_hints": "false"},
         {"name": "radix", "policy": "x86", "checkpoint_every": 2.5},
         {"name": "radix", "policy": "x86", "obs_sample_interval": None},
+        # More cores than the simulated system has (8, the default).
+        {"kind": "bench", "name": "fft", "policy": "x86", "cores": 9,
+         "length": 200},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(JobValidationError) as err:

@@ -141,14 +141,6 @@ class TestQueries:
         sb.resolve_store(entry, 0x100)
         assert sb.forwarding_match(0x100, 3) is entry
 
-    def test_unresolved_older(self):
-        sb = StoreBuffer(8)
-        sb.allocate(0)
-        _alloc(sb, 2, addr=0x100)
-        sb.allocate(4)
-        assert [e.seq for e in sb.unresolved_older(5)] == [0, 4]
-        assert [e.seq for e in sb.unresolved_older(3)] == [0]
-
     def test_has_unwritten_older(self):
         sb = StoreBuffer(8)
         entry = _alloc(sb, 0, addr=0x100, retired=True)
