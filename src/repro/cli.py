@@ -328,6 +328,10 @@ def cmd_replay(args) -> int:
         traces, warmup, meta = load_workload(args.path)
     except (OSError, TraceFileError) as exc:
         raise SystemExit(str(exc))
+    from repro.sim.config import SKYLAKE_LIKE
+    if len(traces) > SKYLAKE_LIKE.cores:
+        raise SystemExit(f"{args.path}: {len(traces)} cores, but the "
+                         f"simulated system has {SKYLAKE_LIKE.cores}")
     obs = args.obs or bool(args.obs_out)
     warm = warmup if warmup else True
     if obs:
@@ -1006,8 +1010,9 @@ def cmd_synth(args) -> int:
 def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                        ) -> None:
     """``name`` (``names``: one or more) and ``-c/-l/--seed`` of bench,
-    trace, record and sweep.  An unknown benchmark or a core count the
-    simulated system lacks is a usage error (exit 2)."""
+    trace, record and sweep.  An unknown benchmark, a core count the
+    simulated system lacks or a length below 1 is a usage error
+    (exit 2)."""
     def benchmark(name: str) -> str:
         from repro.workloads.profiles import PROFILES
         if name not in PROFILES:
@@ -1022,12 +1027,18 @@ def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                 f"expected 1 to {SKYLAKE_LIKE.cores} cores, got {text!r}")
         return int(text)
 
+    def length(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive instruction count, got {text!r}")
+        return int(text)
+
     if names:
         p.add_argument("names", nargs="+", metavar="name", type=benchmark)
     else:
         p.add_argument("name", type=benchmark)
     p.add_argument("-c", "--cores", type=cores, default=8)
-    p.add_argument("-l", "--length", type=int, default=None)
+    p.add_argument("-l", "--length", type=length, default=None)
     p.add_argument("--seed", type=int, default=0)
 
 

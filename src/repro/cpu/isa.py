@@ -24,7 +24,7 @@ KIND_NAMES = {ALU: "alu", LOAD: "load", STORE: "store",
               BRANCH: "branch", FENCE: "fence", RMW: "rmw"}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Op:
     """One micro-operation of a trace.
 
@@ -42,6 +42,15 @@ class Op:
             (dispatch barrier + penalty).
         pc: synthetic program counter, used by the stride prefetcher,
             the StoreSet predictor, and the branch predictor.
+
+    ``__init__`` is written by hand, because the trace generators build
+    hundreds of thousands of ops per cell: it checks its arguments, then
+    stores each field through its slot descriptor.  A frozen
+    dataclass's generated ``__init__`` goes through
+    ``object.__setattr__`` for every field and then ``__post_init__``,
+    at nearly twice the cost.  The dataclass still generates ``__eq__``,
+    ``__hash__`` and the frozen ``__setattr__``; pickling, ``copy`` and
+    ``dataclasses.replace`` work as before.
     """
 
     kind: int
@@ -56,11 +65,22 @@ class Op:
     # the forwarding store or from global memory at perform time.
     value: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind in (LOAD, STORE, RMW) and self.addr < 0:
+    def __init__(self, kind: int, addr: int = -1,
+                 deps: Tuple[int, ...] = (), latency: int = 1,
+                 mispredict: bool = False, taken: bool = True,
+                 pc: int = 0, value: int = 0) -> None:
+        if kind in (LOAD, STORE, RMW) and addr < 0:
             raise ValueError("memory op requires an address")
-        if self.kind not in KIND_NAMES:
-            raise ValueError(f"unknown op kind {self.kind}")
+        if kind not in KIND_NAMES:
+            raise ValueError(f"unknown op kind {kind}")
+        _set_kind(self, kind)
+        _set_addr(self, addr)
+        _set_deps(self, deps)
+        _set_latency(self, latency)
+        _set_mispredict(self, mispredict)
+        _set_taken(self, taken)
+        _set_pc(self, pc)
+        _set_value(self, value)
 
     @property
     def is_mem(self) -> bool:
@@ -69,6 +89,17 @@ class Op:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = f" @0x{self.addr:x}" if self.is_mem else ""
         return f"<{KIND_NAMES[self.kind]}{extra} deps={self.deps}>"
+
+
+# The slots' own setters: they bypass the frozen ``__setattr__``.
+_set_kind = Op.kind.__set__
+_set_addr = Op.addr.__set__
+_set_deps = Op.deps.__set__
+_set_latency = Op.latency.__set__
+_set_mispredict = Op.mispredict.__set__
+_set_taken = Op.taken.__set__
+_set_pc = Op.pc.__set__
+_set_value = Op.value.__set__
 
 
 # Convenience constructors ----------------------------------------------

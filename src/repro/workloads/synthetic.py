@@ -24,7 +24,7 @@ import random
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.cpu.isa import Op, Trace, alu, branch, load, store
+from repro.cpu.isa import ALU, BRANCH, LOAD, STORE, Op, Trace
 from repro.workloads.profiles import BenchmarkProfile
 
 WORD = 8
@@ -49,18 +49,28 @@ _PC_STORE = 0x600
 _PC_STREAM_STORE = 0x700
 _PC_BRANCH = 0x800
 _N_SITES = 8
+_ALU_LATENCIES = (1, 1, 1, 2, 3)
 
 
 class _TraceBuilder:
-    """Stateful generator for one core's trace."""
+    """Stateful generator for one core's trace.
+
+    The order of the random draws is part of the stats contract: every
+    pinned stats digest, and the generation pin in
+    ``tests/integration/test_trace_pin.py``, depends on it.  The builder
+    draws only through ``rng.random`` and ``rng.randrange``.  Where it
+    stands in for ``randint``, ``choice`` or ``sample`` it makes the
+    ``randrange`` calls those methods make, in the same order, so the
+    stream is the one they would draw.
+    """
 
     def __init__(self, profile: BenchmarkProfile, core_id: int,
                  rng: random.Random, stream_epoch: int = 0) -> None:
-        self.stream_epoch = stream_epoch
         self.profile = profile
-        self.core_id = core_id
-        self.rng = rng
+        self.random = rng.random
+        self.randrange = rng.randrange
         self.trace = Trace()
+        self.ops = self.trace.ops
         self.recent: Deque[int] = deque(maxlen=8)   # recent producers
         self.n_loads = 0
         self.n_stores = 0
@@ -68,6 +78,10 @@ class _TraceBuilder:
         self.n_branches = 0
         self.stack_base = _STACK_BASE + core_id * _CORE_STRIDE
         self.heap_base = _HEAP_BASE + core_id * _CORE_STRIDE
+        self.stack_words = profile.stack_bytes // WORD
+        self.heap_words = max(1, profile.footprint_bytes // WORD)
+        self.hot_words = max(1, self.heap_words // 8)
+        self.stride_span = max(LINE, profile.footprint_bytes // _N_SITES)
         # Each epoch streams through fresh lines: a warm-up trace must
         # not pre-own the lines the measured trace will stream into.
         self.stream_ptr = (_STREAM_BASE + core_id * _CORE_STRIDE
@@ -80,30 +94,25 @@ class _TraceBuilder:
 
     def _stack_addr(self) -> int:
         """A slot in the current 'call frame' (high reuse)."""
-        words = self.profile.stack_bytes // WORD
-        slot = (self.frame_off + self.rng.randrange(8)) % words
+        slot = (self.frame_off + self.randrange(8)) % self.stack_words
         return self.stack_base + slot * WORD
 
     def _heap_addr(self) -> int:
-        words = max(1, self.profile.footprint_bytes // WORD)
-        return self.heap_base + self.rng.randrange(words) * WORD
+        return self.heap_base + self.randrange(self.heap_words) * WORD
 
     def _heap_store_addr(self) -> int:
         """Stores have more temporal locality than loads (hot structure
         fields get rewritten): 80% land in a hot eighth of the heap."""
-        words = max(1, self.profile.footprint_bytes // WORD)
-        if self.rng.random() < 0.8:
-            words = max(1, words // 8)
-        return self.heap_base + self.rng.randrange(words) * WORD
+        words = self.hot_words if self.random() < 0.8 else self.heap_words
+        return self.heap_base + self.randrange(words) * WORD
 
     def _shared_addr(self) -> int:
-        words = _SHARED_BYTES // WORD
-        return _SHARED_BASE + self.rng.randrange(words) * WORD
+        return _SHARED_BASE + self.randrange(_SHARED_BYTES // WORD) * WORD
 
     def _strided_addr(self, site: int) -> int:
         addr = self.stride_ptrs[site]
         self.stride_ptrs[site] += WORD
-        span = max(LINE, self.profile.footprint_bytes // _N_SITES)
+        span = self.stride_span
         if self.stride_ptrs[site] >= self.heap_base + (site + 1) * span:
             self.stride_ptrs[site] = self.heap_base + site * span
         return addr
@@ -112,23 +121,34 @@ class _TraceBuilder:
         self.stream_ptr += LINE  # a fresh line every time
         return self.stream_ptr
 
-    # -- dependence helpers ----------------------------------------------
+    # -- dependence helper -----------------------------------------------
 
     def _deps(self, prob: Optional[float] = None, count: int = 1) -> tuple:
-        prob = self.profile.ilp_dep_prob if prob is None else prob
-        if not self.recent or self.rng.random() >= prob:
-            return ()
-        picks = self.rng.sample(list(self.recent),
-                                k=min(count, len(self.recent)))
-        return tuple(picks)
+        """With probability ``prob`` (default: the profile's), up to
+        ``count`` (1 or 2) distinct recent producers; otherwise none.
 
-    def _emit(self, op: Op, producer: bool = False) -> int:
-        idx = self.trace.append(op)
-        if producer:
-            self.recent.append(idx)
-        return idx
+        The picks are those of ``rng.sample(list(recent), k)`` with
+        ``k = min(count, len(recent))``: for a population of at most 8,
+        CPython's ``sample`` draws ``randrange(n)``, moves the pool's
+        last element into the picked place, then draws
+        ``randrange(n - 1)``."""
+        recent = self.recent
+        if not recent or self.random() >= (
+                self.profile.ilp_dep_prob if prob is None else prob):
+            return ()
+        n = len(recent)
+        first = self.randrange(n)
+        if count == 1 or n == 1:
+            return (recent[first],)
+        second = self.randrange(n - 1)
+        return (recent[first],
+                recent[n - 1] if second == first else recent[second])
 
     # -- op emitters -------------------------------------------------------
+    #
+    # Each op is appended straight to ``ops``; its index is ``len(ops)``
+    # before the append.  A producer joins ``recent`` only after its own
+    # deps are drawn, so an op never depends on itself.
 
     def emit_forward_pair(self) -> None:
         """The stack write-then-read idiom (argument passing): one or
@@ -141,15 +161,16 @@ class _TraceBuilder:
         the whole SB) and 370-SLFSoS (reopen on SB drain) pay more than
         370-SLFSoS-key (reopen when the forwarding store itself writes).
         """
-        profile = self.profile
+        profile, ops, recent = self.profile, self.ops, self.recent
+        random, randrange = self.random, self.randrange
         if (profile.contended_fraction
-                and self.rng.random() < profile.contended_fraction):
+                and random() < profile.contended_fraction):
             addrs = [_HOT_LINE]  # the shared synchronization variable
             sites = [0]
         else:
-            n_args = self.rng.randint(1, 3)
+            n_args = 1 + randrange(3)  # randint(1, 3)
             addrs, sites = [], []
-            base_site = self.rng.randrange(_N_SITES)
+            base_site = randrange(_N_SITES)
             for arg in range(n_args):
                 addr = self._stack_addr()
                 if addr in addrs:
@@ -157,44 +178,46 @@ class _TraceBuilder:
                 addrs.append(addr)
                 sites.append((base_site + arg) % _N_SITES)
         for addr, site in zip(addrs, sites):
-            self._emit(store(addr, deps=self._deps(0.6),
-                             pc=_PC_FWD_STORE + site))
-            self.n_stores += 1
+            ops.append(Op(STORE, addr, self._deps(0.6),
+                          pc=_PC_FWD_STORE + site))
         lo, hi = profile.fwd_filler
-        for _ in range(self.rng.randint(lo, hi)):
-            self._emit(alu(deps=self._deps(), latency=1), producer=True)
-        idx = 0
+        for _ in range(lo + randrange(hi - lo + 1)):  # randint(lo, hi)
+            deps = self._deps()
+            recent.append(len(ops))
+            ops.append(Op(ALU, -1, deps))
         for addr, site in zip(addrs, sites):
-            idx = self._emit(load(addr, pc=_PC_FWD_LOAD + site),
-                             producer=True)
-            self.n_loads += 1
-            self.n_forwarded += 1
+            recent.append(len(ops))
+            ops.append(Op(LOAD, addr, pc=_PC_FWD_LOAD + site))
+        last_load = (len(ops) - 1,)
         for _ in range(profile.store_burst):
-            self._emit(store(self._stack_addr(), deps=(idx,),
-                             pc=_PC_STORE + self.rng.randrange(_N_SITES)))
-            self.n_stores += 1
-        if self.rng.random() < 0.2:
+            ops.append(Op(STORE, self._stack_addr(), last_load,
+                          pc=_PC_STORE + randrange(_N_SITES)))
+        self.n_stores += len(addrs) + profile.store_burst
+        self.n_loads += len(addrs)
+        self.n_forwarded += len(addrs)
+        if random() < 0.2:
             self.frame_off += 8  # "return": move to a fresh frame window
 
     def emit_load(self) -> None:
         profile = self.profile
-        roll = self.rng.random()
+        roll = self.random()
         if profile.shared_fraction and roll < profile.shared_fraction:
             addr, pc = self._shared_addr(), _PC_SHARED_LOAD
         elif roll < profile.shared_fraction + profile.strided_loads:
-            site = self.rng.randrange(_N_SITES)
+            site = self.randrange(_N_SITES)
             addr, pc = self._strided_addr(site), _PC_STRIDE_LOAD + site
         else:
             addr, pc = self._heap_addr(), _PC_HEAP_LOAD
-        self._emit(load(addr, deps=self._deps(0.35),
-                        pc=pc + self.rng.randrange(_N_SITES)
-                        if pc == _PC_HEAP_LOAD else pc),
-                   producer=True)
+        deps = self._deps(0.35)
+        if pc == _PC_HEAP_LOAD:
+            pc += self.randrange(_N_SITES)
+        self.recent.append(len(self.ops))
+        self.ops.append(Op(LOAD, addr, deps, pc=pc))
         self.n_loads += 1
 
     def emit_store(self) -> None:
         profile = self.profile
-        roll = self.rng.random()
+        roll = self.random()
         if profile.streaming_stores and roll < profile.streaming_stores:
             addr, pc = self._stream_addr(), _PC_STREAM_STORE
         elif (profile.shared_fraction
@@ -202,8 +225,9 @@ class _TraceBuilder:
             addr, pc = self._shared_addr(), _PC_STORE
         else:
             addr, pc = self._heap_store_addr(), _PC_STORE
-        self._emit(store(addr, deps=self._deps(0.5),
-                         pc=pc + self.rng.randrange(_N_SITES)))
+        deps = self._deps(0.5)
+        self.ops.append(Op(STORE, addr, deps,
+                           pc=pc + self.randrange(_N_SITES)))
         self.n_stores += 1
 
     def emit_branch(self) -> None:
@@ -212,31 +236,35 @@ class _TraceBuilder:
         (coin flips, mispredicted ~half the time).  The profile's
         mispredict_rate sets the share of data-dependent sites so the
         *effective* mispredict rate lands near the target."""
-        data_dependent = self.rng.random() < 2 * self.profile.mispredict_rate
+        random = self.random
+        data_dependent = random() < 2 * self.profile.mispredict_rate
         if data_dependent:
-            taken = self.rng.random() < 0.5
-            pc = _PC_BRANCH + 16 + self.rng.randrange(_N_SITES)
+            taken = random() < 0.5
+            pc = _PC_BRANCH + 16 + self.randrange(_N_SITES)
         else:
-            taken = self.rng.random() < 0.94  # loop back-edge bias
-            pc = _PC_BRANCH + self.rng.randrange(_N_SITES)
-        self._emit(branch(deps=self._deps(0.5), taken=taken, pc=pc))
+            taken = random() < 0.94  # loop back-edge bias
+            pc = _PC_BRANCH + self.randrange(_N_SITES)
+        self.ops.append(Op(BRANCH, -1, self._deps(0.5), taken=taken,
+                           pc=pc))
         self.n_branches += 1
 
     def emit_alu(self) -> None:
-        self._emit(alu(deps=self._deps(count=2),
-                       latency=self.rng.choice((1, 1, 1, 2, 3))),
-                   producer=True)
+        deps = self._deps(count=2)
+        # choice(_ALU_LATENCIES)
+        latency = _ALU_LATENCIES[self.randrange(len(_ALU_LATENCIES))]
+        self.recent.append(len(self.ops))
+        self.ops.append(Op(ALU, -1, deps, latency))
 
     # -- the deficit controller -------------------------------------------
 
     def build(self, length: int) -> Trace:
-        profile = self.profile
+        profile, ops = self.profile, self.ops
         fwd_target = profile.forwarded_pct / 100.0
         load_target = profile.loads_pct / 100.0
         store_target = profile.stores_pct / 100.0
         branch_target = profile.branch_pct / 100.0
-        while len(self.trace) < length:
-            n = max(1, len(self.trace))
+        while len(ops) < length:
+            n = len(ops) or 1
             if self.n_forwarded / n < fwd_target:
                 self.emit_forward_pair()
             elif self.n_loads / n < load_target:

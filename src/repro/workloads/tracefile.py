@@ -45,12 +45,25 @@ def _op_to_list(op: Op) -> list:
 def _op_from_list(fields: list, index: int) -> Op:
     try:
         kind, addr, deps, latency, mispredict, taken, pc, value = fields
-        return Op(kind=kind, addr=addr, deps=tuple(deps), latency=latency,
+        deps = tuple(deps)
+        if not all(type(n) is int
+                   for n in (kind, addr, latency, pc, value, *deps)):
+            raise TypeError("kind, addr, deps, latency, pc and value "
+                            "must be integers")
+        return Op(kind=kind, addr=addr, deps=deps, latency=latency,
                   mispredict=bool(mispredict), taken=bool(taken), pc=pc,
                   value=value)
     except (ValueError, TypeError) as exc:
         raise TraceFileError(f"bad op record at index {index}: {exc}") \
             from None
+
+
+def _hint_from_list(pair: list, index: int) -> tuple:
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(pc) is int for pc in pair)):
+        raise TraceFileError(
+            f"memdep hint {index} is not a pair of integers")
+    return tuple(pair)
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -61,13 +74,41 @@ def trace_to_dict(trace: Trace) -> dict:
 
 
 def trace_from_dict(data: dict) -> Trace:
-    ops = [_op_from_list(fields, i)
-           for i, fields in enumerate(data.get("ops", []))]
-    trace = Trace(ops=ops,
-                  memdep_hints=[tuple(pair)
-                                for pair in data.get("memdep_hints", [])])
-    trace.validate()
+    """The trace of one core entry; :class:`TraceFileError` names the
+    op or hint at fault."""
+    if not isinstance(data, dict):
+        raise TraceFileError("not an object")
+    records = _list(data, "ops")
+    hints = _list(data, "memdep_hints")
+    trace = Trace(ops=[_op_from_list(fields, i)
+                       for i, fields in enumerate(records)],
+                  memdep_hints=[_hint_from_list(pair, i)
+                                for i, pair in enumerate(hints)])
+    try:
+        trace.validate()
+    except ValueError as exc:
+        raise TraceFileError(str(exc)) from None
     return trace
+
+
+def _list(document: dict, key: str) -> list:
+    """``document[key]`` (empty when absent), which must be a list."""
+    value = document.get(key, [])
+    if not isinstance(value, list):
+        raise TraceFileError(f"{key!r} is not a list")
+    return value
+
+
+def _traces(document: dict, key: str) -> List[Trace]:
+    """The traces of ``document[key]``; an error names the core entry
+    at fault, e.g. ``cores[2]: op 5 depends on 9, not an older op``."""
+    traces = []
+    for core, data in enumerate(_list(document, key)):
+        try:
+            traces.append(trace_from_dict(data))
+        except TraceFileError as exc:
+            raise TraceFileError(f"{key}[{core}]: {exc}") from None
+    return traces
 
 
 def save_workload(path: Union[str, Path], traces: Sequence[Trace],
@@ -88,20 +129,29 @@ def save_workload(path: Union[str, Path], traces: Sequence[Trace],
 
 def load_workload(path: Union[str, Path]
                   ) -> tuple:
-    """Read (traces, warmup_or_None, meta) from ``path``."""
+    """Read (traces, warmup_or_None, meta) from ``path``.
+
+    A file that is not a well-formed repro-trace document raises
+    :class:`TraceFileError`, which names the core entry and the op or
+    hint at fault."""
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise TraceFileError(f"not valid JSON: {exc}") from None
-    if document.get("format") != FORMAT_NAME:
+    if not isinstance(document, dict) \
+            or document.get("format") != FORMAT_NAME:
         raise TraceFileError("not a repro-trace file")
     if document.get("version") != FORMAT_VERSION:
         raise TraceFileError(
             f"unsupported version {document.get('version')!r}")
-    traces = [trace_from_dict(core) for core in document.get("cores", [])]
+    traces = _traces(document, "cores")
     if not traces:
         raise TraceFileError("workload has no cores")
-    warmup = None
-    if "warmup" in document:
-        warmup = [trace_from_dict(core) for core in document["warmup"]]
-    return traces, warmup, document.get("meta", {})
+    warmup = _traces(document, "warmup") if "warmup" in document else None
+    if warmup is not None and len(warmup) > len(traces):
+        raise TraceFileError(f"{len(warmup)} warm-up traces for "
+                             f"{len(traces)} cores")
+    meta = document.get("meta", {})
+    if not isinstance(meta, dict):
+        raise TraceFileError("'meta' is not an object")
+    return traces, warmup, meta

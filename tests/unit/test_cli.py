@@ -113,11 +113,17 @@ def test_sweep(capsys):
     ["trace", "fft", "-c", "9"],
     ["record", "nosuch", "out.trace"],
     ["sweep", "fft", "-c", "9"],
+    ["bench", "fft", "-l", "0"],
+    ["sweep", "fft", "-l", "-5"],
+    ["record", "fft", "out.trace", "-l", "0"],
+    ["trace", "fft", "-l", "0"],
 ], ids=["bench-name", "bench-cores-0", "trace-cores-9", "record-name",
-        "sweep-cores-9"])
+        "sweep-cores-9", "bench-length-0", "sweep-length-neg",
+        "record-length-0", "trace-length-0"])
 def test_bad_cell_is_a_usage_error(argv, capsys):
-    """An unknown benchmark or a core count the simulated system lacks
-    exits 2 with a one-line usage error, before anything runs."""
+    """An unknown benchmark, a core count the simulated system lacks or
+    a length below 1 exits 2 with a one-line usage error, before
+    anything runs."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -196,6 +202,19 @@ def test_record_defaults_to_the_bench_length(tmp_path, capsys, monkeypatch):
 def test_replay_missing_file(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", str(tmp_path / "missing.json")])
+
+
+def test_replay_refuses_more_cores_than_the_system(tmp_path):
+    from repro.sim.config import SKYLAKE_LIKE
+    from repro.workloads import generate_workload, get_profile
+    from repro.workloads.tracefile import save_workload
+    cores = SKYLAKE_LIKE.cores + 1
+    path = tmp_path / "wide.json"
+    save_workload(path, generate_workload(get_profile("fft"), cores, 50))
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", str(path)])
+    assert str(exc.value) == (f"{path}: {cores} cores, but the simulated "
+                              f"system has {SKYLAKE_LIKE.cores}")
 
 
 def test_chaos_runs_the_whole_battery(tmp_path, capsys):

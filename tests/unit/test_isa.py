@@ -1,5 +1,10 @@
 """Unit tests for the micro-op ISA and traces."""
 
+import copy
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from repro.cpu import isa
@@ -36,6 +41,28 @@ class TestOps:
     def test_ops_are_frozen(self):
         with pytest.raises(Exception):
             load(0x100).addr = 0x200
+
+    def test_handwritten_init_keeps_value_semantics(self):
+        """``Op.__init__`` is written by hand; equality, hashing,
+        ``replace``, pickling and the field defaults are the
+        dataclass's."""
+        params = inspect.signature(Op).parameters
+        assert list(params) == [f.name for f in dataclasses.fields(Op)]
+        for f in dataclasses.fields(Op):
+            assert params[f.name].default == (
+                inspect.Parameter.empty if f.default is dataclasses.MISSING
+                else f.default)
+        op = Op(isa.STORE, 0x100, (1, 2), pc=7, value=9)
+        twin = store(0x100, deps=[1, 2], pc=7, value=9)
+        assert op == twin and hash(op) == hash(twin)
+        assert op != store(0x108, deps=[1, 2], pc=7, value=9)
+        moved = dataclasses.replace(op, addr=0x108)
+        assert moved == store(0x108, deps=[1, 2], pc=7, value=9)
+        assert op.addr == 0x100
+        with pytest.raises(ValueError):
+            dataclasses.replace(op, addr=-1)
+        assert pickle.loads(pickle.dumps(op)) == op
+        assert copy.deepcopy(op) == op
 
 
 class TestTrace:

@@ -1,5 +1,7 @@
 """Tests for trace serialization."""
 
+import json
+
 import pytest
 
 from repro.sim.system import simulate
@@ -79,4 +81,39 @@ class TestErrors:
             '{"format": "repro-trace", "version": 1, '
             '"cores": [{"ops": [[1, 2]]}]}')
         with pytest.raises(TraceFileError, match="bad op record"):
+            load_workload(path)
+
+    #: One well-formed op record (an ALU op with no deps).
+    ALU = [0, -1, [], 1, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("document,message", [
+        ([], "not a repro-trace"),
+        ({"cores": [5]}, r"cores\[0\]: not an object"),
+        ({"cores": {"0": {}}}, "'cores' is not a list"),
+        ({"cores": [{"ops": 5}]}, r"cores\[0\]: 'ops' is not a list"),
+        ({"cores": [{"ops": [[0, -1, [1], 1, 0, 1, 0, 0], ALU]}]},
+         r"cores\[0\]: op 0 depends on 1"),
+        ({"cores": [{"ops": [ALU, [1, 12, [], 1, 0, 1, 0, 0]]}]},
+         r"cores\[0\]: op 1 address 0xc not 8-aligned"),
+        ({"cores": [{"ops": [ALU]}, {"ops": [ALU, [0, -1, ["a"], 1, 0, 1,
+                                                   0, 0]]}]},
+         r"cores\[1\]: bad op record at index 1"),
+        ({"cores": [{"ops": [ALU], "memdep_hints": [[1, 2, 3]]}]},
+         r"cores\[0\]: memdep hint 0 is not a pair"),
+        ({"cores": [{"ops": [ALU]}], "warmup": [{"ops": [ALU]}, 7]},
+         r"warmup\[1\]: not an object"),
+        ({"cores": [{"ops": [ALU]}], "warmup": [{"ops": [ALU]}] * 2},
+         "2 warm-up traces for 1 cores"),
+        ({"cores": [{"ops": [ALU]}], "meta": 3}, "'meta' is not an object"),
+    ], ids=["document", "core-entry", "cores-list", "ops-list",
+            "later-dep", "unaligned", "non-integer-dep", "hint-pair",
+            "warmup-entry", "warmup-count", "meta"])
+    def test_malformed_document(self, tmp_path, document, message):
+        """Every malformed document raises TraceFileError, naming the
+        core entry and the op at fault, never another exception."""
+        if isinstance(document, dict):
+            document = {"format": "repro-trace", "version": 1, **document}
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(TraceFileError, match=message):
             load_workload(path)
