@@ -21,19 +21,29 @@ Locked read-modify-writes contribute a read event ``(tid, idx)`` plus a
 write event ``(tid, idx, 1)``; a failed cas performs no write (its
 write event is inactive).  Only **immediate-successor** ``co`` edges
 (and first-successor ``fr`` edges) are built — reachability, hence
-acyclicity, is that of the transitive relations — and acyclicity is
-tested with a **Kahn indegree peel** that extracts a concrete witness
-cycle from the unpeeled residue.
+acyclicity, is that of the transitive relations.
 
-Every forbidden outcome carries that cycle (:class:`CycleWitness`),
-which ``repro explain`` renders and the lint race report classifies.
-:func:`outcome_profile` is the one-pass, all-models judge the synthesis
-search runs; :mod:`repro.models.conformance` checks this engine against
-the operational machines.
+There are two judges over one candidate enumeration:
+
+* :func:`outcome_profile`, the one-pass, all-models judge that
+  ``synth``, ``repro zoo``, ``lint --litmus`` and the conformance check
+  run, gives every event a bit and decides each candidate on integer
+  successor masks (:func:`acyclic`): no edge objects, no witness;
+* :func:`classify` and :meth:`Candidate.judge` build labelled
+  :class:`Edge` sets and test them with a **Kahn indegree peel**
+  (:func:`find_cycle`) that extracts a concrete witness cycle from the
+  unpeeled residue.  Every forbidden outcome carries that cycle
+  (:class:`CycleWitness`), which ``repro explain`` renders and the lint
+  race report classifies.  This path is also the independent reference
+  the mask judge is tested against.
+
+:mod:`repro.models.conformance` checks this engine against the
+operational machines.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -46,6 +56,13 @@ MODELS = model_names(axiomatic_only=True)
 
 #: model name -> complete allowed outcome set
 Profile = Dict[str, FrozenSet[Outcome]]
+
+#: The read-from edge kinds a model's ``grf`` predicate decides on.
+RF_KINDS = ("rfi", "rfe", "rf-init")
+
+#: One coherence choice: per address (in ``program.addresses`` order),
+#: the bits of its active writes in coherence order.
+CoChoice = Tuple[Tuple[int, ...], ...]
 
 
 def require_axiomatic(model: str) -> None:
@@ -92,6 +109,15 @@ class CycleWitness:
                                    "atom"))
 
 
+def rf_kind(source: Event, read: Event) -> str:
+    """The kind of the rf edge ``source -> read``: ``rf-init`` from an
+    initial write, ``rfi`` within a thread (store-to-load forwarding),
+    ``rfe`` across threads."""
+    if source[0] < 0:
+        return "rf-init"
+    return "rfi" if source[0] == read[0] else "rfe"
+
+
 def event_name(program: Program, event: Event) -> str:
     tid = event[0]
     if tid < 0:
@@ -111,14 +137,20 @@ class RelationAnalysis:
     """Relation scaffolding for one program: events, accesses, po.
 
     Everything here is independent of the rf/co choice; a
-    :class:`Candidate` adds one concrete (rf, co) pick on top.
+    :class:`Candidate` adds one concrete (rf, co) pick on top.  Every
+    event also has a bit (:attr:`events`, :attr:`bit`): the initial
+    writes first, one per address, then the reads, then the writes, so
+    a relation over the program packs into one integer (see
+    :func:`acyclic`).
     """
 
-    __slots__ = ("program", "loads", "stores", "locked", "init_events",
-                 "addr_of", "value_of", "po_pairs")
+    __slots__ = ("program", "addresses", "loads", "stores", "locked",
+                 "init_events", "value_of", "po_pairs", "events", "bit",
+                 "rf_domains", "co_writes", "cas")
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        self.addresses: Tuple[str, ...] = program.addresses
         #: (event, op) — loads plus the read half of every locked op.
         self.loads: List[Tuple[Event, object]] = []
         #: (event, op) — stores plus the write half of every locked op.
@@ -126,96 +158,97 @@ class RelationAnalysis:
         #: (read event, write event, op) per locked instruction.
         self.locked: List[Tuple[Event, Event, object]] = []
         self.init_events: Dict[str, Event] = {}
-        self.addr_of: Dict[Event, str] = {}
         self.value_of: Dict[Event, int] = {}
-        for ordinal, addr in enumerate(program.addresses):
+        for ordinal, addr in enumerate(self.addresses):
             init = (-1, ordinal)
             self.init_events[addr] = init
-            self.addr_of[init] = addr
             self.value_of[init] = program.initial_value(addr)
         for tid, thread in enumerate(program.threads):
             for idx, op in enumerate(thread):
                 event = (tid, idx)
                 if isinstance(op, Ld):
                     self.loads.append((event, op))
-                    self.addr_of[event] = op.addr
                 elif isinstance(op, St):
                     self.stores.append((event, op))
-                    self.addr_of[event] = op.addr
                     self.value_of[event] = op.value
                 elif isinstance(op, (Rmw, Cas)):
                     write = (tid, idx, 1)
                     self.loads.append((event, op))
                     self.stores.append((write, op))
                     self.locked.append((event, write, op))
-                    self.addr_of[event] = op.addr
-                    self.addr_of[write] = op.addr
                     self.value_of[write] = op.value
         self.po_pairs: List[PoPair] = list(po_access_pairs(program))
+        #: Every event in bit order: initial writes, reads, writes.
+        self.events: List[Event] = (
+            [self.init_events[addr] for addr in self.addresses]
+            + [event for event, _ in self.loads]
+            + [event for event, _ in self.stores])
+        self.bit: Dict[Event, int] = {
+            event: index for index, event in enumerate(self.events)}
+        #: Per read, the bits it may read from: the initial write, then
+        #: the same-address writes in program order.
+        self.rf_domains: List[List[int]] = [
+            [self.bit[self.init_events[op.addr]]]
+            + [self.bit[event] for event, store in self.stores
+               if store.addr == op.addr]
+            for _, op in self.loads]
+        #: Per address, the bits of its writes.
+        self.co_writes: List[List[int]] = [
+            [self.bit[event] for event, store in self.stores
+             if store.addr == addr]
+            for addr in self.addresses]
+        #: (read index, write bit, expect) per cas: the write happens
+        #: only when the read's source holds ``expect``.
+        self.cas: List[Tuple[int, int, int]] = [
+            (self.bit[read] - len(self.addresses), self.bit[write],
+             op.expect)
+            for read, write, op in self.locked if isinstance(op, Cas)]
+
+    def rf_picks(self) -> Iterator[Tuple[Tuple[int, ...], int,
+                                         List[CoChoice]]]:
+        """Every rf choice whose sources all happen, in candidate order.
+
+        Yields ``(rf, inactive, co_choices)``: the source bit of each
+        read, the mask of the writes that do not happen (the write half
+        of a cas whose read saw a value other than ``expect``), and every
+        coherence choice over the writes that do.  The last read's
+        source varies fastest, as does the last address's order within
+        a coherence choice; each address's orders come in
+        :func:`itertools.permutations` order.
+        """
+        value = [self.value_of.get(event) for event in self.events]
+        co_choices: Dict[int, List[CoChoice]] = {}
+        for rf in itertools.product(*self.rf_domains):
+            inactive = 0
+            for read, write, expect in self.cas:
+                if value[rf[read]] != expect:
+                    inactive |= 1 << write
+            if inactive and any(inactive >> source & 1 for source in rf):
+                continue   # a read sources a write that never happens
+            choices = co_choices.get(inactive)
+            if choices is None:
+                choices = co_choices[inactive] = list(itertools.product(*(
+                    itertools.permutations(
+                        [write for write in writes
+                         if not inactive >> write & 1])
+                    for writes in self.co_writes)))
+            yield rf, inactive, choices
 
     def candidates(self) -> Iterator["Candidate"]:
         """Every candidate execution: an rf source per read crossed
         with a coherence order per address (over the writes that are
         *active* under the rf choice — a failed cas writes nothing)."""
-        rf_domains: List[List[Event]] = []
-        for _, op in self.loads:
-            domain = [self.init_events[op.addr]]
-            domain.extend(event for event, store in self.stores
-                          if store.addr == op.addr)
-            rf_domains.append(domain)
-
-        def co_orders(addr_index: int, active: frozenset,
-                      chosen: Dict[str, Tuple[Event, ...]]
-                      ) -> Iterator[Dict[str, Tuple[Event, ...]]]:
-            if addr_index == len(self.program.addresses):
-                yield dict(chosen)
-                return
-            addr = self.program.addresses[addr_index]
-            events = [event for event, store in self.stores
-                      if store.addr == addr and event in active]
-            for order in _permutations(events):
-                chosen[addr] = order
-                yield from co_orders(addr_index + 1, active, chosen)
-            chosen.pop(addr, None)
-
-        def rf_assignments(load_index: int, chosen: Dict[Event, Event]
-                           ) -> Iterator[Dict[Event, Event]]:
-            if load_index == len(self.loads):
-                yield dict(chosen)
-                return
-            load_event, _ = self.loads[load_index]
-            for source in rf_domains[load_index]:
-                chosen[load_event] = source
-                yield from rf_assignments(load_index + 1, chosen)
-            chosen.pop(load_event, None)
-
-        for rf in rf_assignments(0, {}):
-            active = self._active_writes(rf)
-            if any(source[0] >= 0 and source not in active
-                   for source in rf.values()):
-                continue   # a read sources a write that never happens
-            for co in co_orders(0, active, {}):
-                yield Candidate(self, rf, co, active)
-
-    def _active_writes(self, rf: Dict[Event, Event]) -> frozenset:
-        """The writes that happen under ``rf``: everything except the
-        write half of a cas whose read saw a value != expect."""
-        active = {event for event, _ in self.stores}
-        for read, write, op in self.locked:
-            if isinstance(op, Cas) and \
-                    self.value_of[rf[read]] != op.expect:
-                active.discard(write)
-        return frozenset(active)
-
-
-def _permutations(items: List[Event]) -> Iterator[Tuple[Event, ...]]:
-    if not items:
-        yield ()
-        return
-    for i in range(len(items)):
-        rest = items[:i] + items[i + 1:]
-        for tail in _permutations(rest):
-            yield (items[i],) + tail
+        events = self.events
+        reads = [event for event, _ in self.loads]
+        for rf, inactive, co_choices in self.rf_picks():
+            sources = dict(zip(reads, [events[source] for source in rf]))
+            active = frozenset(
+                event for event, _ in self.stores
+                if not inactive >> self.bit[event] & 1)
+            for co in co_choices:
+                yield Candidate(self, sources, {
+                    addr: tuple(events[write] for write in order)
+                    for addr, order in zip(self.addresses, co)}, active)
 
 
 class Candidate:
@@ -226,30 +259,21 @@ class Candidate:
     def __init__(self, analysis: RelationAnalysis,
                  rf: Dict[Event, Event],
                  co: Dict[str, Tuple[Event, ...]],
-                 active: Optional[frozenset] = None) -> None:
+                 active: frozenset) -> None:
         self.analysis = analysis
         self.rf = rf
         self.co = co
-        self.active = analysis._active_writes(rf) \
-            if active is None else active
+        self.active = active
 
     # -- relations -----------------------------------------------------
     def rf_edges(self) -> List[Edge]:
-        edges = []
-        for load, source in self.rf.items():
-            if source[0] < 0:
-                kind = "rf-init"
-            elif source[0] == load[0]:
-                kind = "rfi"
-            else:
-                kind = "rfe"
-            edges.append(Edge(source, load, kind))
-        return edges
+        return [Edge(source, load, rf_kind(source, load))
+                for load, source in self.rf.items()]
 
     def co_edges(self) -> List[Edge]:
         """Immediate-successor coherence edges (init first)."""
         edges = []
-        for addr in self.analysis.program.addresses:
+        for addr in self.analysis.addresses:
             chain = (self.analysis.init_events[addr],) + self.co[addr]
             for a, b in zip(chain, chain[1:]):
                 edges.append(Edge(a, b, "co"))
@@ -260,7 +284,7 @@ class Candidate:
         store immediately co-after its source (transitively, via co,
         every later store — same closure as full fr)."""
         successor: Dict[Event, Event] = {}
-        for addr in self.analysis.program.addresses:
+        for addr in self.analysis.addresses:
             chain = (self.analysis.init_events[addr],) + self.co[addr]
             for a, b in zip(chain, chain[1:]):
                 successor[a] = b
@@ -290,7 +314,7 @@ class Candidate:
         the cycle  R --fr--> X --co--> W --atom--> R  (empty list when
         every locked op is atomic)."""
         successor: Dict[Event, Event] = {}
-        for addr in self.analysis.program.addresses:
+        for addr in self.analysis.addresses:
             chain = (self.analysis.init_events[addr],) + self.co[addr]
             for a, b in zip(chain, chain[1:]):
                 successor[a] = b
@@ -332,7 +356,7 @@ class Candidate:
             regs.append(((load_event[0], op.reg),
                          analysis.value_of[source]))
         mem = []
-        for addr in analysis.program.addresses:
+        for addr in analysis.addresses:
             order = self.co[addr]
             last = order[-1] if order else analysis.init_events[addr]
             mem.append((addr, analysis.value_of[last]))
@@ -449,27 +473,169 @@ def classify(program: Program, model: str) -> Classification:
                           witnesses={o: cycles[o] for o in forbidden})
 
 
+def acyclic(relation: int, nodes: int, stride: int) -> bool:
+    """Whether ``relation`` is acyclic on the events in the ``nodes``
+    mask.
+
+    ``relation`` packs one successor mask per event, ``stride`` bits
+    apart: bit ``i * stride + j`` is the edge ``i -> j``.  A Kahn peel
+    from the sink end: every event with no successor left is removed,
+    until nothing is left (acyclic) or a pass removes nothing (every
+    event left has a successor left, so a cycle remains).
+    """
+    while nodes:
+        left = rest = nodes
+        while rest:
+            low = rest & -rest
+            if not (relation >> (low.bit_length() - 1) * stride) & left:
+                left ^= low
+            rest ^= low
+        if left == nodes:
+            return False
+        nodes = left
+    return True
+
+
+def _union(table: List[List[int]], picks: Sequence[int]) -> int:
+    """The edges ``table[i][picks[i]]`` together: per read, the edge of
+    the source it picks."""
+    edges = 0
+    for row, pick in zip(table, picks):
+        edges |= row[pick]
+    return edges
+
+
+def _rf_table(analysis: RelationAnalysis, kinds: FrozenSet[str]
+              ) -> List[List[int]]:
+    """Per read, by source bit: the packed rf edge ``source -> read``
+    when its kind is one of ``kinds``, else 0."""
+    events, stride = analysis.events, len(analysis.events)
+    table = []
+    for (read, _), domain in zip(analysis.loads, analysis.rf_domains):
+        row = [0] * stride
+        for source in domain:
+            if rf_kind(events[source], read) in kinds:
+                row[source] = 1 << (source * stride + analysis.bit[read])
+        table.append(row)
+    return table
+
+
+def _coherence(analysis: RelationAnalysis, values: List[Optional[int]],
+               co: CoChoice) -> Tuple:
+    """What one coherence choice fixes: the final memory value per
+    address, the co edges, per read its fr edge by source, and each
+    event's co-successor (-1 for none)."""
+    stride = len(analysis.events)
+    after = [-1] * stride
+    co_edges = 0
+    for prev, order in enumerate(co):     # address i's initial write: bit i
+        for write in order:
+            co_edges |= 1 << (prev * stride + write)
+            after[prev] = write
+            prev = write
+    fr_table = []
+    for (read, _), domain in zip(analysis.loads, analysis.rf_domains):
+        row = [0] * stride
+        for source in domain:
+            if after[source] >= 0:
+                row[source] = 1 << (analysis.bit[read] * stride
+                                    + after[source])
+        fr_table.append(row)
+    memory = tuple(values[order[-1] if order else addr]
+                   for addr, order in enumerate(co))
+    return memory, co_edges, fr_table, after
+
+
 def outcome_profile(program: Program,
                     models: Sequence[str] = MODELS) -> Profile:
     """The complete allowed-outcome set of ``program`` per model.
 
     Agrees with ``classify(program, m).allowed`` for every model ``m``
-    while enumerating the candidate space exactly once: the uniproc
-    and atomicity axioms are model-independent, so they run once per
-    candidate, and only the per-model ghb edge sets differ.
+    while enumerating the candidate space exactly once, on bitmask
+    relations (see :func:`acyclic` for the packing).  What does not
+    depend on the candidate is built once per set of active writes:
+    the po-loc and each model's ppo relation, and per coherence choice
+    its co edges, fr edges and final memory.  A candidate whose outcome
+    every model already allows is skipped.  Otherwise it checks the
+    model-independent RMW atomicity and uniproc axioms once, then runs
+    :func:`acyclic` on ``ppo ∪ grf ∪ co ∪ fr`` for each model that
+    does not allow the outcome yet.  The initial writes are never
+    peeled: no edge enters one, so none lies on a cycle.
     """
+    models = tuple(dict.fromkeys(models))
+    for model in models:
+        require_axiomatic(model)
     analysis = RelationAnalysis(program)
-    allowed: Dict[str, set] = {model: set() for model in models}
-    for candidate in analysis.candidates():
-        # uniproc and RMW atomicity are model-independent: once each.
-        if candidate.universal_witness() is not None:
-            continue
-        outcome = candidate.outcome()
-        remaining = [model for model in models
-                     if outcome not in allowed[model]]
-        if not remaining:
-            continue
-        for model in remaining:
-            if find_cycle(candidate.ghb_edges(model)) is None:
-                allowed[model].add(outcome)
-    return {model: frozenset(found) for model, found in allowed.items()}
+    bit, stride = analysis.bit, len(analysis.events)
+    axioms = [get_model(model).axiomatic for model in models]
+    rf_all = _rf_table(analysis, frozenset(RF_KINDS))
+    rf_global = [
+        _rf_table(analysis,
+                  frozenset(kind for kind in RF_KINDS if axiom.grf(kind)))
+        for axiom in axioms]
+    #: per po pair: its packed edge, the mask of its write events, and
+    #: whether it is po-loc and kept by each model's ppo
+    pairs = [(1 << (bit[pair.a] * stride + bit[pair.b]),
+              (pair.a_store << bit[pair.a]) | (pair.b_store << bit[pair.b]),
+              pair.same_addr, [axiom.ppo(pair) for axiom in axioms])
+             for pair in analysis.po_pairs]
+    values = [analysis.value_of.get(event) for event in analysis.events]
+    n_init = len(analysis.addresses)
+    thread_events = (1 << stride) - (1 << n_init)
+    locked = [(bit[read] - n_init, bit[write])
+              for read, write, _ in analysis.locked]
+    everyone = (1 << len(models)) - 1
+
+    variants: Dict[int, Tuple] = {}
+    admitted: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    for rf, inactive, co_choices in analysis.rf_picks():
+        variant = variants.get(inactive)
+        if variant is None:
+            po_loc = 0
+            ppo = [0] * len(models)
+            for edge, writes, same_addr, kept in pairs:
+                if writes & inactive:
+                    continue          # the write half of a failed cas
+                if same_addr:
+                    po_loc |= edge
+                for m, keep in enumerate(kept):
+                    if keep:
+                        ppo[m] |= edge
+            variant = variants[inactive] = (
+                po_loc, ppo,
+                [_coherence(analysis, values, co) for co in co_choices],
+                [(read, write) for read, write in locked
+                 if not inactive >> write & 1])
+        po_loc, ppo, coherence, atomic = variant
+        live = thread_events & ~inactive
+        registers = tuple(values[source] for source in rf)
+        uniproc = po_loc | _union(rf_all, rf)
+        ghb = [static | _union(table, rf)
+               for static, table in zip(ppo, rf_global)]
+        for memory, co_edges, fr_table, after in coherence:
+            key = (registers, memory)
+            allowed = admitted.get(key, 0)
+            if allowed == everyone:
+                continue
+            if atomic and any(after[rf[read]] != write
+                              for read, write in atomic):
+                continue              # RMW atomicity
+            candidate = co_edges | _union(fr_table, rf)
+            if not acyclic(uniproc | candidate, live, stride):
+                continue              # sc-per-location
+            for m, static in enumerate(ghb):
+                if not allowed >> m & 1 and \
+                        acyclic(static | candidate, live, stride):
+                    allowed |= 1 << m
+            admitted[key] = allowed
+
+    names = [(event[0], op.reg) for event, op in analysis.loads]
+    profile: Dict[str, set] = {model: set() for model in models}
+    for (registers, memory), allowed in admitted.items():
+        outcome = Outcome(
+            registers=tuple(sorted(zip(names, registers))),
+            memory=tuple(sorted(zip(analysis.addresses, memory))))
+        for m, model in enumerate(models):
+            if allowed >> m & 1:
+                profile[model].add(outcome)
+    return {model: frozenset(found) for model, found in profile.items()}

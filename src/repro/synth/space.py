@@ -39,6 +39,10 @@ LATTICE = model_names(axiomatic_only=True)
 #: Address pool (bounds.addresses says how many are in play).
 _ADDRESSES = ("x", "y", "z", "w")
 
+#: The fields of :class:`SynthBounds`, in wire order.
+_BOUND_FIELDS = ("threads", "max_ops", "addresses", "fences", "max_total",
+                 "rmws", "acqrel")
+
 #: Per-event kinds: ("ld"|"st"|"ld.acq"|"st.rel"|"xchg", addr) or
 #: ("fence"|"lwfence", None)
 _EventKind = Tuple[str, object]
@@ -70,6 +74,16 @@ class SynthBounds:
     acqrel: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("threads", "max_ops", "addresses", "max_total"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"not {value!r}")
+        for name in ("fences", "rmws", "acqrel"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"not {value!r}")
         if not (1 <= self.threads <= 4):
             raise ValueError("threads must be in [1, 4]")
         if not (1 <= self.max_ops <= 4):
@@ -81,16 +95,17 @@ class SynthBounds:
             raise ValueError("max_total must be >= 0")
 
     def to_dict(self) -> Dict:
-        return {"threads": self.threads, "max_ops": self.max_ops,
-                "addresses": self.addresses, "fences": self.fences,
-                "max_total": self.max_total, "rmws": self.rmws,
-                "acqrel": self.acqrel}
+        return {name: getattr(self, name) for name in _BOUND_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SynthBounds":
-        return cls(**{key: data[key] for key in
-                      ("threads", "max_ops", "addresses", "fences",
-                       "max_total", "rmws", "acqrel") if key in data})
+        """The bounds a wire document names; absent fields take their
+        defaults, and an unknown field is a ValueError."""
+        unknown = sorted(map(str, set(data) - set(_BOUND_FIELDS)))
+        if unknown:
+            raise ValueError(f"unknown bounds field(s): "
+                             f"{', '.join(unknown)}")
+        return cls(**data)
 
     def describe(self) -> str:
         cap = f", <={self.max_total} total" if self.max_total else ""

@@ -5,8 +5,8 @@ import pytest
 
 from repro.litmus.operational import enumerate_outcomes
 from repro.litmus.program import Fence, Ld, St, make_program
-from repro.litmus.tests import ALL_CASES, FIG5, N6
-from repro.models.axiomatic import classify
+from repro.litmus.tests import ALL_CASES, FIG5, N6, SB
+from repro.models.axiomatic import classify, outcome_profile
 
 MODELS = ("SC", "370", "x86")
 
@@ -78,3 +78,10 @@ def test_unknown_model_rejected():
             "no axiomatic definition for model 'PC'; "
             "axiomatic models: SC, 370, x86, WMM")):
         classify(N6, "PC")
+    # The all-models judge refuses them the same way, before it
+    # enumerates anything.
+    with pytest.raises(ValueError, match="unknown model 'PSO'"):
+        outcome_profile(SB, models=("SC", "PSO"))
+    with pytest.raises(ValueError, match=(
+            "no axiomatic definition for model 'PC'")):
+        outcome_profile(SB, models=("SC", "PC"))

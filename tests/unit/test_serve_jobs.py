@@ -191,6 +191,12 @@ class TestSynthJobs:
         {"kind": "synth", "bounds": {}, "chunks": 0},
         {"kind": "synth", "bounds": {}, "limit": -1},
         {"kind": "synth", "bounds": {}, "stray": 1},
+        {"kind": "synth",                               # typo'd field
+         "bounds": {"threads": 2, "max_op": 3, "addresses": 2}},
+        {"kind": "synth", "bounds": {"threads": 2.5}},
+        {"kind": "synth", "bounds": {"threads": True}},
+        {"kind": "synth", "bounds": {"fences": "no"}},
+        {"kind": "synth", "bounds": {"max_total": 1.5}},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(JobValidationError):

@@ -6,7 +6,7 @@ import pytest
 from repro.litmus.program import canonical_key
 from repro.litmus.tests import MP, N6, SB
 from repro.models.axiomatic import classify, outcome_profile
-from repro.models.conformance import check
+from repro.models.conformance import battery_corpus, check, random_corpus
 from repro.synth import (MODEL_PAIRS, SynthBounds, SynthResult,
                          count_programs, distinguishing_outcomes,
                          enumerate_programs, lattice_violations,
@@ -56,6 +56,15 @@ class TestSpace:
             SynthBounds(max_ops=9)
         with pytest.raises(ValueError):
             enumerate_programs(SMALL, chunk=2, chunks=2).__next__()
+        # Wrong types: a float or a bool is not a count, and a string
+        # is not a flag.
+        for bad in ({"threads": 2.5}, {"threads": True},
+                    {"max_total": 1.5}, {"addresses": "2"},
+                    {"fences": "no"}, {"rmws": 1}):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                SynthBounds(**bad)
+        with pytest.raises(ValueError, match="unknown bounds field.*max_op"):
+            SynthBounds.from_dict({"threads": 2, "max_op": 3})
 
     def test_bounds_roundtrip(self):
         bounds = SynthBounds(threads=3, max_ops=2, addresses=3,
@@ -99,13 +108,28 @@ class TestSpace:
 # ----------------------------------------------------------------------
 
 class TestProfile:
-    @pytest.mark.parametrize("program", [SB, N6, MP],
-                             ids=lambda p: p.name)
+    """``outcome_profile`` judges on bitmask relations; ``classify``
+    judges each model on its own with labelled edges and
+    :func:`~repro.models.axiomatic.find_cycle`.  They must agree."""
+
+    @pytest.mark.parametrize(
+        "program", [case.program for case in battery_corpus()],
+        ids=lambda p: p.name)
     def test_profile_matches_classify(self, program):
         profile = outcome_profile(program)
         for model in LATTICE:
             assert profile[model] == \
                 frozenset(classify(program, model).allowed)
+
+    def test_profile_matches_classify_on_random_programs(self):
+        # Fences, xchg and cas (both of its paths), acquire loads and
+        # release stores: every relation the judge builds.
+        for program in random_corpus(40, 23, allow_fences=True,
+                                     allow_rmws=True, allow_acqrel=True):
+            profile = outcome_profile(program)
+            for model in LATTICE:
+                assert profile[model] == \
+                    classify(program, model).allowed, (program.name, model)
 
     def test_lattice_containment_on_classics(self):
         for program in (SB, N6, MP):
