@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.policies import POLICY_ORDER
 from repro.litmus import MODELS, enumerate_outcomes, explain, sample
@@ -1007,6 +1007,21 @@ def cmd_synth(args) -> int:
 
 # ----------------------------------------------------------------------
 
+def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
+    """An argparse type: an int of at least ``minimum``; anything else is
+    a usage error (exit 2) naming ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                        ) -> None:
     """``name`` (``names``: one or more) and ``-c/-l/--seed`` of bench,
@@ -1027,18 +1042,13 @@ def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                 f"expected 1 to {SKYLAKE_LIKE.cores} cores, got {text!r}")
         return int(text)
 
-    def length(text: str) -> int:
-        if int(text) < 1:
-            raise argparse.ArgumentTypeError(
-                f"expected a positive instruction count, got {text!r}")
-        return int(text)
-
     if names:
         p.add_argument("names", nargs="+", metavar="name", type=benchmark)
     else:
         p.add_argument("name", type=benchmark)
     p.add_argument("-c", "--cores", type=cores, default=8)
-    p.add_argument("-l", "--length", type=length, default=None)
+    p.add_argument("-l", "--length", default=None,
+                   type=_int_at_least(1, "a positive instruction count"))
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -1111,7 +1121,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None,
                    help="metrics JSONL path "
                         "(default: NAME-POLICY.metrics.jsonl)")
-    p.add_argument("--sample-interval", type=int, default=64,
+    p.add_argument("--sample-interval", default=64,
+                   type=_int_at_least(1, "a positive period"),
                    help="occupancy sampling period in cycles")
     p.add_argument("--top", type=int, default=5,
                    help="gate intervals shown in the top-stalls summary")
@@ -1156,7 +1167,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmarks under all five configurations "
              "(parallel across processes, results cached on disk)")
     _add_workload_args(p, names=True)
-    p.add_argument("-j", "--jobs", type=int, default=None,
+    p.add_argument("-j", "--jobs", default=None,
+                   type=_int_at_least(1, "a positive worker count"),
                    help="worker processes (default: $REPRO_WORKERS "
                         "or the CPU count, capped at the number of "
                         "uncached cells; 1 runs in-process)")
@@ -1196,7 +1208,8 @@ def build_parser() -> argparse.ArgumentParser:
              "every battery program the pipeline can express, with NoC "
              "jitter, forced evictions, spurious squashes and delayed SB "
              "drains — outcomes must stay within the memory models")
-    p.add_argument("--trials", type=int, default=25,
+    p.add_argument("--trials", default=25,
+                   type=_int_at_least(1, "a positive trial count"),
                    help="fault seeds per (program, policy) cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-p", "--policies", nargs="*", choices=POLICY_ORDER,
@@ -1339,7 +1352,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check the axiomatic engine against the "
                         "operational machines on the battery and "
                         "report store-atomicity races")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", default=0, metavar="N",
+                   type=_int_at_least(0, "a program count of 0 or more"),
                    help="also cross-check N seeded random programs "
                         "(implies --litmus)")
     p.add_argument("--seed", type=int, default=0,
@@ -1354,7 +1368,8 @@ def build_parser() -> argparse.ArgumentParser:
              "run the conformance check over the battery, and "
              "optionally over random RMW/acquire-release programs "
              "(docs/MEMORY_MODELS.md)")
-    p.add_argument("--random", type=int, default=0, metavar="N",
+    p.add_argument("--random", default=0, metavar="N",
+                   type=_int_at_least(0, "a program count of 0 or more"),
                    help="also check N seeded random programs drawn "
                         "with the full event vocabulary")
     p.add_argument("--seed", type=int, default=0,

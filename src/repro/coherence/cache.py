@@ -35,9 +35,12 @@ class CacheArray:
         self._line_mask = ~(self.line_bytes - 1)
         self._line_shift = self.line_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
-        # Each set is an OrderedDict {line_addr: None}; most recent last.
-        self._sets: List["OrderedDict[int, None]"] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        # Each set is an OrderedDict {line_addr: None}, most recent last,
+        # created by its first insert: a cell touches a small share of
+        # the sets (an L3 bank alone has 2,048), and building them all
+        # up front cost as much as simulating a short cell.
+        self._sets: List[Optional["OrderedDict[int, None]"]] = \
+            [None] * self.num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -56,6 +59,7 @@ class CacheArray:
     # set-selection call would cost as much as the dict operation it
     # guards.  Power-of-two geometries (every paper configuration) take
     # the mask/shift form; any other geometry takes the div/mod form.
+    # A set never inserted into is None: only ``insert`` creates one.
 
     def lookup(self, line: int, touch: bool = True) -> bool:
         """True if ``line`` is present; optionally update LRU order."""
@@ -63,7 +67,7 @@ class CacheArray:
             bucket = self._sets[(line >> self._line_shift) & self._set_mask]
         else:
             bucket = self._sets[(line // self.line_bytes) % self.num_sets]
-        if line in bucket:
+        if bucket is not None and line in bucket:
             if touch:
                 bucket.move_to_end(line)
             self.hits += 1
@@ -74,16 +78,21 @@ class CacheArray:
     def contains(self, line: int) -> bool:
         """Presence check with no LRU update and no stat side effects."""
         if self._pow2:
-            return line in self._sets[(line >> self._line_shift)
-                                      & self._set_mask]
-        return line in self._sets[(line // self.line_bytes) % self.num_sets]
+            bucket = self._sets[(line >> self._line_shift) & self._set_mask]
+        else:
+            bucket = self._sets[(line // self.line_bytes) % self.num_sets]
+        return bucket is not None and line in bucket
 
     def insert(self, line: int) -> Optional[int]:
         """Insert ``line``; returns the evicted line address, if any."""
         if self._pow2:
-            bucket = self._sets[(line >> self._line_shift) & self._set_mask]
+            index = (line >> self._line_shift) & self._set_mask
         else:
-            bucket = self._sets[(line // self.line_bytes) % self.num_sets]
+            index = (line // self.line_bytes) % self.num_sets
+        bucket = self._sets[index]
+        if bucket is None:
+            self._sets[index] = OrderedDict(((line, None),))
+            return None
         if line in bucket:
             bucket.move_to_end(line)
             return None
@@ -100,17 +109,19 @@ class CacheArray:
             bucket = self._sets[(line >> self._line_shift) & self._set_mask]
         else:
             bucket = self._sets[(line // self.line_bytes) % self.num_sets]
-        if line in bucket:
+        if bucket is not None and line in bucket:
             del bucket[line]
             return True
         return False
 
     def resident_lines(self) -> List[int]:
         """All line addresses currently resident (test/debug helper)."""
-        return [line for bucket in self._sets for line in bucket]
+        return [line for bucket in self._sets if bucket is not None
+                for line in bucket]
 
     def occupancy(self) -> int:
-        return sum(len(bucket) for bucket in self._sets)
+        return sum(len(bucket) for bucket in self._sets
+                   if bucket is not None)
 
 
 class PrivateHierarchy:

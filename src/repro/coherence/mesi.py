@@ -228,8 +228,9 @@ class PrivateController:
     """Per-core coherence controller for the private L1+L2 hierarchy."""
 
     __slots__ = ("system", "core_id", "hierarchy", "state", "txns",
-                 "txn_queue", "wb_buffer", "removal_listener", "mshrs",
-                 "fault_store_delay", "_fault_store_horizon",
+                 "txns_finished", "txn_queue", "wb_buffer",
+                 "removal_listener", "mshrs", "fault_store_delay",
+                 "_fault_store_horizon",
                  "_p_inval", "_p_evict", "_p_fill", "_p_prefetch",
                  "line_bytes", "_line_pow2", "_line_mask")
 
@@ -247,6 +248,10 @@ class PrivateController:
         self._line_mask = ~(lb - 1)
         self.state: Dict[int, str] = {}
         self.txns: Dict[int, _Txn] = {}
+        # Transactions completed so far: an MSHR can only free, and a
+        # line only become M/E, when this grows (see Core's drain-ahead
+        # RFO scan).
+        self.txns_finished = 0
         self.txn_queue: Deque[tuple] = deque()  # overflow beyond MSHRs
         self.wb_buffer: Set[int] = set()
         self.removal_listener: Optional[RemovalListener] = None
@@ -439,6 +444,7 @@ class PrivateController:
             return
         line = txn.line
         del self.txns[line]
+        self.txns_finished += 1
         self.state[line] = txn.granted_state
         if self._p_fill is not None:
             self._p_fill(self.core_id, self.system.engine.now, line)

@@ -16,23 +16,14 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "counter", "useful")
-
-    def __init__(self) -> None:
-        self.tag = 0
-        self.counter = 0     # signed 3-bit: -4..3, taken when >= 0
-        self.useful = 0      # 2-bit useful counter
-
-
 class TagePredictor:
     """Bimodal base + geometric tagged tables."""
 
     HISTORY_LENGTHS = (4, 8, 16, 32)
 
-    __slots__ = ("base_size", "tagged_size", "tag_mask", "base", "tables",
-                 "history", "useful_reset_interval", "_updates",
-                 "predictions", "mispredictions", "_folds")
+    __slots__ = ("base_size", "tagged_size", "tag_mask", "base", "tags",
+                 "counters", "useful", "history", "useful_reset_interval",
+                 "_updates", "predictions", "mispredictions", "_folds")
 
     def __init__(self, base_bits: int = 12, tagged_bits: int = 9,
                  tag_bits: int = 8, useful_reset_interval: int = 18_000):
@@ -40,9 +31,18 @@ class TagePredictor:
         self.tagged_size = 1 << tagged_bits
         self.tag_mask = (1 << tag_bits) - 1
         self.base = [1] * self.base_size      # 2-bit counters, 0..3
-        self.tables: List[List[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(self.tagged_size)]
-            for _ in self.HISTORY_LENGTHS]
+        # Tagged table ``t``'s entry ``i`` is (tags[t][i], counters[t][i],
+        # useful[t][i]): flat int lists, not one object per entry, so a
+        # predictor is a handful of lists however large its tables.
+        tables = range(len(self.HISTORY_LENGTHS))
+        self.tags: List[List[int]] = [[0] * self.tagged_size
+                                      for _ in tables]
+        # Signed 3-bit: -4..3, taken when >= 0.
+        self.counters: List[List[int]] = [[0] * self.tagged_size
+                                          for _ in tables]
+        # 2-bit useful counters.
+        self.useful: List[List[int]] = [[0] * self.tagged_size
+                                        for _ in tables]
         self.history = 0
         self.useful_reset_interval = useful_reset_interval
         self._updates = 0
@@ -91,17 +91,16 @@ class TagePredictor:
         forms.
         """
         folds = self._folds
-        tables = self.tables
+        tags = self.tags
         size = self.tagged_size
         tag_mask = self.tag_mask
         px = pc ^ (pc >> 7)
         pt = pc >> 3
-        for table in range(len(tables) - 1, -1, -1):
+        for table in range(len(tags) - 1, -1, -1):
             fold = folds[table]
-            entry = tables[table][
-                (px ^ fold ^ (fold << (table + 1))) % size]
-            if entry.tag == ((pt ^ (fold * 3) ^ table) & tag_mask):
-                return table, entry.counter >= 0
+            idx = (px ^ fold ^ (fold << (table + 1))) % size
+            if tags[table][idx] == ((pt ^ (fold * 3) ^ table) & tag_mask):
+                return table, self.counters[table][idx] >= 0
         return None, self.base[(pc ^ (pc >> 5)) % self.base_size] >= 2
 
     def predict(self, pc: int) -> bool:
@@ -120,22 +119,24 @@ class TagePredictor:
             self.base[idx] = min(3, self.base[idx] + 1) if taken \
                 else max(0, self.base[idx] - 1)
         else:
-            entry = self.tables[provider][self._index(pc, provider)]
-            entry.counter = min(3, entry.counter + 1) if taken \
-                else max(-4, entry.counter - 1)
+            idx = self._index(pc, provider)
+            counters = self.counters[provider]
+            counters[idx] = min(3, counters[idx] + 1) if taken \
+                else max(-4, counters[idx] - 1)
+            useful = self.useful[provider]
             if correct:
-                entry.useful = min(3, entry.useful + 1)
-            elif entry.useful > 0:
-                entry.useful -= 1
+                useful[idx] = min(3, useful[idx] + 1)
+            elif useful[idx] > 0:
+                useful[idx] -= 1
 
         # Allocate in a longer-history table on a mispredict.
         if not correct:
             start = 0 if provider is None else provider + 1
-            for table in range(start, len(self.tables)):
-                entry = self.tables[table][self._index(pc, table)]
-                if entry.useful == 0:
-                    entry.tag = self._tag(pc, table)
-                    entry.counter = 0 if taken else -1
+            for table in range(start, len(self.tags)):
+                idx = self._index(pc, table)
+                if self.useful[table][idx] == 0:
+                    self.tags[table][idx] = self._tag(pc, table)
+                    self.counters[table][idx] = 0 if taken else -1
                     break
 
         self.history = ((self.history << 1) | int(taken)) \
@@ -144,9 +145,8 @@ class TagePredictor:
         self._updates += 1
         if self._updates >= self.useful_reset_interval:
             self._updates = 0
-            for table in self.tables:
-                for entry in table:
-                    entry.useful >>= 1
+            for useful in self.useful:
+                useful[:] = [value >> 1 for value in useful]
 
     @property
     def mispredict_rate(self) -> float:

@@ -73,8 +73,8 @@ class Core:
         "retired_load_values", "fetch_idx", "done", "load_of", "store_of",
         "consumers", "ready", "deferred_on_store", "pending_fences",
         "deferred_on_fence", "barrier_seq", "_sb_inflight",
-        "_sb_miss_inflight", "_rfo_pending", "finished", "_sleeping",
-        "_sleep_since", "_sleep_stall", "_tick_scheduled",
+        "_sb_miss_inflight", "_rfo_pending", "_rfo_scan_at", "finished",
+        "_sleeping", "_sleep_since", "_sleep_stall", "_tick_scheduled",
         "dispatch_paused",
     )
 
@@ -161,6 +161,11 @@ class Core:
         # MSHR (resolved, rfo_sent still False): the drain-ahead scan
         # only needs to run while this is non-zero.
         self._rfo_pending = 0
+        # The controller's ``txns_finished`` at the last scan that
+        # reached the end of the SB (-1: none yet).  Until it grows,
+        # every MSHR stays busy and each pending store would be refused
+        # again, so the scan is skipped.
+        self._rfo_scan_at = -1
         self.finished = False
         self._sleeping = False
         self._sleep_since = 0
@@ -271,9 +276,11 @@ class Core:
         # ---- store-buffer drain (insertion in memory order) ----
         # Drain-ahead RFOs overlap the coherence latency of upcoming
         # stores with the current writes; only stores whose ownership
-        # prefetch was dropped need a retry, so the scan usually skips.
+        # prefetch was dropped need a retry, and only after an MSHR
+        # frees, so the scan usually skips.
         controller = self.controller
-        if self._rfo_pending:
+        if self._rfo_pending \
+                and self._rfo_scan_at != controller.txns_finished:
             scanned = 0
             rfo_ahead = self.RFO_AHEAD
             for entry in sb:
@@ -284,6 +291,8 @@ class Core:
                         entry.rfo_sent = True
                         self._rfo_pending -= 1
                 scanned += 1
+            else:
+                self._rfo_scan_at = controller.txns_finished
         # The pipelined L1 (Table III) streams owned-line stores out one
         # per cycle, completing in order; a store to a line not yet
         # owned issues only alone at the head (TSO: in-order insertion).

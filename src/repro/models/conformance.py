@@ -323,6 +323,9 @@ def check_pipelines(programs: Iterable[Program],
     ``report.skipped``; a run that fails (cycle budget, deadlock,
     invariant) is a structured error of its cell, never an exception.
     """
+    if trials < 1:
+        raise ValueError(f"check_pipelines needs at least one trial, "
+                         f"got {trials}")
     report = PipelineReport(seed=seed, trials=trials, spec=spec)
     for program in programs:
         try:

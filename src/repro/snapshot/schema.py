@@ -60,9 +60,9 @@ SNAPSHOT_SCHEMA: Dict[str, Dict[str, FrozenSet[str]]] = {
                "_rfo_pending", "detector", "tracer", "dispatch_paused"),
         transient=("engine", "core_id", "config", "trace", "_trace_ops",
                    "_trace_len", "_issue_width", "_retire_width",
-                   "controller", "policy", "on_finish", "probe_bus",
-                   "_p_slf_forward", "_p_sb_write", "_p_gate_stall",
-                   "_p_squash", "_p_load_perform"),
+                   "_rfo_scan_at", "controller", "policy", "on_finish",
+                   "probe_bus", "_p_slf_forward", "_p_sb_write",
+                   "_p_gate_stall", "_p_squash", "_p_load_perform"),
     ),
     "StoreBuffer": _entry(
         covered=("_bits", "_head", "_tail"),
@@ -75,12 +75,11 @@ SNAPSHOT_SCHEMA: Dict[str, Dict[str, FrozenSet[str]]] = {
         transient=("ssit_size", "lfst_size", "clear_interval"),
     ),
     "TagePredictor": _entry(
-        covered=("base", "tables", "history", "_updates", "predictions",
-                 "mispredictions"),
+        covered=("base", "tags", "counters", "useful", "history",
+                 "_updates", "predictions", "mispredictions"),
         transient=("base_size", "tagged_size", "tag_mask",
                    "useful_reset_interval", "_folds"),
     ),
-    "_TaggedEntry": _entry(covered=("tag", "counter", "useful")),
     "StridePrefetcher": _entry(
         covered=("_table", "prefetches_issued"),
         transient=("_issue", "line_bytes", "degree", "table_size"),
@@ -108,8 +107,8 @@ SNAPSHOT_SCHEMA: Dict[str, Dict[str, FrozenSet[str]]] = {
         covered=("state", "hierarchy", "_fault_store_horizon"),
         empty=("txns", "txn_queue", "wb_buffer"),
         transient=("system", "core_id", "removal_listener", "mshrs",
-                   "fault_store_delay", "_p_inval", "_p_evict",
-                   "_p_fill", "_p_prefetch",
+                   "txns_finished", "fault_store_delay", "_p_inval",
+                   "_p_evict", "_p_fill", "_p_prefetch",
                    "line_bytes", "_line_pow2", "_line_mask"),
     ),
     "DirectoryBank": _entry(
@@ -140,7 +139,6 @@ SCHEMA_MODULES: Dict[str, str] = {
     "StoreBuffer": "repro/cpu/store_buffer.py",
     "StoreSetPredictor": "repro/cpu/storeset.py",
     "TagePredictor": "repro/cpu/branch.py",
-    "_TaggedEntry": "repro/cpu/branch.py",
     "StridePrefetcher": "repro/memory/prefetch.py",
     "_StrideState": "repro/memory/prefetch.py",
     "RetireGate": "repro/core/gate.py",

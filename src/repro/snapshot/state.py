@@ -52,9 +52,10 @@ class SnapshotError(RuntimeError):
 
 def _cache_state(arr) -> Dict:
     # Sets are stored sparsely (index, resident lines) — most arrays in
-    # a warmed system still have many empty sets, and a restore installs
-    # a snapshot into dozens of arrays per system, so skipping empties
-    # is a measurable win on both capture and install.
+    # a warmed system still have many empty or never-created (None)
+    # sets, and a restore installs a snapshot into dozens of arrays per
+    # system, so skipping empties is a measurable win on both capture
+    # and install.
     return {
         "num_sets": arr.num_sets,
         "sets": [[i, list(lines)] for i, lines in enumerate(arr._sets)
@@ -71,8 +72,8 @@ def _install_cache(arr, data: Dict) -> None:
             f"cache geometry mismatch: snapshot has {num_sets} sets, "
             f"target has {arr.num_sets}")
     # Install helpers only ever run on freshly constructed systems
-    # (inside restore()), so every set starts empty and only the
-    # sparse non-empty entries need to be rebuilt.
+    # (inside restore()), so every set starts uncreated and only the
+    # sparse non-empty entries need to be built.
     sets = arr._sets
     for i, lines in data["sets"]:
         sets[i] = OrderedDict((line, None) for line in lines)
@@ -82,14 +83,14 @@ def _install_cache(arr, data: Dict) -> None:
 
 
 def _tage_state(bp) -> Dict:
-    tables = []
-    for table in bp.tables:
-        entries = []
-        for idx, entry in enumerate(table):
-            if entry.tag or entry.counter or entry.useful:
-                entries.append([idx, entry.tag, entry.counter,
-                                entry.useful])
-        tables.append(entries)
+    # Each tagged table as its non-zero [idx, tag, counter, useful]
+    # entries.
+    tables = [[[idx, tag, counter, useful]
+               for idx, (tag, counter, useful)
+               in enumerate(zip(tags, counters, usefuls))
+               if tag or counter or useful]
+              for tags, counters, usefuls
+              in zip(bp.tags, bp.counters, bp.useful)]
     return {
         "base": [[idx, val] for idx, val in enumerate(bp.base)
                  if val != 1],
@@ -104,12 +105,12 @@ def _tage_state(bp) -> Dict:
 def _install_tage(bp, data: Dict) -> None:
     for idx, val in data["base"]:
         bp.base[idx] = val
-    for table, entries in zip(bp.tables, data["tables"]):
+    for tags, counters, usefuls, entries in zip(
+            bp.tags, bp.counters, bp.useful, data["tables"]):
         for idx, tag, counter, useful in entries:
-            entry = table[idx]
-            entry.tag = tag
-            entry.counter = counter
-            entry.useful = useful
+            tags[idx] = tag
+            counters[idx] = counter
+            usefuls[idx] = useful
     bp.history = data["history"]
     bp._folds = bp._refold()
     bp._updates = data["updates"]

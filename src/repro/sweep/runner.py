@@ -326,11 +326,13 @@ def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
     payload)`` or ``("err", info)`` per cell, each under its own deadline
     (the first's also covers generation, whose failure fails them all)."""
     shared: List = []
-    for pos, job in enumerate(unit):
-        if pos:
-            # A finished System is cyclic garbage: free it before the
-            # next is built, or a unit's peak memory grows per cell.
-            gc.collect()
+    for job in unit:
+        # A finished System is cyclic garbage: free it before the next
+        # is built, or a unit's peak memory grows per cell.  The first
+        # cell collects too — a System allocates too little to trigger
+        # the collector itself, so the previous unit's last one would
+        # otherwise outlive this unit's trace generation.
+        gc.collect()
 
         def cell() -> Dict:
             if not shared:

@@ -44,6 +44,13 @@ def test_chaos_report_is_json_safe():
     assert cell["outcomes"] == 1 and cell["allowed"] == 4
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_no_trials_is_refused(trials):
+    """Zero runs would report every cell clean without running one."""
+    with pytest.raises(ValueError, match="at least one trial"):
+        check_pipelines([SB], ("x86",), trials=trials)
+
+
 def test_watchdog_sweeps_every_run():
     """The watchdog's period is shorter than a battery run, so three
     runs are swept at least three times; a period longer than the runs

@@ -132,6 +132,31 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--trials", "0"],
+    ["chaos", "--trials", "-1"],
+    ["trace", "fft", "-c", "2", "-l", "100", "--sample-interval", "0"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache", "-j", "0"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache", "-j", "-3"],
+    ["zoo", "--random", "-1"],
+    ["lint", "src/repro/lint", "--litmus", "--random", "-5"],
+], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
+        "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
+        "lint-random-neg"])
+def test_bad_count_is_a_usage_error(argv, capsys):
+    """A count that cannot mean what it asks for (no chaos trials, no
+    workers, a zero sampling period, a negative number of random
+    programs) exits 2 with a one-line usage error, before anything
+    runs, instead of a vacuous pass, a silent fallback or a
+    traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument " in err
+    assert "Traceback" not in err
+
+
 def test_rmw_litmus_runs_under_every_model(capsys):
     assert main(["litmus", "sb+rmw-both"]) == 0
     out = capsys.readouterr().out

@@ -257,6 +257,42 @@ class TestStallAccounting:
         assert stats.total.stall_cycles_sq > 0
 
 
+class TestDrainAheadRfo:
+    STORES = 6
+
+    def test_retried_only_after_a_transaction_finishes(self, monkeypatch):
+        """Every MSHR busy and no fill ever arriving: each pending store
+        is offered to ``prefetch_exclusive`` when its address resolves
+        and in one drain-ahead round, not once per tick."""
+        from repro.coherence.mesi import DirectoryBank, PrivateController
+        from repro.cpu.pipeline import Core
+
+        calls, ticks = [], []
+        offer = PrivateController.prefetch_exclusive
+        tick = Core._tick
+        monkeypatch.setattr(
+            PrivateController, "prefetch_exclusive",
+            lambda ctrl, addr: calls.append(addr) or offer(ctrl, addr))
+        monkeypatch.setattr(
+            Core, "_tick", lambda core: ticks.append(1) or tick(core))
+        # Requests never reach the directory, so no transaction finishes.
+        monkeypatch.setattr(DirectoryBank, "request",
+                            lambda bank, kind, line, requestor: None)
+        t = Trace()
+        for i in range(self.STORES):
+            t.append(store(0x100000 + 4096 * i))
+        for _ in range(2000):
+            t.append(alu())
+        system = System([t], "x86", config=SMALL, warm_caches=False)
+        with pytest.raises(RuntimeError, match="deadlock"):
+            system.run()
+        ctrl = system.memory.controllers[0]
+        assert len(ctrl.txns) == SMALL.core.mshrs
+        assert ctrl.txns_finished == 0
+        assert len(ticks) > 50 * self.STORES
+        assert len(calls) <= 2 * self.STORES
+
+
 class TestDeterminism:
     def test_same_run_same_cycles(self):
         trace = fwd_trace(50)
