@@ -364,6 +364,7 @@ def cmd_sweep(args) -> int:
     import json
 
     from repro.sweep import SweepJob, run_sweep
+    from repro.sweep.cache import content_key
     from repro.sweep.runner import stderr_progress
     from repro.workloads.runner import normalized_times
 
@@ -414,6 +415,11 @@ def cmd_sweep(args) -> int:
                       "length": j.length, "seed": j.seed} for j in jobs],
             "cycles": [None if r is None else r.cycles
                        for r in outcome.results],
+            # The content key of each cell's whole stats payload, so a
+            # reader can check every statistic, not just the cycles.
+            "stats_keys": [None if r is None
+                           else content_key(r.stats.to_dict())
+                           for r in outcome.results],
             "errors": outcome.errors,
             "failed": outcome.failed,
             "interrupted": outcome.interrupted,
@@ -1022,6 +1028,19 @@ def _int_at_least(minimum: int, what: str) -> Callable[[str], int]:
     return parse
 
 
+def _positive_seconds(text: str) -> float:
+    """An argparse type: a positive number of seconds; anything else is
+    a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
 def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                        ) -> None:
     """``name`` (``names``: one or more) and ``-c/-l/--seed`` of bench,
@@ -1089,7 +1108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="litmus7-style sampling")
     p.add_argument("name")
     p.add_argument("-m", "--model", default="x86", choices=MODELS)
-    p.add_argument("-n", "--runs", type=int, default=10_000)
+    p.add_argument("-n", "--runs", default=10_000,
+                   type=_int_at_least(1, "a positive run count"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=cmd_sample)
@@ -1172,8 +1192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: $REPRO_WORKERS "
                         "or the CPU count, capped at the number of "
                         "uncached cells; 1 runs in-process)")
-    p.add_argument("--checkpoint-every", type=int, default=None,
-                   metavar="N",
+    p.add_argument("--checkpoint-every", default=None, metavar="N",
+                   type=_int_at_least(1, "a positive cycle count"),
                    help="checkpoint each cell every ~N cycles; failed "
                         "or killed cells resume from the last snapshot "
                         "on retry instead of restarting")
@@ -1190,11 +1210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-out", default=None, metavar="PATH",
                    help="write per-cell obs summaries as JSONL "
                         "(implies --obs)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    p.add_argument("--timeout", type=_positive_seconds, default=None,
+                   metavar="SEC",
                    help="per-job wall-clock budget in seconds; a cell "
                         "that blows it is a structured failure, not a "
                         "hung sweep")
-    p.add_argument("--retries", type=int, default=0,
+    p.add_argument("--retries", default=0,
+                   type=_int_at_least(0, "a retry count of 0 or more"),
                    help="extra attempts for failed cells (with "
                         "exponential backoff between rounds)")
     p.add_argument("-o", "--out", default=None, metavar="PATH",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple, Union
 
 
@@ -159,8 +160,10 @@ class Program:
                     f"{self.name}: registers must be written once per "
                     f"thread (single-assignment form)")
 
-    @property
+    @cached_property
     def addresses(self) -> Tuple[str, ...]:
+        """Every address, initial ones first, in order of appearance
+        (computed once: the program is frozen)."""
         seen: Dict[str, None] = {}
         for addr, _ in self.initial:
             seen.setdefault(addr)

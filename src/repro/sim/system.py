@@ -49,7 +49,13 @@ class System:
         self.probe_bus = probes  # None => every component uses NULL_BUS
         self.memory = CoherentMemorySystem(self.engine, self.config,
                                            probes=probes)
-        if warm_caches:
+        if isinstance(warm_caches, dict):
+            # A memory image of an already warmed memory system
+            # (repro.snapshot.capture_memory): the state the walk below
+            # would leave, installed without walking.
+            from repro.snapshot import install_memory
+            install_memory(self.memory, warm_caches)
+        elif warm_caches:
             # The paper measures after a warm-up phase; install working
             # sets functionally before the cores exist (so no squash
             # listeners fire).  Pass a list of traces to warm from a
@@ -234,7 +240,10 @@ def simulate(traces: Sequence["Trace"], policy: str,
         detect_violations: enable the store-atomicity violation witness
             (Section III); useful for x86 vs 370 comparisons.
         warm_caches: functionally pre-install the traces' working sets
-            (models the paper's post-warm-up measurement window).
+            (models the paper's post-warm-up measurement window): True
+            walks ``traces``, a list of traces walks those, and a dict
+            from :func:`repro.snapshot.capture_memory` installs a
+            memory image warmed elsewhere.
         max_cycles: safety bound.
     """
     return System(traces, policy, config, detect_violations,

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 #: Bump when the serialized layout changes incompatibly.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _entry(covered=(), empty=(), transient=()) -> Dict[str, FrozenSet[str]]:

@@ -22,6 +22,11 @@ Two operations:
     where the captured one stopped.  Byte-identical: running the
     restored system yields the same :class:`SystemStats` the captured
     run would have produced.
+
+Both build on one memory pair, :func:`capture_memory` and
+:func:`install_memory` (controllers, cache arrays, directory banks),
+which the sweep also uses to warm a trace unit's memory once and
+install the image into every cell.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ def _cache_state(arr) -> Dict:
     # system, so skipping empties is a measurable win on both capture
     # and install.
     return {
-        "num_sets": arr.num_sets,
+        "num_sets": arr.num_sets, "ways": arr.ways,
+        "line_bytes": arr.line_bytes,
         "sets": [[i, list(lines)] for i, lines in enumerate(arr._sets)
                  if lines],
         "hits": arr.hits, "misses": arr.misses, "evictions": arr.evictions,
@@ -66,17 +72,20 @@ def _cache_state(arr) -> Dict:
 
 def _install_cache(arr, data: Dict) -> None:
     from collections import OrderedDict
-    num_sets = data["num_sets"]
-    if num_sets != arr.num_sets:
+    geometry = data["num_sets"], data["ways"], data["line_bytes"]
+    target = arr.num_sets, arr.ways, arr.line_bytes
+    if geometry != target:
         raise SnapshotError(
-            f"cache geometry mismatch: snapshot has {num_sets} sets, "
-            f"target has {arr.num_sets}")
-    # Install helpers only ever run on freshly constructed systems
-    # (inside restore()), so every set starts uncreated and only the
-    # sparse non-empty entries need to be built.
+            f"cache geometry mismatch: snapshot has (sets, ways, line "
+            f"bytes) {geometry}, target has {target}")
+    # Install helpers only ever run on freshly constructed memory
+    # systems, so every set starts uncreated and only the sparse
+    # non-empty entries need to be built; ``fromkeys`` keeps the LRU
+    # order at the cost of a plain copy.
     sets = arr._sets
+    fromkeys = OrderedDict.fromkeys
     for i, lines in data["sets"]:
-        sets[i] = OrderedDict((line, None) for line in lines)
+        sets[i] = fromkeys(lines)
     arr.hits = data["hits"]
     arr.misses = data["misses"]
     arr.evictions = data["evictions"]
@@ -254,7 +263,7 @@ def _controller_state(ctrl) -> Dict:
 
 
 def _install_controller(ctrl, data: Dict) -> None:
-    ctrl.state = {line: st for line, st in data["state"]}
+    ctrl.state = dict(data["state"])
     ctrl._fault_store_horizon = data["fault_store_horizon"]
     _install_cache(ctrl.hierarchy.l1, data["l1"])
     _install_cache(ctrl.hierarchy.l2, data["l2"])
@@ -273,11 +282,40 @@ def _bank_state(bank) -> Dict:
 
 
 def _install_bank(bank, data: Dict) -> None:
-    bank.owner = {line: core for line, core in data["owner"]}
+    bank.owner = dict(data["owner"])
     bank.sharers = {line: set(cores) for line, cores in data["sharers"]}
     bank.stale_putm = {tuple(key) if isinstance(key, list) else key: value
                       for key, value in data["stale_putm"]}
     _install_cache(bank.l3, data["l3"])
+
+
+def capture_memory(memory) -> Dict:
+    """The memory half of a snapshot: every private controller's line
+    states and L1/L2 arrays, every directory bank and its L3 slice, as
+    pure data.  A warm-up leaves nothing else behind, so an image of a
+    warmed :class:`~repro.coherence.mesi.CoherentMemorySystem` can
+    stand in for the walk (``System(..., warm_caches=image)``)."""
+    return {
+        "controllers": [_controller_state(ctrl)
+                        for ctrl in memory.controllers],
+        "banks": [_bank_state(bank) for bank in memory.banks],
+    }
+
+
+def install_memory(memory, image: Dict) -> None:
+    """Inverse of :func:`capture_memory`, into a freshly built memory
+    system of the same shape (core count, bank count, cache geometry)."""
+    controllers, banks = image["controllers"], image["banks"]
+    if (len(controllers), len(banks)) != (len(memory.controllers),
+                                          len(memory.banks)):
+        raise SnapshotError(
+            f"memory shape mismatch: image has {len(controllers)} "
+            f"controllers and {len(banks)} banks, target has "
+            f"{len(memory.controllers)} and {len(memory.banks)}")
+    for ctrl, ctrl_data in zip(memory.controllers, controllers):
+        _install_controller(ctrl, ctrl_data)
+    for bank, bank_data in zip(memory.banks, banks):
+        _install_bank(bank, bank_data)
 
 
 def _faults_state(plan) -> Optional[Dict]:
@@ -405,9 +443,7 @@ def capture(system: "System") -> Snapshot:
         },
         "network_messages": dict(system.memory.network.stats.messages),
         "cores": [_core_state(core) for core in system.cores],
-        "controllers": [_controller_state(ctrl)
-                        for ctrl in system.memory.controllers],
-        "banks": [_bank_state(bank) for bank in system.memory.banks],
+        **capture_memory(system.memory),
         "faults": _faults_state(system.faults),
     }
     return Snapshot(data)
@@ -461,11 +497,7 @@ def restore(snapshot: Snapshot, traces: Sequence["Trace"],
                                in data["memory_data"]})
     for core, core_data in zip(system.cores, data["cores"]):
         _install_core(core, core_data)
-    for ctrl, ctrl_data in zip(system.memory.controllers,
-                               data["controllers"]):
-        _install_controller(ctrl, ctrl_data)
-    for bank, bank_data in zip(system.memory.banks, data["banks"]):
-        _install_bank(bank, bank_data)
+    install_memory(system.memory, data)
     system.memory.stats_invalidations = data["mem_stats"]["invalidations"]
     system.memory.stats_evictions = data["mem_stats"]["evictions"]
     system.memory.network.stats.messages = dict(data["network_messages"])

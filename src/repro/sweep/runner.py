@@ -4,9 +4,12 @@ The pool's task is a *trace unit*: the cells that share a trace
 specification (profile, cores, resolved length, seed, hint stripping),
 like the five policies of a Fig. 10 row.  A unit generates its traces
 once, inside the worker, so the pool pickles only small
-:class:`SweepJob` lists.  Generation and the engine are deterministic,
-so results are placed back at their job's input index and every cell
-equals :func:`execute_job` (the one-cell unit) run alone.
+:class:`SweepJob` lists, and walks its cache warm-up once per cache
+geometry, installing the captured memory image into each cell
+(:func:`repro.snapshot.capture_memory`).  Generation, the warm-up and
+the engine are deterministic, so results are placed back at their
+job's input index and every cell equals :func:`execute_job` (the
+one-cell unit) run alone.
 
 Completed results are stored in a :class:`~repro.sweep.cache.ResultCache`
 keyed by :func:`job_key`, so re-running a figure after editing only the
@@ -16,15 +19,16 @@ Crash tolerance
 ---------------
 
 A sweep survives its own cells: a per-cell ``timeout`` (a SIGALRM timer
-inside the worker; a unit's first cell also pays for generation),
+inside the worker; a unit's first cell also pays for its set-up),
 bounded ``retries`` with exponential ``backoff``, and per-cell
 structured error payloads.  A cell that keeps failing becomes ``None``
 in ``SweepOutcome.results`` with its error in ``SweepOutcome.errors`` at
 the same index — the sweep completes with partial results instead of
-dying.  A failing cell never fails its siblings; a generation error
-fails its unit, and a dead worker process every in-flight unit, all
-retryably on a fresh pool.  Ctrl-C cancels outstanding futures, salvages
-cells that already finished, and returns (and caches) the partial outcome.
+dying.  A failing cell never fails its siblings; a set-up error
+(generation or the shared warm-up) fails its unit, and a dead worker
+process every in-flight unit, all retryably on a fresh pool.  Ctrl-C
+cancels outstanding futures, salvages cells that already finished, and
+returns (and caches) the partial outcome.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.sim.config import SystemConfig
+from repro.sim.config import SKYLAKE_LIKE, SystemConfig
 from repro.sim.stats import SystemStats
 from repro.sim.system import simulate
 from repro.sweep.cache import ResultCache, code_version, content_key
@@ -319,36 +323,80 @@ def with_deadline(fn: Callable[[], Dict], timeout: Optional[float],
             signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6))
 
 
+def _warm_key(job: SweepJob) -> Tuple:
+    """What a job's cache warm-up depends on: the cache geometry (the
+    walk reads no latency, prefetcher or network setting)."""
+    memory = (job.config or SKYLAKE_LIKE).memory
+    return memory.l1, memory.l2, memory.l3_bank, memory.l3_banks
+
+
+def _unit_setup(unit: Sequence[SweepJob]) -> Tuple[List, Dict]:
+    """A unit's traces, and one memory image per cache geometry its
+    cells use: the warm-up walked once into a bare memory system and
+    captured, for each cell to install instead of walking."""
+    from repro.coherence.mesi import CoherentMemorySystem
+    from repro.coherence.warmup import warm_from_traces
+    from repro.sim.engine import Engine
+    from repro.snapshot import capture_memory
+
+    first = unit[0]
+    traces, warm = cell_traces(first.name, first.cores, first.length,
+                               first.seed, first.memdep_hints)
+    images: Dict[Tuple, Dict] = {}
+    for job in unit:
+        key = _warm_key(job)
+        if key not in images:
+            warmed = CoherentMemorySystem(Engine(), dataclasses.replace(
+                SKYLAKE_LIKE, cores=len(traces),
+                memory=(job.config or SKYLAKE_LIKE).memory))
+            warm_from_traces(warmed, warm)
+            images[key] = capture_memory(warmed)
+    return traces, images
+
+
 def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
                    cache_dir: Union[str, os.PathLike, None] = None
                    ) -> Iterator[Tuple[str, Dict]]:
-    """Run a unit's cells on traces generated once, yielding ``("ok",
-    payload)`` or ``("err", info)`` per cell, each under its own deadline
-    (the first's also covers generation, whose failure fails them all)."""
+    """Run a unit's cells on one set-up (:func:`_unit_setup`), yielding
+    ``("ok", payload)`` or ``("err", info)`` per cell, each under its
+    own deadline (the first's also covers the set-up, whose failure
+    fails them all).
+
+    Once set up, the unit collects and freezes what it holds out of the
+    collector's reach until it ends (``gc.freeze``), so the collection
+    before each cell scans only the previous cell's garbage, not the
+    unit's traces."""
     shared: List = []
-    for job in unit:
-        # A finished System is cyclic garbage: free it before the next
-        # is built, or a unit's peak memory grows per cell.  The first
-        # cell collects too — a System allocates too little to trigger
-        # the collector itself, so the previous unit's last one would
-        # otherwise outlive this unit's trace generation.
-        gc.collect()
+    try:
+        for job in unit:
+            # A finished System is cyclic garbage: free it before the
+            # next is built, or a unit's peak memory grows per cell.
+            # The first cell collects too — a System allocates too
+            # little to trigger the collector itself, so the previous
+            # unit's last one would otherwise outlive this unit's
+            # set-up.
+            gc.collect()
 
-        def cell() -> Dict:
+            def cell() -> Dict:
+                if not shared:
+                    shared.extend(_unit_setup(unit))
+                    gc.collect()
+                    gc.freeze()
+                traces, images = shared
+                return _run_cell(job, traces, images[_warm_key(job)],
+                                 cache_dir)
+
+            try:
+                outcome = "ok", with_deadline(cell, timeout,
+                                              f"{job.name}/{job.policy}")
+            except Exception as exc:
+                outcome = "err", _exc_info(exc)
             if not shared:
-                shared.extend(cell_traces(job.name, job.cores, job.length,
-                                          job.seed, job.memdep_hints))
-            return _run_cell(job, *shared, cache_dir)
-
-        try:
-            outcome = "ok", with_deadline(cell, timeout,
-                                          f"{job.name}/{job.policy}")
-        except Exception as exc:
-            outcome = "err", _exc_info(exc)
-        if not shared:
-            yield from [outcome] * len(unit)
-            return
-        yield outcome
+                yield from [outcome] * len(unit)
+                return
+            yield outcome
+    finally:
+        gc.unfreeze()
 
 
 def _execute_unit(unit: Sequence[SweepJob], timeout: Optional[float],

@@ -229,7 +229,9 @@ def search(bounds: SynthBounds,
             result.hits += 1
             small = minimize_program(program, pair)
             key = canonical_key(small)
-            if key in known:
+            # Indices only rise within a chunk, so a held (pair, key)
+            # slot keeps its witness (see _record): skip the profile.
+            if key in known or (pair, key) in result.distinguishers:
                 continue
             small_profile = outcome_profile(small)
             _record(result, Distinguisher(

@@ -12,11 +12,15 @@ The load-bearing properties:
 """
 
 import dataclasses
+import gc
+import time
 
 import pytest
 
-from repro.sim.config import SKYLAKE_LIKE, TINY
+from repro.coherence import warmup
+from repro.sim.config import SKYLAKE_LIKE, TINY, CacheConfig
 from repro.sweep import SweepJob, job_key, run_sweep
+from repro.sweep import runner as sweep_runner
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import execute_job
 from repro.workloads import runner, synthetic
@@ -208,6 +212,117 @@ def test_every_unit_cell_equals_its_job_run_alone(tmp_path):
             payload = dict(payload)
             assert obs == payload.pop("obs", None), (workers, job)
             assert result.stats.to_dict() == payload, (workers, job)
+
+
+SMALL_L2 = dataclasses.replace(
+    SKYLAKE_LIKE, memory=dataclasses.replace(
+        SKYLAKE_LIKE.memory, l2=CacheConfig(16 * 1024, 8, 12)))
+SMALL_L1 = dataclasses.replace(
+    SKYLAKE_LIKE, memory=dataclasses.replace(
+        SKYLAKE_LIKE.memory, l1=CacheConfig(8 * 1024, 4, 4)))
+NO_PREFETCH = dataclasses.replace(
+    SKYLAKE_LIKE, memory=dataclasses.replace(
+        SKYLAKE_LIKE.memory, prefetcher=False))
+
+
+def _mixed_memory_jobs(names=("fft", "radix")):
+    """Per profile, one trace unit over three cache geometries: the
+    default (x86, an obs cell, a checkpointed cell, a cell without the
+    prefetcher), a smaller L2 (x86, a violation-detector cell) and a
+    smaller L1 with one cell."""
+    jobs = []
+    for name in names:
+        cell = SweepJob(name=name, policy="x86", cores=CORES, length=LENGTH)
+        jobs += [cell,
+                 dataclasses.replace(cell, config=SMALL_L2),
+                 dataclasses.replace(cell, policy="370-SLFSoS-key",
+                                     obs=True),
+                 dataclasses.replace(cell, policy="370-SLFSoS-key",
+                                     config=SMALL_L2,
+                                     detect_violations=True),
+                 dataclasses.replace(cell, policy="370-SLFSoS",
+                                     checkpoint_every=150),
+                 dataclasses.replace(cell, policy="370-SLFSpec",
+                                     config=SMALL_L1),
+                 dataclasses.replace(cell, policy="370-NoSpec",
+                                     config=NO_PREFETCH)]
+    return jobs
+
+
+def test_unit_over_several_memory_configurations_equals_each_cell_alone(
+        tmp_path):
+    """A unit installs one warmed image per cache geometry; every cell
+    still equals execute_job, which walks its own warm-up, serially and
+    pooled."""
+    jobs = _mixed_memory_jobs()
+    alone = [execute_job(job) for job in jobs]
+    assert alone[0] != alone[1]   # the smaller L2 changes the run
+    for workers in (1, 2):
+        outcome = run_sweep(jobs, workers=workers,
+                            cache_dir=tmp_path / f"w{workers}")
+        assert outcome.failed == 0 and outcome.units == 2
+        for job, result, obs, payload in zip(jobs, outcome.results,
+                                             outcome.obs, alone):
+            payload = dict(payload)
+            assert obs == payload.pop("obs", None), (workers, job)
+            assert result.stats.to_dict() == payload, (workers, job)
+
+
+def test_unit_walks_once_per_cache_geometry(monkeypatch):
+    """The three geometries walk once each in the set-up (the cell
+    without the prefetcher shares the default's walk): 3 walks, not 7,
+    and every cell, the one alone in its geometry too, installs an
+    image."""
+    walks, warms = [], []
+    real_walk, real_cell = warmup.warm_from_traces, sweep_runner._run_cell
+
+    def counting(memory, traces):
+        walks.append((memory.config.l1.size_bytes,
+                      memory.config.l2.size_bytes))
+        return real_walk(memory, traces)
+
+    def recording(job, traces, warm, cache_dir):
+        warms.append(type(warm))
+        return real_cell(job, traces, warm, cache_dir)
+
+    monkeypatch.setattr(warmup, "warm_from_traces", counting)
+    monkeypatch.setattr(sweep_runner, "_run_cell", recording)
+    outcome = run_sweep(_mixed_memory_jobs(["fft"]), workers=1,
+                        cache=False)
+    assert outcome.failed == 0
+    assert sorted(walks) == [(8 * 1024, 128 * 1024), (32 * 1024, 16 * 1024),
+                             (32 * 1024, 128 * 1024)]
+    assert warms == [dict] * 7
+
+
+def test_unit_unfreezes_the_collector_however_it_ends(monkeypatch):
+    """The unit's set-up stays frozen out of the collector while its
+    cells run and is unfrozen when the unit ends, also after a cell
+    that raises or times out, and when it is closed early."""
+    real = sweep_runner._run_cell
+    frozen = []
+
+    def flaky(job, traces, warm, cache_dir):
+        frozen.append(gc.get_freeze_count())
+        if job.policy == "370-NoSpec":
+            raise RuntimeError("boom")
+        if job.policy == "370-SLFSpec":
+            time.sleep(60)   # until the deadline fires
+        return real(job, traces, warm, cache_dir)
+
+    monkeypatch.setattr(sweep_runner, "_run_cell", flaky)
+    unit = _grid_jobs(["fft"])
+    outcomes = sweep_runner._execute_unit(unit, timeout=2.0)
+    assert [status for status, _ in outcomes] == [
+        "ok", "err", "err", "ok", "ok"]
+    assert not outcomes[1][1]["timeout"] and outcomes[2][1]["timeout"]
+    assert len(frozen) == 5 and min(frozen) > 0
+    assert gc.get_freeze_count() == 0
+
+    cells = sweep_runner._unit_outcomes(unit, None)
+    assert next(cells)[0] == "ok" and gc.get_freeze_count() > 0
+    cells.close()
+    assert gc.get_freeze_count() == 0
 
 
 def test_serial_sweep_generates_once_per_unit(monkeypatch):

@@ -107,6 +107,21 @@ def test_sweep(capsys):
         assert policy in out
 
 
+def test_sweep_out_carries_each_cells_stats_key(tmp_path, capsys):
+    """``sweep -o`` keys each cell's whole stats payload, so a reader
+    can hold every statistic to the cell run alone."""
+    from repro.sweep.cache import content_key
+    from repro.sweep.runner import SweepJob, execute_job
+
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "fft", "-c", "2", "-l", "300", "--no-cache",
+                 "-j", "1", "-o", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert len(report["stats_keys"]) == len(report["jobs"]) == 5
+    for job, key in zip(report["jobs"], report["stats_keys"]):
+        assert key == content_key(execute_job(SweepJob(**job))), job
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "nosuch"],
     ["bench", "fft", "-c", "0"],
@@ -140,15 +155,32 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache", "-j", "-3"],
     ["zoo", "--random", "-1"],
     ["lint", "src/repro/lint", "--litmus", "--random", "-5"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+     "--timeout", "-1"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+     "--timeout", "0"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+     "--timeout", "nan"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+     "--checkpoint-every", "0"],
+    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+     "--retries", "-2"],
+    ["sample", "sb", "-n", "-3"],
+    ["sample", "sb", "-n", "0"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
-        "lint-random-neg"])
+        "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
+        "sweep-timeout-nan",
+        "sweep-checkpoint-every-0", "sweep-retries-neg",
+        "sample-runs-neg", "sample-runs-0"])
 def test_bad_count_is_a_usage_error(argv, capsys):
-    """A count that cannot mean what it asks for (no chaos trials, no
-    workers, a zero sampling period, a negative number of random
-    programs) exits 2 with a one-line usage error, before anything
-    runs, instead of a vacuous pass, a silent fallback or a
-    traceback."""
+    """A count or budget that cannot mean what it asks for (no chaos
+    trials, no workers, a zero sampling period, a negative number of
+    random programs, a sweep timeout that is not a positive number of
+    seconds, a checkpoint period below 1, negative retries, no sampling
+    runs) exits 2 with a one-line usage error, before anything runs,
+    instead of a vacuous pass, a silent fallback, a failure of every
+    cell or a traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
