@@ -370,8 +370,7 @@ def cmd_sweep(args) -> int:
 
     obs = args.obs or bool(args.obs_out)
     jobs = [SweepJob(name=name, policy=policy, cores=args.cores,
-                     length=args.length, seed=args.seed, obs=obs,
-                     checkpoint_every=args.checkpoint_every)
+                     length=args.length, seed=args.seed, obs=obs)
             for name in args.names for policy in POLICY_ORDER]
     outcome = run_sweep(jobs, workers=args.jobs, cache=not args.no_cache,
                         cache_dir=args.cache_dir,
@@ -1192,11 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: $REPRO_WORKERS "
                         "or the CPU count, capped at the number of "
                         "uncached cells; 1 runs in-process)")
-    p.add_argument("--checkpoint-every", default=None, metavar="N",
-                   type=_int_at_least(1, "a positive cycle count"),
-                   help="checkpoint each cell every ~N cycles; failed "
-                        "or killed cells resume from the last snapshot "
-                        "on retry instead of restarting")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore and do not write the result cache")
     p.add_argument("--cache-dir", default=None,
@@ -1254,20 +1248,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8377,
                    help="TCP port (0 = pick a free one; the bound port "
                         "is printed on stdout)")
-    p.add_argument("--shards", type=int, default=2,
+    p.add_argument("--shards", default=2,
+                   type=_int_at_least(1, "a positive shard count"),
                    help="worker processes; the longest-idle one takes "
                         "the next queued job")
-    p.add_argument("--queue-limit", type=int, default=64,
+    p.add_argument("--queue-limit", default=64,
+                   type=_int_at_least(1, "a positive job count"),
                    help="queued plus running jobs per shard before "
                         "admission control rejects (429)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
+    p.add_argument("--timeout", type=_positive_seconds, default=None,
+                   metavar="SEC",
                    help="per-job wall-clock budget (SIGALRM, as in "
                         "'sweep')")
-    p.add_argument("--retries", type=int, default=1,
+    p.add_argument("--retries", default=1,
+                   type=_int_at_least(0, "a retry count of 0 or more"),
                    help="extra attempts for failed jobs")
     p.add_argument("--backoff", type=float, default=0.5,
                    help="base retry backoff in seconds (exponential)")
-    p.add_argument("--stuck-after", type=float, default=None,
+    p.add_argument("--stuck-after", type=_positive_seconds, default=None,
                    metavar="SEC",
                    help="watchdog: recycle a shard whose in-flight job "
                         "exceeds this many wall-clock seconds")
@@ -1277,7 +1275,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result store directory (default: "
                         "$REPRO_SWEEP_CACHE or .sweep-cache — shared "
                         "with 'repro sweep')")
-    p.add_argument("--cache-max-bytes", type=int, default=None,
+    p.add_argument("--cache-max-bytes", default=None,
+                   type=_int_at_least(0, "a byte count of 0 or more"),
                    help="bound the persistent store (LRU pruning)")
     p.add_argument("--drain-timeout", type=float, default=None,
                    metavar="SEC",

@@ -75,7 +75,6 @@ class Core:
         "deferred_on_fence", "barrier_seq", "_sb_inflight",
         "_sb_miss_inflight", "_rfo_pending", "_rfo_scan_at", "finished",
         "_sleeping", "_sleep_since", "_sleep_stall", "_tick_scheduled",
-        "dispatch_paused",
     )
 
     def __init__(self, engine: Engine, core_id: int, config: SystemConfig,
@@ -171,9 +170,6 @@ class Core:
         self._sleep_since = 0
         self._sleep_stall = _STALL_NONE
         self._tick_scheduled = False
-        # Checkpoint support (repro.snapshot): while True, dispatch
-        # fetches nothing, so the pipeline drains to a quiescent point.
-        self.dispatch_paused = False
 
     # ------------------------------------------------------------------
     # Scheduling / sleep management
@@ -362,7 +358,7 @@ class Core:
         while dispatched < issue_width:
             if fetch_idx >= trace_len:
                 break
-            if self.barrier_seq is not None or self.dispatch_paused:
+            if self.barrier_seq is not None:
                 break
             op = ops[fetch_idx]
             kind = op.kind

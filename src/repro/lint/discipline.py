@@ -30,7 +30,6 @@ paragraph rendered by ``repro lint --rules`` and docs/STATIC_ANALYSIS.md.
 from __future__ import annotations
 
 import ast
-import os
 from typing import Iterator, List, Optional, Set
 
 from repro.lint.engine import (LintVisitor, Rule, SourceFile, Violation,
@@ -535,81 +534,6 @@ class _SetOrderScanner(LintVisitor):
                 and node.func.attr == "join" and node.args \
                 and self._is_set_valued(node.args[0]):
             self.hits.append(node.args[0])
-
-
-def _literal_slot_names(node: ast.ClassDef) -> List[ast.Constant]:
-    """The string constants of a literal ``__slots__`` tuple/list
-    assignment in a class body (empty when absent or non-literal)."""
-    for stmt in node.body:
-        targets: List[ast.AST] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        if not any(isinstance(t, ast.Name) and t.id == "__slots__"
-                   for t in targets):
-            continue
-        value = stmt.value
-        if isinstance(value, (ast.Tuple, ast.List)):
-            return [el for el in value.elts
-                    if isinstance(el, ast.Constant)
-                    and isinstance(el.value, str)]
-    return []
-
-
-def _repro_relative(path: str) -> Optional[str]:
-    """``repro/cpu/pipeline.py`` for any path whose tail contains a
-    ``repro`` component (fixture trees included), else None."""
-    parts = os.path.normpath(path).split(os.sep)
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == "repro":
-            return "/".join(parts[i:])
-    return None
-
-
-@register
-class SnapCoverageRule(Rule):
-    id = "snap-coverage"
-    summary = "snapshot-covered classes must schema every __slots__ entry"
-    rationale = (
-        "repro.snapshot serializes exactly the attributes its schema "
-        "(repro/snapshot/schema.py) lists for each covered class, "
-        "partitioned into covered / empty-at-quiescence / rebuilt-by-"
-        "constructor.  A new mutable attribute added to one of those "
-        "classes but missing from every bucket would silently escape "
-        "capture(): restore() would rebuild it at its constructor "
-        "default and checkpoint-resumed runs would diverge from "
-        "uninterrupted ones.  This rule makes that a lint failure at "
-        "the line that added the slot, instead of a determinism bug "
-        "found weeks later.")
-    scope = "all"
-
-    def check(self, source: SourceFile) -> Iterator[Violation]:
-        from repro.snapshot.schema import (SCHEMA_MODULES,
-                                           schema_buckets)
-        rel = _repro_relative(source.path)
-        if rel is None:
-            return
-        rel_dir = rel.rsplit("/", 1)[0] if "/" in rel else ""
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            home = SCHEMA_MODULES.get(node.name)
-            # Only checked in the class's home package, so an unrelated
-            # class elsewhere that shares a schema name is never
-            # misflagged.
-            if home is None or rel_dir != home.rsplit("/", 1)[0]:
-                continue
-            known = schema_buckets(node.name)
-            for const in _literal_slot_names(node):
-                if const.value in known:
-                    continue
-                yield self.violation(
-                    source, const,
-                    f"{node.name}.{const.value} is not in the snapshot "
-                    f"schema; add it to covered/empty/transient in "
-                    f"repro/snapshot/schema.py (and to the serializer "
-                    f"if it must be captured)")
 
 
 @register

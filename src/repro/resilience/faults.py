@@ -118,29 +118,6 @@ class FaultPlan:
         if spec.squash_period > 0:
             system.engine.schedule(spec.squash_period, self._squash_tick)
 
-    def install_restored(self, system: "System") -> None:
-        """Re-attach to a system rebuilt from a snapshot
-        (:func:`repro.snapshot.restore`): wire the latency/commit hooks
-        but do *not* schedule the periodic ticks — the snapshot's queue
-        residue already carries the pending tick events, and scheduling
-        fresh ones would double the metronome.  The caller is expected
-        to have reinstalled the RNG stream states and injected counts
-        captured with the snapshot."""
-        if self._installed:
-            raise RuntimeError("a FaultPlan is single-use; make a new one "
-                               "per restore")
-        self._installed = True
-        system.faults = self
-        spec = self.spec
-        if not spec.enabled:
-            return
-        self._system = system
-        if spec.noc_jitter and spec.noc_jitter_prob > 0:
-            system.memory.network.fault_delay = self._noc_extra
-        if spec.sb_delay and spec.sb_delay_prob > 0:
-            for ctrl in system.memory.controllers:
-                ctrl.fault_store_delay = self._sb_extra
-
     # -- hook callbacks -------------------------------------------------
 
     def _noc_extra(self, msg_class: str) -> int:

@@ -87,7 +87,7 @@ def system_diagnostic(system: "System", **extra) -> Dict:
     diag = {
         "cycle": system.engine.now,
         "policy": system.policy_name,
-        "pending_events": system.engine.pending,
+        "queued_events": system.engine.pending,
         "events_dispatched": system.engine.events_dispatched,
         "unfinished_cores": system._unfinished,
         "cores": [core_snapshot(core) for core in system.cores],

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.jobs import (DONE, FAILED, REJECTED, RUNNING, Job,
+from repro.serve.jobs import (DONE, FAILED, REJECTED, Job,
                               JobValidationError, next_job_id,
                               parse_request, request_key)
 from repro.serve.store import ResultStore
@@ -530,12 +530,4 @@ class HttpApi:
                              "message": f"wait={wait[0]!r} is not a "
                                         f"number"}
             await self.service.wait_for(job, seconds)
-        out = job.to_dict()
-        if job.state == RUNNING:
-            # Checkpointed cells stream partial progress through the
-            # store as they run; surface it to pollers so a long job is
-            # distinguishable from a stuck one.
-            prog = self.service.store.progress(job.key)
-            if prog is not None:
-                out["progress"] = prog
-        return 200, out
+        return 200, job.to_dict()

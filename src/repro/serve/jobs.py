@@ -259,7 +259,6 @@ def parse_request(data: object) -> "Tuple[str, JobSpec, int]":
     _require_type(spec_fields, "detect_violations", bool, False)
     _require_type(spec_fields, "memdep_hints", bool, True)
     _require_type(spec_fields, "obs_sample_interval", int, 64)
-    _require_type(spec_fields, "checkpoint_every", int, None)
     if job.policy not in POLICY_ORDER:
         raise JobValidationError(
             f"unknown policy {job.policy!r}",
@@ -389,18 +388,16 @@ def execute_synth(spec: SynthSpec) -> Dict:
     return payload
 
 
-def execute_request(spec: JobSpec, timeout: Optional[float] = None,
-                    cache_dir: Optional[str] = None) -> Dict:
+def execute_request(spec: JobSpec, timeout: Optional[float] = None
+                    ) -> Dict:
     """Run one job spec to completion under the deadline guard.
 
     Module-level (pickles for the process pool).  Returns the result
     payload the store persists: for sweep cells this is exactly
     ``SystemStats.to_dict()`` — the same bytes ``run_sweep`` caches.
-    ``cache_dir`` lets checkpointed sweep cells persist their resume
-    blob and progress document where the service's store can see them.
     """
     if isinstance(spec, SweepJob):
-        return with_deadline(lambda: execute_job(spec, cache_dir), timeout,
+        return with_deadline(lambda: execute_job(spec), timeout,
                              f"{spec.name}/{spec.policy}")
     if isinstance(spec, LeakSpec):
         return with_deadline(lambda: execute_leak(spec), timeout,

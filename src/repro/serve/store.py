@@ -72,24 +72,6 @@ class ResultStore:
         if self.disk is not None:
             self.disk.put(key, payload)
 
-    def progress(self, key: str) -> Optional[Dict]:
-        """The latest checkpoint progress document for ``key``, or None.
-
-        Written by checkpointed sweep cells as they run (see
-        ``ResultCache.put_progress``); disk tier only, since a running
-        job's progress is produced by a worker process, not this one.
-        """
-        if self.disk is None:
-            return None
-        return self.disk.get_progress(key)
-
-    def cache_dir(self) -> Optional[str]:
-        """The disk tier's directory (where workers should put
-        checkpoint blobs and progress), or None when ephemeral."""
-        if self.disk is None:
-            return None
-        return str(self.disk.directory)
-
     def flush(self) -> None:
         """Drain-time barrier: make the disk tier durable.
 

@@ -130,6 +130,8 @@ class ShardedWorkerPool:
             raise ValueError("need at least one shard")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
+        if retries < 0:
+            raise ValueError("retries must be >= 0")
         self.store = store
         self.metrics = metrics
         self.shards = [_Shard(i) for i in range(shards)]
@@ -269,7 +271,7 @@ class ShardedWorkerPool:
             try:
                 payload = await loop.run_in_executor(
                     shard.executor(), execute_request, job.spec,
-                    self.timeout, self.store.cache_dir())
+                    self.timeout)
                 error = None
                 break
             except asyncio.CancelledError:

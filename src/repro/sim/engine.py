@@ -30,10 +30,9 @@ carries an older ``seq`` (it was pushed at least two cycles earlier), so
 a cheap head comparison reproduces the exact global order a pure heap
 would produce.
 
-Termination uses a stop sentinel (:meth:`stop`) instead of polling an
-``until()`` closure on every event; the ``until=`` argument remains for
-callers that wait on a condition other than "every core finished" (the
-checkpoint drain to a quiescent point) and for tests.
+Termination uses a stop sentinel (:meth:`stop`), set by the system
+when its last core finishes, instead of polling a predicate on every
+event; a drained queue or an exhausted cycle budget also ends a run.
 """
 
 from __future__ import annotations
@@ -87,9 +86,8 @@ class Engine:
 
     def stop(self) -> None:
         """Request termination: :meth:`run` returns before dispatching
-        the next event.  The flag is sticky (a later :meth:`run` on a
-        stopped engine returns immediately), mirroring a terminal
-        ``until()`` predicate."""
+        the next event.  The flag is sticky: a later :meth:`run` on a
+        stopped engine returns immediately."""
         self._stopped = True
 
     @property
@@ -102,57 +100,6 @@ class Engine:
         return (len(self._queue) + len(self._bucket_now)
                 + len(self._bucket_next))
 
-    # ------------------------------------------------------------------
-    # Snapshot support (repro.snapshot)
-    # ------------------------------------------------------------------
-
-    def pending_events(self) -> List[_Event]:
-        """Every undispatched ``(time, seq, fn, args)`` in global
-        ``(time, seq)`` order — the queue residue a snapshot captures at
-        a quiescent point."""
-        events = (list(self._bucket_now) + list(self._bucket_next)
-                  + list(self._queue))
-        events.sort(key=lambda e: (e[0], e[1]))
-        return events
-
-    def restore_queue(self, now: int, seq: int,
-                      events: List[_Event]) -> None:
-        """Reinstall a captured clock, seq counter, and queue residue.
-
-        Events are re-routed by distance (``now`` → bucket_now,
-        ``now + 1`` → bucket_next, further out → heap) in seq order.
-        That re-establishes the ordering invariant the run loop relies
-        on: FIFO order inside each bucket is seq order, and every heap
-        event is at least two cycles out, so any event the heap later
-        surfaces on the current or next cycle carries a smaller seq than
-        anything scheduled there since the restore.
-        """
-        for event in events:
-            if event[0] < now:
-                raise ValueError(
-                    f"cannot restore an event at cycle {event[0]}: the "
-                    f"restored clock is {now}")
-            if event[1] > seq:
-                raise ValueError(
-                    f"restored event seq {event[1]} is ahead of the "
-                    f"restored seq counter {seq}")
-        self.now = now
-        self._seq = seq
-        self._stopped = False
-        self._bucket_now = deque()
-        self._bucket_next = deque()
-        self._queue = []
-        for event in sorted(events, key=lambda e: (e[0], e[1])):
-            if event[0] == now:
-                self._bucket_now.append(event)
-            elif event[0] == now + 1:
-                self._bucket_next.append(event)
-            else:
-                self._queue.append(event)
-        heapq.heapify(self._queue)
-
-    # ------------------------------------------------------------------
-
     def _advance(self, time: int) -> None:
         """Move the clock to ``time`` (> now), rolling the next-cycle
         bucket over.  If ``_bucket_next`` is non-empty the earliest
@@ -163,11 +110,9 @@ class Engine:
             self._bucket_now, self._bucket_next = (self._bucket_next,
                                                    self._bucket_now)
 
-    def run(self, until: Callable[[], bool] = None,
-            max_cycles: int = None) -> int:
-        """Run events until :meth:`stop` is called, the queue drains,
-        ``until()`` becomes true, or ``max_cycles`` is exceeded.
-        Returns the final cycle count.
+    def run(self, max_cycles: int = None) -> int:
+        """Run events until :meth:`stop` is called, the queue drains or
+        ``max_cycles`` is exceeded.  Returns the final cycle count.
 
         When the cycle budget is exhausted the clock is left at the
         deadline and every still-queued event strictly after it remains
@@ -184,8 +129,6 @@ class Engine:
         try:
             while True:
                 if self._stopped:
-                    break
-                if until is not None and until():
                     break
                 bucket_now = self._bucket_now
                 if bucket_now:
@@ -253,8 +196,7 @@ class Engine:
                         event[2](*event[3])
                         if hook is not None:
                             hook()
-                        if self._stopped or (until is not None
-                                             and until()):
+                        if self._stopped:
                             halted = True
                             break
                         if bucket_now or bucket_next or not queue:

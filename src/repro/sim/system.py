@@ -107,85 +107,12 @@ class System:
     def done(self) -> bool:
         return self._unfinished == 0
 
-    def _resume_after_checkpoint(self) -> None:
-        """Unpause dispatch and wake every unfinished core.
-
-        Called in exactly two places — after an in-process checkpoint
-        capture and at the end of :func:`repro.snapshot.restore` — so a
-        resumed run and a restored run issue the same wakes in the same
-        order with the same engine seq numbers.
-
-        Also purges squash residue: a squash leaves epoch-dead entries
-        behind in ``ready`` / ``consumers`` / ``deferred_on_store`` /
-        ``deferred_on_fence`` that the pipeline only discards lazily.
-        With the ROB empty (guaranteed at a quiescent point) every such
-        entry is dead, and a *restored* system starts without them —
-        clearing them here keeps the continuing run bit-identical to a
-        run resumed from the snapshot just captured.
-        """
-        for core in self.cores:
-            core.dispatch_paused = False
-            if core.rob.empty:
-                core.ready.clear()
-                core.consumers.clear()
-                core.deferred_on_store.clear()
-                core.deferred_on_fence.clear()
-            if not core.finished:
-                core._wake()
-
-    def _run_checkpointed(self, max_cycles: int, checkpoint_every: int,
-                          on_checkpoint) -> None:
-        """Segmented run: every ``checkpoint_every`` cycles, pause
-        dispatch, drain to a quiescent point, hand a snapshot to
-        ``on_checkpoint``, resume.
-
-        The drains perturb timing (a few bubble cycles per segment), so
-        a checkpointed run is its *own* deterministic mode: two runs
-        with the same ``checkpoint_every`` are byte-identical, and a
-        crash resumed from any of the snapshots finishes with exactly
-        the stats the uninterrupted checkpointed run produces — but the
-        stats differ (slightly) from a ``checkpoint_every=None`` run.
-        """
-        from repro.snapshot import capture, is_quiescent
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        engine = self.engine
-        deadline = engine.now + max_cycles
-        while not self.done and engine.now < deadline:
-            engine.run(max_cycles=min(checkpoint_every,
-                                      deadline - engine.now))
-            if self.done or engine.now >= deadline:
-                break
-            for core in self.cores:
-                core.dispatch_paused = True
-            engine.run(until=lambda: is_quiescent(self),
-                       max_cycles=deadline - engine.now)
-            if not self.done and is_quiescent(self):
-                if on_checkpoint is not None:
-                    on_checkpoint(capture(self))
-                self._resume_after_checkpoint()
-            else:
-                for core in self.cores:
-                    core.dispatch_paused = False
-
-    def run(self, max_cycles: int = 500_000_000,
-            checkpoint_every: Optional[int] = None,
-            on_checkpoint=None) -> SystemStats:
+    def run(self, max_cycles: int = 500_000_000) -> SystemStats:
         """Run to completion (every core retired its whole trace and
-        drained its SB).  Raises on deadlock or cycle-budget overrun.
-
-        With ``checkpoint_every=N``, the run drains to a quiescent
-        point every ~N cycles and passes a
-        :class:`~repro.snapshot.state.Snapshot` to ``on_checkpoint``
-        (see :meth:`_run_checkpointed` for the determinism contract).
-        """
+        drained its SB).  Raises on deadlock or cycle-budget overrun."""
         for core in self.cores:
             core.start()
-        if checkpoint_every is not None:
-            self._run_checkpointed(max_cycles, checkpoint_every,
-                                   on_checkpoint)
-        else:
-            self.engine.run(max_cycles=max_cycles)
+        self.engine.run(max_cycles=max_cycles)
         if not self.done:
             if self.engine.pending == 0:
                 raise RuntimeError(

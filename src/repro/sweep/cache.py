@@ -149,84 +149,6 @@ class ResultCache:
         if self.max_bytes is not None:
             self.gc(self.max_bytes, keep=key)
 
-    # -- checkpoint blobs and progress ---------------------------------
-    #
-    # A long checkpointed job keeps two side files next to its result:
-    # ``<key>.snap`` (the latest snapshot blob, resumed from on retry)
-    # and ``<key>.progress.json`` (a small JSON progress document the
-    # service streams to pollers).  Both are best-effort like results —
-    # losing one costs a restart from cycle 0, never correctness — and
-    # both are cleared when the job finishes.
-
-    def blob_path_for(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.snap"
-
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The checkpoint blob for ``key``, or None.  Unreadable files
-        are a miss with a note (the job restarts from scratch)."""
-        path = self.blob_path_for(key)
-        try:
-            return path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self._warn(f"sweep cache: cannot read {path.name} "
-                       f"({exc}); restarting from cycle 0")
-            return None
-
-    def put_blob(self, key: str, blob: bytes) -> None:
-        """Store a checkpoint blob atomically; failures warn only."""
-        tmp = self.directory / f".{key}.{os.getpid()}.snap.tmp"
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(blob)
-            os.replace(tmp, self.blob_path_for(key))
-        except OSError as exc:
-            self._warn(f"sweep cache: could not store checkpoint "
-                       f"{key[:12]}… ({exc})")
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-    def clear_blob(self, key: str) -> None:
-        try:
-            self.blob_path_for(key).unlink()
-        except OSError:
-            pass
-
-    def progress_path_for(self, key: str) -> pathlib.Path:
-        return self.directory / f"{key}.progress.json"
-
-    def get_progress(self, key: str) -> Optional[dict]:
-        """The latest progress document for ``key``, or None."""
-        path = self.progress_path_for(key)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def put_progress(self, key: str, payload: dict) -> None:
-        tmp = self.directory / f".{key}.{os.getpid()}.progress.tmp"
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp, self.progress_path_for(key))
-        except OSError as exc:
-            self._warn(f"sweep cache: could not store progress "
-                       f"{key[:12]}… ({exc})")
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-
-    def clear_progress(self, key: str) -> None:
-        try:
-            self.progress_path_for(key).unlink()
-        except OSError:
-            pass
-
     # -- bounding ------------------------------------------------------
 
     def _entries(self) -> "list[tuple[float, int, pathlib.Path]]":

@@ -75,23 +75,6 @@ class SweepJob:
     # than a plain run, so the two cannot share cache entries.
     obs: bool = False
     obs_sample_interval: int = 64
-    # Drain to quiescence and checkpoint every ~N cycles; on a retry the
-    # job resumes from the last checkpoint blob instead of cycle 0 (see
-    # ``_execute_checkpointed``).  Checkpointed runs are their own
-    # deterministic mode — the drains alter event timing — so the value
-    # is part of the cache key when set.
-    checkpoint_every: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every is not None:
-            if self.checkpoint_every < 1:
-                raise ValueError("checkpoint_every must be >= 1")
-            if self.obs or self.detect_violations:
-                # A snapshot cannot carry observer state (probes,
-                # detectors) — see repro.snapshot.capture.
-                raise ValueError(
-                    "checkpoint_every cannot be combined with obs or "
-                    "detect_violations (snapshots exclude observers)")
 
     def to_dict(self) -> Dict:
         """JSON-safe description; exact under :meth:`from_dict`.
@@ -104,7 +87,7 @@ class SweepJob:
         if self.config is not None:
             raise ValueError("SweepJob.to_dict: custom SystemConfig is "
                              "not JSON-serializable; use config=None")
-        out = {
+        return {
             "name": self.name,
             "policy": self.policy,
             "cores": self.cores,
@@ -115,11 +98,6 @@ class SweepJob:
             "obs": self.obs,
             "obs_sample_interval": self.obs_sample_interval,
         }
-        # Only when set, so pre-checkpoint wire payloads round-trip
-        # byte-identically.
-        if self.checkpoint_every is not None:
-            out["checkpoint_every"] = self.checkpoint_every
-        return out
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SweepJob":
@@ -128,7 +106,7 @@ class SweepJob:
         entry under a spec the simulation ignored."""
         allowed = {"name", "policy", "cores", "length", "seed",
                    "detect_violations", "memdep_hints", "obs",
-                   "obs_sample_interval", "checkpoint_every"}
+                   "obs_sample_interval"}
         unknown = set(data) - allowed
         if unknown:
             raise ValueError(f"SweepJob.from_dict: unknown field(s) "
@@ -178,7 +156,7 @@ def job_key(job: SweepJob) -> str:
     violation-detector flag, and the simulator source version — the
     complete input closure of a simulation.
     """
-    payload = {
+    return content_key({
         "schema": 1,
         "name": job.name,
         "policy": job.policy,
@@ -192,20 +170,11 @@ def job_key(job: SweepJob) -> str:
         "obs": job.obs,
         "obs_sample_interval": job.obs_sample_interval if job.obs else None,
         "code": code_version(),
-    }
-    # Checkpointed runs drain to quiescence periodically, which changes
-    # event timing — a distinct deterministic mode, so a distinct key.
-    # Added conditionally so every pre-existing key is preserved.
-    if job.checkpoint_every is not None:
-        payload["checkpoint_every"] = job.checkpoint_every
-    return content_key(payload)
+    })
 
 
-def _run_cell(job: SweepJob, traces, warm,
-              cache_dir: Union[str, os.PathLike, None]) -> Dict:
+def _run_cell(job: SweepJob, traces, warm) -> Dict:
     """One cell on its unit's traces (which no cell changes)."""
-    if job.checkpoint_every is not None:
-        return _execute_checkpointed(job, traces, warm, cache_dir)
     if job.obs:
         from repro.obs.session import observe_run
         stats, report, _system = observe_run(
@@ -223,73 +192,12 @@ def _run_cell(job: SweepJob, traces, warm,
     return stats.to_dict()
 
 
-def execute_job(job: SweepJob,
-                cache_dir: Union[str, os.PathLike, None] = None) -> Dict:
+def execute_job(job: SweepJob) -> Dict:
     """Run one job to completion — the one-cell trace unit, serve's
-    ``bench`` path; returns the stats as a JSON-safe dict.
-
-    ``cache_dir`` only matters for checkpointed jobs
-    (``job.checkpoint_every``): it is where the resume blob and the
-    progress document live between checkpoints.
-    """
+    ``bench`` path; returns the stats as a JSON-safe dict."""
     traces, warm = cell_traces(job.name, job.cores, job.length, job.seed,
                                job.memdep_hints)
-    return _run_cell(job, traces, warm, cache_dir)
-
-
-def _execute_checkpointed(job: SweepJob, traces, warm,
-                          cache_dir: Union[str, os.PathLike, None]) -> Dict:
-    """Run a job in checkpointed mode, resuming from a stored snapshot.
-
-    Every ~``checkpoint_every`` cycles the system drains to quiescence
-    and the snapshot blob + a small progress document are written to the
-    sweep cache under the job's key.  A crashed or timed-out attempt
-    therefore resumes from the last checkpoint on its retry round
-    instead of repeating the whole run; the side files are cleared on
-    success.  Both paths are deterministic: resuming from any checkpoint
-    yields the same stats as the uninterrupted checkpointed run.
-    """
-    from repro.snapshot import Snapshot, SnapshotError, restore
-    from repro.sim.system import System
-
-    store = ResultCache(cache_dir) if cache_dir is not None else None
-    key = job_key(job) if store is not None else None
-
-    system = None
-    if store is not None:
-        blob = store.get_blob(key)
-        if blob is not None:
-            try:
-                system = restore(Snapshot.from_bytes(blob), traces,
-                                 config=job.config)
-            except SnapshotError:
-                # Stale or corrupt blob (e.g. written by other code):
-                # restart from cycle 0 rather than failing the cell.
-                store.clear_blob(key)
-                system = None
-    if system is None:
-        system = System(traces, job.policy, config=job.config,
-                        warm_caches=warm)
-
-    def on_checkpoint(snapshot) -> None:
-        if store is None:
-            return
-        data = snapshot.data
-        store.put_blob(key, snapshot.to_bytes())
-        store.put_progress(key, {
-            "name": job.name,
-            "policy": job.policy,
-            "cycle": data["engine"]["now"],
-            "fetched": [core["fetch_idx"] for core in data["cores"]],
-            "trace_lens": data["trace_lens"],
-        })
-
-    stats = system.run(checkpoint_every=job.checkpoint_every,
-                       on_checkpoint=on_checkpoint)
-    if store is not None:
-        store.clear_blob(key)
-        store.clear_progress(key)
-    return stats.to_dict()
+    return _run_cell(job, traces, warm)
 
 
 def with_deadline(fn: Callable[[], Dict], timeout: Optional[float],
@@ -354,8 +262,7 @@ def _unit_setup(unit: Sequence[SweepJob]) -> Tuple[List, Dict]:
     return traces, images
 
 
-def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
-                   cache_dir: Union[str, os.PathLike, None] = None
+def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float]
                    ) -> Iterator[Tuple[str, Dict]]:
     """Run a unit's cells on one set-up (:func:`_unit_setup`), yielding
     ``("ok", payload)`` or ``("err", info)`` per cell, each under its
@@ -383,8 +290,7 @@ def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
                     gc.collect()
                     gc.freeze()
                 traces, images = shared
-                return _run_cell(job, traces, images[_warm_key(job)],
-                                 cache_dir)
+                return _run_cell(job, traces, images[_warm_key(job)])
 
             try:
                 outcome = "ok", with_deadline(cell, timeout,
@@ -399,11 +305,10 @@ def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float],
         gc.unfreeze()
 
 
-def _execute_unit(unit: Sequence[SweepJob], timeout: Optional[float],
-                  cache_dir: Union[str, os.PathLike, None] = None
+def _execute_unit(unit: Sequence[SweepJob], timeout: Optional[float]
                   ) -> List[Tuple[str, Dict]]:
     """The pool's entry point (module-level, so it pickles)."""
-    return list(_unit_outcomes(unit, timeout, cache_dir))
+    return list(_unit_outcomes(unit, timeout))
 
 
 def _trace_units(jobs: Sequence[SweepJob], indices: Sequence[int],
@@ -546,10 +451,6 @@ def run_sweep(jobs: Sequence[SweepJob],
             seen.add(key)
             todo.append(idx)
 
-    # Where workers persist checkpoint blobs/progress for checkpointed
-    # jobs (same directory as the result cache, same key namespace).
-    chk_dir = str(store.directory) if store is not None else None
-
     if workers is None:
         workers = default_workers()
     nworkers = max(1, min(workers, len(todo) or 1))
@@ -611,7 +512,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         try:
             for unit in units:
                 retryable += settle(unit, _unit_outcomes(
-                    [jobs[idx] for idx in unit], timeout, chk_dir), attempts)
+                    [jobs[idx] for idx in unit], timeout), attempts)
         except KeyboardInterrupt:
             note("sweep: interrupted — keeping completed cells")
             return [], True
@@ -636,7 +537,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         interrupted = False
         pool = ProcessPoolExecutor(max_workers=min(nworkers, len(units)))
         futures = {pool.submit(_execute_unit, [jobs[idx] for idx in unit],
-                               timeout, chk_dir): unit for unit in units}
+                               timeout): unit for unit in units}
         try:
             for future in as_completed(futures):
                 unit = futures[future]

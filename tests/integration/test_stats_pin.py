@@ -58,7 +58,6 @@ FLAG_PINS = {
     "obs": (True, "8c1f290476309e8d"),
     "detect_violations": (True, "2bcdcd17fbe169ed"),
     "memdep_hints": (False, "d9476b02327e515b"),
-    "checkpoint_every": (150, "da124c110dd89f0f"),
 }
 KERNEL_CELL = SweepJob(name="barnes", policy=KEY, cores=8, length=750)
 KERNEL_PIN = "b60c392473e0487f"

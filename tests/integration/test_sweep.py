@@ -8,7 +8,10 @@ The load-bearing properties:
 * the on-disk cache answers repeat sweeps with zero simulations, and
   its keys distinguish everything that changes a result;
 * cells that share a trace specification run as one *trace unit* on
-  traces generated once, and each still equals its job run alone.
+  traces generated once, and each still equals its job run alone;
+* ``workers=None`` sizes the pool as ``REPRO_WORKERS`` (or the CPU
+  count) capped at the uncached jobs, runs in-process when that is 1,
+  and records which way it went in ``SweepOutcome.mode``.
 """
 
 import dataclasses
@@ -183,17 +186,14 @@ def test_memdep_hint_stripping_changes_the_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _unit_grid():
-    """2 profiles x 5 policies, plus an obs, a detect_violations, a
-    checkpointed and a hint-stripped cell with the grid's names and
-    seed — the first three share a trace unit with grid cells, placed
-    before and after them."""
+    """2 profiles x 5 policies, plus an obs, a detect_violations and a
+    hint-stripped cell with the grid's names and seed — the first two
+    share a trace unit with grid cells, placed before and after them."""
     grid = _grid_jobs(PROFILES[:2])
     fft, radix = grid[0], grid[5]
     return ([dataclasses.replace(fft, policy="370-SLFSoS-key", obs=True)]
             + grid
             + [dataclasses.replace(radix, detect_violations=True),
-               dataclasses.replace(fft, policy="370-SLFSoS",
-                                   checkpoint_every=150),
                dataclasses.replace(radix, policy="370-SLFSoS-key",
                                    memdep_hints=False)])
 
@@ -227,7 +227,7 @@ NO_PREFETCH = dataclasses.replace(
 
 def _mixed_memory_jobs(names=("fft", "radix")):
     """Per profile, one trace unit over three cache geometries: the
-    default (x86, an obs cell, a checkpointed cell, a cell without the
+    default (x86, an obs cell, a SoS cell, a cell without the
     prefetcher), a smaller L2 (x86, a violation-detector cell) and a
     smaller L1 with one cell."""
     jobs = []
@@ -240,8 +240,7 @@ def _mixed_memory_jobs(names=("fft", "radix")):
                  dataclasses.replace(cell, policy="370-SLFSoS-key",
                                      config=SMALL_L2,
                                      detect_violations=True),
-                 dataclasses.replace(cell, policy="370-SLFSoS",
-                                     checkpoint_every=150),
+                 dataclasses.replace(cell, policy="370-SLFSoS"),
                  dataclasses.replace(cell, policy="370-SLFSpec",
                                      config=SMALL_L1),
                  dataclasses.replace(cell, policy="370-NoSpec",
@@ -281,9 +280,9 @@ def test_unit_walks_once_per_cache_geometry(monkeypatch):
                       memory.config.l2.size_bytes))
         return real_walk(memory, traces)
 
-    def recording(job, traces, warm, cache_dir):
+    def recording(job, traces, warm):
         warms.append(type(warm))
-        return real_cell(job, traces, warm, cache_dir)
+        return real_cell(job, traces, warm)
 
     monkeypatch.setattr(warmup, "warm_from_traces", counting)
     monkeypatch.setattr(sweep_runner, "_run_cell", recording)
@@ -302,13 +301,13 @@ def test_unit_unfreezes_the_collector_however_it_ends(monkeypatch):
     real = sweep_runner._run_cell
     frozen = []
 
-    def flaky(job, traces, warm, cache_dir):
+    def flaky(job, traces, warm):
         frozen.append(gc.get_freeze_count())
         if job.policy == "370-NoSpec":
             raise RuntimeError("boom")
         if job.policy == "370-SLFSpec":
             time.sleep(60)   # until the deadline fires
-        return real(job, traces, warm, cache_dir)
+        return real(job, traces, warm)
 
     monkeypatch.setattr(sweep_runner, "_run_cell", flaky)
     unit = _grid_jobs(["fft"])
@@ -353,3 +352,39 @@ def test_one_unit_is_split_across_the_pool():
         "parallel", 2, 2)
     assert outcome.failed == 0 and outcome.simulated == len(jobs)
     assert any("in 2 trace units, 2 worker(s)" in note for note in notes)
+
+
+# ---------------------------------------------------------------------------
+# worker sizing
+# ---------------------------------------------------------------------------
+
+def _job(**kw):
+    base = dict(name="fft", policy="370-SLFSoS", cores=CORES, length=LENGTH)
+    base.update(kw)
+    return SweepJob(**base)
+
+
+def test_explicit_workers_record_plain_modes(tmp_path, monkeypatch):
+    """An explicit ``workers`` and default sizing (``REPRO_WORKERS``
+    capped at the uncached jobs) record the same two modes, and every
+    mode computes the same numbers."""
+    pair = [_job(), _job(policy="x86")]
+    serial = run_sweep([_job()], workers=1, cache_dir=tmp_path / "c1")
+    assert serial.mode == "serial" and serial.workers == 1
+    parallel = run_sweep(pair, workers=2, cache_dir=tmp_path / "c2")
+    assert parallel.mode == "parallel" and parallel.workers == 2
+
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    sized = run_sweep(pair, cache_dir=tmp_path / "c3")
+    assert (sized.mode, sized.workers, sized.simulated) == ("parallel", 2, 2)
+    # Two of these three are cached now: one uncached job runs in-process.
+    one = run_sweep(pair + [_job(policy="370-NoSpec")],
+                    cache_dir=tmp_path / "c3")
+    assert (one.mode, one.workers, one.simulated) == ("serial", 1, 1)
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    pinned = run_sweep(pair, cache_dir=tmp_path / "c4")
+    assert (pinned.mode, pinned.workers, pinned.simulated) == ("serial", 1, 2)
+    for a, b, c in zip(parallel.results, sized.results, pinned.results):
+        assert (dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+                == dataclasses.asdict(c.stats))

@@ -162,30 +162,51 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
      "--timeout", "nan"],
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
-     "--checkpoint-every", "0"],
-    ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
      "--retries", "-2"],
     ["sample", "sb", "-n", "-3"],
     ["sample", "sb", "-n", "0"],
+    ["serve", "--port", "0", "--timeout", "-1"],
+    ["serve", "--port", "0", "--timeout", "0"],
+    ["serve", "--port", "0", "--retries", "-1"],
+    ["serve", "--port", "0", "--shards", "0"],
+    ["serve", "--port", "0", "--queue-limit", "0"],
+    ["serve", "--port", "0", "--cache-max-bytes", "-1"],
+    ["serve", "--port", "0", "--stuck-after", "-1"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
         "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
-        "sweep-timeout-nan",
-        "sweep-checkpoint-every-0", "sweep-retries-neg",
-        "sample-runs-neg", "sample-runs-0"])
+        "sweep-timeout-nan", "sweep-retries-neg",
+        "sample-runs-neg", "sample-runs-0",
+        "serve-timeout-neg", "serve-timeout-0", "serve-retries-neg",
+        "serve-shards-0", "serve-queue-limit-0",
+        "serve-cache-max-bytes-neg", "serve-stuck-after-neg"])
 def test_bad_count_is_a_usage_error(argv, capsys):
     """A count or budget that cannot mean what it asks for (no chaos
     trials, no workers, a zero sampling period, a negative number of
-    random programs, a sweep timeout that is not a positive number of
-    seconds, a checkpoint period below 1, negative retries, no sampling
-    runs) exits 2 with a one-line usage error, before anything runs,
+    random programs, a sweep or serve timeout or a serve watchdog
+    period that is not a positive number of seconds, negative retries,
+    no sampling runs, no serve shards or queue room, a negative store
+    bound) exits 2 with a one-line usage error, before anything runs,
     instead of a vacuous pass, a silent fallback, a failure of every
-    cell or a traceback."""
+    cell, a service that starts only to fail every job, or a
+    traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"repro {argv[0]}: error: argument " in err
+    assert "Traceback" not in err
+
+
+def test_retired_checkpoint_flag_is_refused(capsys):
+    """A sweep cell has one run mode (a retry reruns it from cycle 0),
+    so a checkpoint period is an unknown argument, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
+              "--checkpoint-every", "400"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --checkpoint-every 400" in err
     assert "Traceback" not in err
 
 

@@ -6,9 +6,8 @@ tables as flat int lists.  The reference classes below are the eager
 forms they replaced (one ``OrderedDict`` per set from the start; one
 entry object per tagged-table slot).  Each pair is driven by one seeded
 operation stream and must agree on every return value, every counter
-and the final contents.  A snapshot of a warmed, trained system must
-survive install-and-recapture unchanged, and construction must stay
-proportional to the state a cell touches.
+and the final contents, and construction must stay proportional to the
+state a cell touches.
 """
 
 import gc
@@ -22,11 +21,6 @@ from repro.coherence.mesi import CoherentMemorySystem
 from repro.cpu.branch import TagePredictor
 from repro.sim.config import SKYLAKE_LIKE, CacheConfig
 from repro.sim.engine import Engine
-from repro.sim.system import System
-from repro.snapshot import capture, restore
-from repro.snapshot.state import _tage_state
-from repro.workloads.profiles import PROFILES
-from repro.workloads.synthetic import generate_warmup, generate_workload
 
 
 class EagerCacheArray:
@@ -169,7 +163,8 @@ class EagerTage:
                     entry.useful >>= 1
 
     def state(self):
-        """The snapshot's TAGE layout (``_tage_state``)."""
+        """The tables as sparse ``[idx, tag, counter, useful]`` rows
+        (see :func:`_flat_state`)."""
         return {
             "base": [[idx, val] for idx, val in enumerate(self.base)
                      if val != 1],
@@ -182,6 +177,26 @@ class EagerTage:
             "predictions": self.predictions,
             "mispredictions": self.mispredictions,
         }
+
+
+def _flat_state(bp):
+    """A :class:`TagePredictor`'s flat ``tags``/``counters``/``useful``
+    lists read into :meth:`EagerTage.state`'s layout: per table, the
+    non-zero entries only."""
+    return {
+        "base": [[idx, val] for idx, val in enumerate(bp.base)
+                 if val != 1],
+        "tables": [[[idx, tag, counter, useful]
+                    for idx, (tag, counter, useful)
+                    in enumerate(zip(tags, counters, usefuls))
+                    if tag or counter or useful]
+                   for tags, counters, usefuls
+                   in zip(bp.tags, bp.counters, bp.useful)],
+        "history": bp.history,
+        "updates": bp._updates,
+        "predictions": bp.predictions,
+        "mispredictions": bp.mispredictions,
+    }
 
 
 def _contents(sets):
@@ -255,11 +270,11 @@ def test_flat_tage_matches_eager_reference():
         flat.update(pc, taken)
         eager.update(pc, taken)
         if step in (17_998, 35_998):  # just before each reset
-            assert _tage_state(flat) == eager.state()
+            assert _flat_state(flat) == eager.state()
             assert max(entry[3] for table in eager.state()["tables"]
                        for entry in table) > 1
     assert flat.mispredictions < flat.predictions
-    assert _tage_state(flat) == eager.state()
+    assert _flat_state(flat) == eager.state()
 
 
 def _tracked_objects(build):
@@ -286,19 +301,3 @@ def test_construction_is_proportional_to_touched_state(build):
     cache set was built up front, and a predictor 2,056 with one object
     per tagged entry."""
     assert _tracked_objects(build) < 500
-
-
-def test_snapshot_round_trip_of_trained_state():
-    """Capture a warmed hierarchy and a trained predictor, install the
-    capture into a fresh system, capture again: the two are equal."""
-    traces = generate_workload(PROFILES["fft"], 2, 600, 0)
-    warm = generate_warmup(PROFILES["fft"], 2, 600, 0)
-    snaps = []
-    System(traces, "370-SLFSoS-key", warm_caches=warm).run(
-        checkpoint_every=200, on_checkpoint=snaps.append)
-    assert snaps
-    snap = snaps[-1]
-    tage = snap.data["cores"][0]["tage"]
-    assert any(tage["tables"]) and tage["updates"]
-    assert any(bank["l3"]["sets"] for bank in snap.data["banks"])
-    assert capture(restore(snap, traces)).data == snap.data

@@ -52,19 +52,6 @@ def test_at_absolute_time():
     assert engine.now == 10
 
 
-def test_run_until_predicate_stops_early():
-    engine = Engine()
-    count = [0]
-
-    def tick():
-        count[0] += 1
-        engine.schedule(1, tick)
-
-    engine.schedule(0, tick)
-    engine.run(until=lambda: count[0] >= 5)
-    assert count[0] == 5
-
-
 def test_run_max_cycles_bounds_time():
     engine = Engine()
 
@@ -197,8 +184,8 @@ def test_stop_ends_run_and_is_sticky():
     assert log == [0, 1, 2]
     assert engine.stopped
     assert engine.pending == 1
-    # The flag is sticky, mirroring a terminal until() predicate: a
-    # stopped engine's run() returns immediately.
+    # The flag is sticky: a stopped engine's run() returns
+    # immediately.
     engine.run()
     assert log == [0, 1, 2]
     assert engine.pending == 1

@@ -1,6 +1,6 @@
-"""Engine and System termination edge cases: drained queues,
-``until=`` predicates, cycle-budget overruns, and true deadlocks must
-all end in a clean return or a descriptive error — never a hang."""
+"""Engine and System termination edge cases: drained queues, the stop
+flag, cycle-budget overruns, and true deadlocks must all end in a clean
+return or a descriptive error — never a hang."""
 
 import pytest
 
@@ -23,17 +23,6 @@ def test_stopped_flag_is_sticky():
     engine.run()
     assert engine.events_dispatched == 0
     assert engine.pending == 1  # the event survives, undelivered
-
-
-def test_legacy_until_predicate_terminates():
-    engine = Engine()
-
-    def tick():
-        engine.schedule(1, tick)
-
-    engine.schedule(1, tick)
-    engine.run(until=lambda: engine.now >= 50)
-    assert engine.now == 50
 
 
 def test_max_cycles_leaves_engine_reusable():

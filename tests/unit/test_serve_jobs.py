@@ -66,6 +66,8 @@ class TestParseRequest:
         # More cores than the simulated system has (8, the default).
         {"kind": "bench", "name": "fft", "policy": "x86", "cores": 9,
          "length": 200},
+        # A field the job no longer has: cells always run from cycle 0.
+        {"name": "radix", "policy": "x86", "checkpoint_every": 150},
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(JobValidationError) as err:
@@ -74,6 +76,12 @@ class TestParseRequest:
         assert payload["error"] == "invalid-job"
         assert payload["status"] == 400
         assert payload["message"]
+
+    def test_unknown_field_is_named(self):
+        with pytest.raises(JobValidationError,
+                           match="unknown field.*checkpoint_every"):
+            parse_request({"name": "radix", "policy": "x86",
+                           "checkpoint_every": 150})
 
     def test_spec_round_trips(self):
         for data in ({"kind": "litmus", "name": "mp",
@@ -240,3 +248,11 @@ class TestSynthJobs:
         serial = search(SynthBounds(threads=2, max_ops=2))
         assert merged.enumerated == serial.enumerated
         assert set(merged.distinguishers) == set(serial.distinguishers)
+
+
+def test_service_refuses_a_negative_retry_count():
+    """With retries=-1 the retry loop would never run, and every job
+    would end failed after 0 attempts with no error recorded."""
+    from repro.serve.api import ServeService
+    with pytest.raises(ValueError, match="retries"):
+        ServeService(shards=1, cache=False, retries=-1)
