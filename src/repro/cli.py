@@ -58,6 +58,7 @@ observability summaries alongside the cached results.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -655,7 +656,6 @@ def _changed_files(base: str) -> "Tuple[List[str], List[str]]":
     erroring.  Names are resolved against the repository root, not the
     current directory, so ``--changed`` works from any subdirectory.
     """
-    import os
     import subprocess
     try:
         toplevel = subprocess.run(
@@ -683,8 +683,6 @@ def _changed_files(base: str) -> "Tuple[List[str], List[str]]":
 
 
 def cmd_lint(args) -> int:
-    import os
-
     from repro.lint import registered_rules, render_human, render_json, \
         run_lint
 
@@ -897,7 +895,6 @@ def cmd_zoo(args) -> int:
 
 def cmd_synth(args) -> int:
     import json
-    import os
     import time
 
     from repro.litmus.battery import EXTRA_CASES as _EXTRA
@@ -1342,7 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gc", action="store_true",
                    help="prune least-recently-used entries down to "
                         "--max-bytes")
-    p.add_argument("--max-bytes", type=int, default=None,
+    p.add_argument("--max-bytes", default=None,
+                   type=_int_at_least(0, "a byte count of 0 or more"),
                    help="size bound for --gc (default: "
                         "$REPRO_SWEEP_CACHE_MAX)")
     p.set_defaults(func=cmd_cache)
@@ -1414,7 +1412,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of STRONG:WEAK model pairs "
                         "(default: every lattice pair among "
                         "SC/370/x86/WMM)")
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", default=0,
+                   type=_int_at_least(0, "a witness count of 0 or more"),
                    help="stop a space after N distinct witnesses "
                         "(0 = exhaust it)")
     p.add_argument("--no-check", action="store_true",
@@ -1431,7 +1430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--url", default=None,
                    help="scatter the search over a running "
                         "'repro serve' instead of searching in-process")
-    p.add_argument("--chunks", type=int, default=8,
+    p.add_argument("--chunks", default=8,
+                   type=_int_at_least(1, "a positive chunk count"),
                    help="chunks per space when using --url")
     p.add_argument("--deadline", type=float, default=600.0,
                    help="--url waits this long for chunk jobs")
@@ -1443,7 +1443,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe raises below
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro ... | head -1``).
+        # Point stdout at devnull so that the exit-time flush cannot
+        # raise again, as the Python docs' note on SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

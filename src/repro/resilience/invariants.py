@@ -18,11 +18,11 @@ the rest of the model merely *assumes*:
   private hierarchy is held by no other.  Checked between events, where
   the protocol's transient states have settled into the ``state`` maps.
 
-:class:`Watchdog` runs those checks periodically (optionally per event)
-and additionally watches *forward progress*: if no core retires an
-instruction for ``stall_limit`` cycles while cores are unfinished, it
-raises a structured :class:`DeadlockError` instead of letting the run
-spin (or sit) forever.  Both error types carry a ``diagnostic`` dict —
+:class:`Watchdog` runs those checks periodically and additionally
+watches *forward progress*: if no core retires an instruction for
+``stall_limit`` cycles while cores are unfinished, it raises a
+structured :class:`DeadlockError` instead of letting the run spin (or
+sit) forever.  Both error types carry a ``diagnostic`` dict —
 per-core pipeline snapshots plus engine state — so a failure in a CI
 sweep is actionable from the payload alone.
 """
@@ -208,19 +208,16 @@ class Watchdog:
     retired_stores, finished)``.  A run that dispatches events without
     any core retiring anything (a coherence livelock, a wedged gate) is
     *not* progressing and trips the detector just like a drained-queue
-    hang would.  With ``per_event=True`` the invariant sweep additionally
-    runs after **every** dispatched event (via ``Engine.event_hook``) —
-    orders of magnitude slower; for tests.
+    hang would.
     """
 
     def __init__(self, period: int = 5_000, stall_limit: int = 200_000,
-                 invariants: bool = True, per_event: bool = False) -> None:
+                 invariants: bool = True) -> None:
         if period < 1:
             raise ValueError("watchdog period must be >= 1 cycle")
         self.period = period
         self.stall_limit = stall_limit
         self.invariants = invariants
-        self.per_event = per_event
         self.checks_run = 0
         self._system: Optional["System"] = None
         self._last_snapshot = None
@@ -232,19 +229,12 @@ class Watchdog:
         self._system = system
         self._last_snapshot = self._progress_snapshot()
         self._last_progress_at = system.engine.now
-        if self.per_event:
-            system.engine.event_hook = self._event_check
         system.engine.schedule(self.period, self._tick)
 
     def _progress_snapshot(self) -> tuple:
         return tuple((core.stats.retired_instructions,
                       core.stats.retired_stores, core.finished)
                      for core in self._system.cores)
-
-    def _event_check(self) -> None:
-        if not self._system.done:
-            self.checks_run += 1
-            check_system(self._system)
 
     def _tick(self) -> None:
         system = self._system

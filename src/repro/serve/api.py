@@ -420,10 +420,10 @@ class HttpApi:
                   install_signals: bool = True) -> None:
         """Serve until SIGTERM/SIGINT (or :meth:`request_shutdown`),
         then drain gracefully.  ``ready`` (if given) is called with the
-        bound port once the socket is listening."""
+        bound port once the socket is listening and the signal handlers
+        are in place, so a SIGTERM sent on seeing it drains the
+        service instead of killing it."""
         await self.start()
-        if ready is not None:
-            ready(self.port)
         loop = asyncio.get_running_loop()
         installed = []
         if install_signals:
@@ -437,6 +437,8 @@ class HttpApi:
                 except (NotImplementedError, RuntimeError):
                     pass
         try:
+            if ready is not None:
+                ready(self.port)
             await self._shutdown.wait()
             # Close the listening socket *after* flipping draining so
             # in-flight connections still get their 503s / results.

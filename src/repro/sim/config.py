@@ -99,11 +99,6 @@ class SystemConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    # Strict mode: every System.run() ends with a full runtime invariant
-    # sweep (repro.resilience.invariants.check_system) on top of the
-    # always-on stats validation.  Also switchable globally with the
-    # REPRO_STRICT environment variable (the test suite sets it).
-    strict: bool = False
 
     def with_cores(self, n: int) -> "SystemConfig":
         return replace(self, cores=n)

@@ -142,8 +142,7 @@ class System:
         stats.invalidations_sent = self.memory.stats_invalidations
         stats.evictions = self.memory.stats_evictions
         stats.network_messages = dict(self.memory.network.stats.messages)
-        if self.config.strict or \
-                os.environ.get("REPRO_STRICT", "0") not in ("", "0"):
+        if os.environ.get("REPRO_STRICT", "0") not in ("", "0"):
             # Strict mode: a full runtime invariant sweep at end of run
             # (the test suite's conftest enables it globally).
             from repro.resilience.invariants import check_system

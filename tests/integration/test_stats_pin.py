@@ -13,16 +13,19 @@ updates the pins in the same change and says so in CHANGES.md.
 
 The barnes 8-core × 750 cell is the kernel-speed bench's cell in its CI
 shape; its pin is also the output of the original, pre-fast-path event
-kernel.
+kernel.  Its count of dispatched engine events is pinned too: the
+bench's events/sec divides that count, and the CI kernel-speed job
+checks the bench's row against both pins.
 """
 
 import pytest
 
+from repro.sim.system import System
 from repro.sweep import SweepJob, run_sweep
 from repro.sweep.cache import content_key
 from repro.sweep.runner import execute_job
-from repro.workloads.runner import (observe_benchmark, run_benchmark,
-                                    run_policy_sweep)
+from repro.workloads.runner import (cell_traces, observe_benchmark,
+                                    run_benchmark, run_policy_sweep)
 
 CORES = 2
 LENGTH = 400
@@ -61,6 +64,7 @@ FLAG_PINS = {
 }
 KERNEL_CELL = SweepJob(name="barnes", policy=KEY, cores=8, length=750)
 KERNEL_PIN = "b60c392473e0487f"
+KERNEL_EVENTS = 15_451
 
 
 def digest(payload):
@@ -86,6 +90,17 @@ def test_flagged_cell_is_pinned(flag):
 
 def test_kernel_bench_cell_is_pinned():
     assert digest(execute_job(KERNEL_CELL)) == KERNEL_PIN
+
+
+def test_kernel_bench_cell_event_count_is_pinned():
+    """Built as the kernel bench builds it, the cell reaches its pin in
+    exactly KERNEL_EVENTS dispatched events."""
+    cell = KERNEL_CELL
+    traces, warm = cell_traces(cell.name, cell.cores, cell.length,
+                               cell.seed)
+    system = System(traces, cell.policy, warm_caches=warm)
+    assert digest(system.run().to_dict()) == KERNEL_PIN
+    assert system.engine.events_dispatched == KERNEL_EVENTS
 
 
 def test_every_cell_entry_point_reaches_the_pin():

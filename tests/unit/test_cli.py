@@ -1,6 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -172,6 +177,12 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["serve", "--port", "0", "--queue-limit", "0"],
     ["serve", "--port", "0", "--cache-max-bytes", "-1"],
     ["serve", "--port", "0", "--stuck-after", "-1"],
+    ["synth", "--spaces", "2x2x2", "--limit", "-1"],
+    ["synth", "--spaces", "2x2x2", "--url", "http://127.0.0.1:9",
+     "--chunks", "0"],
+    ["synth", "--spaces", "2x2x2", "--url", "http://127.0.0.1:9",
+     "--chunks", "-2"],
+    ["cache", "--max-bytes", "-1"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
         "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
@@ -179,14 +190,17 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
         "sample-runs-neg", "sample-runs-0",
         "serve-timeout-neg", "serve-timeout-0", "serve-retries-neg",
         "serve-shards-0", "serve-queue-limit-0",
-        "serve-cache-max-bytes-neg", "serve-stuck-after-neg"])
+        "serve-cache-max-bytes-neg", "serve-stuck-after-neg",
+        "synth-limit-neg", "synth-chunks-0", "synth-chunks-neg",
+        "cache-max-bytes-neg"])
 def test_bad_count_is_a_usage_error(argv, capsys):
     """A count or budget that cannot mean what it asks for (no chaos
     trials, no workers, a zero sampling period, a negative number of
     random programs, a sweep or serve timeout or a serve watchdog
     period that is not a positive number of seconds, negative retries,
     no sampling runs, no serve shards or queue room, a negative store
-    bound) exits 2 with a one-line usage error, before anything runs,
+    or cache bound, a negative synth witness limit, no synth chunks)
+    exits 2 with a one-line usage error, before anything runs,
     instead of a vacuous pass, a silent fallback, a failure of every
     cell, a service that starts only to fail every job, or a
     traceback."""
@@ -196,6 +210,33 @@ def test_bad_count_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert f"repro {argv[0]}: error: argument " in err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_reader_is_not_a_traceback(tmp_path):
+    """``repro ... | head -1``: the reader takes the first line and
+    closes the pipe, and the command's next write to stdout ends it
+    with exit 1, not a BrokenPipeError traceback.  The service flushes
+    its ready line at once and prints its stop line only on SIGTERM,
+    so that write always comes after the reader has gone."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "1", "--cache-dir", str(tmp_path)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        try:
+            assert "listening on http://" in proc.stdout.readline()
+            proc.stdout.close()
+            proc.send_signal(signal.SIGTERM)
+            err = proc.communicate(timeout=60)[1]
+            assert proc.returncode == 1
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert "Traceback" not in err, err
+    assert "BrokenPipeError" not in err, err
 
 
 def test_retired_checkpoint_flag_is_refused(capsys):

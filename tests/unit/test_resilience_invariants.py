@@ -85,16 +85,6 @@ def test_healthy_run_passes_periodic_checks():
     check_system(system)  # and once more at quiescence
 
 
-def test_per_event_mode_checks_every_event():
-    system = _healthy_system(length=80)
-    watchdog = Watchdog(period=1_000, per_event=True)
-    watchdog.install(system)
-    system.run()
-    # One sweep per dispatched event while the run was live — orders of
-    # magnitude more than the periodic tick alone would do.
-    assert watchdog.checks_run > system.engine.events_dispatched // 2
-
-
 class _Entry:
     def __init__(self, seq, retired=False):
         self.seq = seq
