@@ -2,12 +2,15 @@
 
 Two rows:
 
-* **kernel** — events/sec of the discrete-event kernel on one Fig. 10
-  cell (best of ``ROUNDS`` runs), with the cell's ``stats_digest``: the
-  first 16 hex characters of SHA-256 over its canonical stats JSON, the
-  same digest ``tests/integration/test_stats_pin.py`` pins.  Read a
-  speedup against an earlier run on the same host; the pin test is the
-  identity check.
+* **kernel** — events/sec and retired instructions/sec of the
+  discrete-event kernel on one Fig. 10 cell (best of ``ROUNDS`` runs),
+  with the cell's ``stats_digest``: the first 16 hex characters of
+  SHA-256 over its canonical stats JSON, the same digest
+  ``tests/integration/test_stats_pin.py`` pins.  Read a speedup in
+  instructions/sec against an earlier run on the same host: a change
+  that moves work in or out of engine events changes events per
+  instruction, so events/sec does not compare across it.  The pin test
+  is the identity check.
 * **sweep** — serial vs a fixed 4-worker pool vs default sizing
   (``workers=None``) wall clock for 8 uncached jobs.  All three must
   give identical stats, and the default must never lose to serial.
@@ -57,14 +60,17 @@ def measure(rounds=ROUNDS):
         stats = system.run()
         best = min(best, time.perf_counter() - t0)
     events = system.engine.events_dispatched
+    instructions = stats.total.retired_instructions
     return {
         "benchmark": BENCHMARK,
         "policy": POLICY,
         "cores": CORES,
         "length": LENGTH,
         "events": events,
+        "instructions": instructions,
         "seconds": round(best, 4),
         "events_per_sec": round(events / best),
+        "instructions_per_sec": round(instructions / best),
         "stats_digest": content_key(stats.to_dict())[:16],
     }
 
@@ -150,7 +156,8 @@ def main():
         raise SystemExit("parallel sweep changed simulation results")
     if not sweep["not_slower"]:
         raise SystemExit("default-sized sweep lost to serial")
-    print(f"kernel: {kernel['events_per_sec']} events/sec, stats digest "
+    print(f"kernel: {kernel['instructions_per_sec']} instructions/sec "
+          f"({kernel['events_per_sec']} events/sec), stats digest "
           f"{kernel['stats_digest']}; sweep: "
           f"{sweep['parallel_speedup']}x with {sweep['workers']} workers "
           f"on {sweep['cpu_count']} CPU(s), default "

@@ -1107,7 +1107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--runs", default=10_000,
                    type=_int_at_least(1, "a positive run count"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", default=10,
+                   type=_int_at_least(1, "a positive outcome count"))
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("bench", help="run one benchmark profile")
@@ -1140,7 +1141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-interval", default=64,
                    type=_int_at_least(1, "a positive period"),
                    help="occupancy sampling period in cycles")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", default=5,
+                   type=_int_at_least(1, "a positive interval count"),
                    help="gate intervals shown in the top-stalls summary")
     p.set_defaults(func=cmd_trace)
 

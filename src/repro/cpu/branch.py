@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 class TagePredictor:
     """Bimodal base + geometric tagged tables."""
 
-    HISTORY_LENGTHS = (4, 8, 16, 32)
+    HISTORY_LENGTHS = (4, 8, 16, 32)  # update() computes these folds
 
     __slots__ = ("base_size", "tagged_size", "tag_mask", "base", "tags",
                  "counters", "useful", "history", "useful_reset_interval",
@@ -48,24 +48,13 @@ class TagePredictor:
         self._updates = 0
         self.predictions = 0
         self.mispredictions = 0
-        # History folds are a pure function of ``history``; they are
-        # recomputed once per update (the only place history changes)
-        # instead of twice per table per lookup.
-        self._folds = self._refold()
+        # Table ``t``'s fold is the youngest HISTORY_LENGTHS[t] bits of
+        # global history xor-folded into 16 bits.  A pure function of
+        # ``history``, it is recomputed once per update (the only place
+        # history changes) instead of twice per table per lookup.
+        self._folds = (0, 0, 0, 0)
 
     # ------------------------------------------------------------------
-
-    def _fold(self, bits: int) -> int:
-        """Fold the youngest ``bits`` of global history into 16 bits."""
-        h = self.history & ((1 << bits) - 1)
-        folded = 0
-        while h:
-            folded ^= h & 0xFFFF
-            h >>= 16
-        return folded
-
-    def _refold(self) -> Tuple[int, ...]:
-        return tuple(self._fold(bits) for bits in self.HISTORY_LENGTHS)
 
     def _index(self, pc: int, table: int) -> int:
         fold = self._folds[table]
@@ -139,9 +128,13 @@ class TagePredictor:
                     self.counters[table][idx] = 0 if taken else -1
                     break
 
-        self.history = ((self.history << 1) | int(taken)) \
-            & ((1 << 64) - 1)
-        self._folds = self._refold()
+        history = ((self.history << 1) | int(taken)) & ((1 << 64) - 1)
+        self.history = history
+        # The folds of 4, 8 and 16 bits fit in 16 bits as they are; the
+        # 32-bit fold xors its two 16-bit halves.
+        low = history & 0xFFFF
+        self._folds = (history & 0xF, history & 0xFF, low,
+                       low ^ ((history >> 16) & 0xFFFF))
         self._updates += 1
         if self._updates >= self.useful_reset_interval:
             self._updates = 0

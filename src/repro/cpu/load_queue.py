@@ -23,7 +23,7 @@ class LoadEntry:
     """One load in the LQ."""
 
     __slots__ = ("seq", "addr", "line", "state", "slf", "key",
-                 "store_seq", "pc", "issue_epoch", "deferred",
+                 "store_seq", "pc", "deferred",
                  "gate_blocked_since", "blocked_reason", "performed_at",
                  "memdep_wait", "value")
 
@@ -36,7 +36,6 @@ class LoadEntry:
         self.key: Optional[int] = None  # forwarding store's key
         self.store_seq: Optional[int] = None  # forwarding store's seq
         self.pc = pc
-        self.issue_epoch = 0          # bumped on squash to drop stale callbacks
         self.deferred = False         # waiting on memory-dependence prediction
         self.gate_blocked_since: Optional[int] = None
         self.blocked_reason: Optional[str] = None
@@ -97,13 +96,11 @@ class LoadQueue:
 
     def squash_from(self, seq: int) -> List[LoadEntry]:
         """Remove all loads with ``seq >= seq``; returns them, youngest
-        first.  Their ``issue_epoch`` is bumped so in-flight completion
-        callbacks for the squashed incarnation are ignored."""
+        first.  (Their ROB entries carry the ``squashed`` flag that
+        in-flight callbacks check.)"""
         removed: List[LoadEntry] = []
         while self._entries and self._entries[-1].seq >= seq:
-            entry = self._entries.pop()
-            entry.issue_epoch += 1
-            removed.append(entry)
+            removed.append(self._entries.pop())
         return removed
 
     def matching_performed(self, line: int) -> List[LoadEntry]:

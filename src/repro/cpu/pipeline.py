@@ -23,6 +23,7 @@ are accounted in bulk on wake-up.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.reasons import GATE, SLF_SB
@@ -70,11 +71,12 @@ class Core:
         "_p_squash", "_p_load_perform", "stats", "rob", "lq", "sb",
         "storeset", "detector",
         "prefetcher", "branch_predictor", "tracer", "memory_data",
-        "retired_load_values", "fetch_idx", "done", "load_of", "store_of",
+        "retired_load_values", "fetch_idx", "done",
         "consumers", "ready", "deferred_on_store", "pending_fences",
         "deferred_on_fence", "barrier_seq", "_sb_inflight",
         "_sb_miss_inflight", "_rfo_pending", "_rfo_scan_at", "finished",
         "_sleeping", "_sleep_since", "_sleep_stall", "_tick_scheduled",
+        "_folded",
     )
 
     def __init__(self, engine: Engine, core_id: int, config: SystemConfig,
@@ -143,15 +145,13 @@ class Core:
 
         self.fetch_idx = 0
         self.done = bytearray(len(trace))
-        self.load_of: Dict[int, LoadEntry] = {}
-        self.store_of: Dict[int, StoreEntry] = {}
-        self.consumers: Dict[int, List[Tuple[RobEntry, int]]] = {}
-        self.ready: List[Tuple[int, int, RobEntry]] = []  # (seq, epoch, e)
-        self.deferred_on_store: Dict[int, List[Tuple[RobEntry, int]]] = {}
+        self.consumers: Dict[int, List[RobEntry]] = {}
+        self.ready: List[Tuple[int, RobEntry]] = []  # (seq, entry) heap
+        self.deferred_on_store: Dict[int, List[RobEntry]] = {}
         # mfence serialization: loads younger than an unretired fence
         # cannot issue (program-ordered list of in-flight fence seqs).
         self.pending_fences: List[int] = []
-        self.deferred_on_fence: Dict[int, List[Tuple[RobEntry, int]]] = {}
+        self.deferred_on_fence: Dict[int, List[RobEntry]] = {}
         self.barrier_seq: Optional[int] = None
 
         self._sb_inflight = 0
@@ -170,6 +170,8 @@ class Core:
         self._sleep_since = 0
         self._sleep_stall = _STALL_NONE
         self._tick_scheduled = False
+        # Next-cycle completions folded into the next tick (see _tick).
+        self._folded: List[RobEntry] = []
 
     # ------------------------------------------------------------------
     # Scheduling / sleep management
@@ -211,22 +213,52 @@ class Core:
         stages are *fused* here — one body, with locals hoisted out of
         the per-instruction loops and the ROB accessed through its deque
         directly.
+
+        **Folded completions.**  What the issue stage finishes in one
+        cycle — 1-cycle ALU ops and branches, fences, and store address
+        generation — completes next cycle.  Those completions are not
+        engine events: the issue stage collects them in ``_folded`` and
+        the next tick runs them first, before it clears
+        ``_tick_scheduled``.  That is exact because a completion is
+        folded only when both of these hold:
+
+        * the tick re-arms itself at now+1, so its event lands in the
+          next-cycle bucket right behind the completions' would-be
+          events; and
+        * nothing else reached the bucket after the first folded
+          completion, so no event sits between those events and the
+          tick.
+
+        The events that remain keep their relative ``(time, seq)``
+        order.  A completion run inside the tick finds the tick still
+        scheduled, as an event just ahead of the tick would, so a memdep
+        squash in ``_complete_store`` does not re-arm it.  When a load's
+        issue schedules a next-cycle event, or an in-tick squash wakes
+        the core for this same cycle so the tick does not re-arm,
+        :meth:`_spill` puts the held completions into the bucket where
+        their events would have been.
         """
+        folded = self._folded
+        if folded:
+            self._folded = []
+            for entry in folded:
+                if entry.op.kind == _STORE:
+                    self._complete_store(entry)
+                else:
+                    self._complete(entry)
         self._tick_scheduled = False
         if self.finished:
             return
         engine = self.engine
-        schedule = engine.schedule
         now = engine.now
-        # Next-cycle events dominate this method's scheduling, so they
-        # are appended to the engine's delay-1 bucket directly — exactly
-        # what Engine.schedule does for delay == 1, minus the call.
+        # The re-arm below appends to the engine's delay-1 bucket
+        # directly — exactly what Engine.schedule does for delay == 1,
+        # minus the call.
         bucket_next = engine._bucket_next
         tracer = self.tracer
         stats = self.stats
         sb = self.sb
         rob_entries = self.rob._entries
-        work = False
 
         # ---- retire stage ----
         retired = 0
@@ -256,7 +288,7 @@ class Core:
                 self._release_fence(head.seq)
             elif kind == _STORE:
                 rob_entries.popleft()
-                entry = self.store_of.pop(head.seq)
+                entry = head.lsq
                 entry.retired = True
                 if self._p_sb_write is not None:
                     entry.retired_at = now
@@ -295,135 +327,138 @@ class Core:
         # Issued entries are exactly the first ``_sb_inflight``, so the
         # drain candidate sits right behind them.
         inflight = self._sb_inflight
-        candidate = (sb._slots[(sb._head + inflight) % sb.capacity]
-                     if inflight < sb._count else None)
-        if candidate is not None and candidate.retired:
-            owned = controller.peek_state(candidate.addr) in ("M", "E")
-            if inflight == 0 or (owned and not self._sb_miss_inflight):
+        if inflight < sb._count:
+            candidate = sb._slots[(sb._head + inflight) % sb.capacity]
+            if candidate.retired and (
+                    inflight == 0 or (
+                        not self._sb_miss_inflight
+                        and controller.peek_state(candidate.addr)
+                        in ("M", "E"))):
                 candidate.issued = True
                 self._sb_inflight = inflight + 1
-                hit = controller.store(
-                    candidate.addr,
-                    lambda: self._store_written(candidate))
-                if not hit:
+                if not controller.store(
+                        candidate.addr,
+                        partial(self._store_written, candidate)):
                     self._sb_miss_inflight = True
                 work = True
 
         # ---- issue stage ----
-        issued = 0
-        issue_width = self._issue_width
         ready = self.ready
-        heappop = heapq.heappop
-        while issued < issue_width and ready:
-            seq, epoch, entry = heappop(ready)
-            if entry.issue_epoch != epoch or entry.issued:
-                continue  # squashed incarnation or duplicate
-            entry.issued = True
-            if tracer is not None:
-                tracer.on_issue(entry.seq, now)
-            op = entry.op
-            kind = op.kind
-            if kind == _LOAD:
-                self._issue_load(entry)
-            elif kind == _STORE:
-                # Address generation: one cycle, then the SQ entry
-                # resolves.
-                engine._seq = s = engine._seq + 1
-                bucket_next.append((now + 1, s, self._complete_store,
-                                    (entry, entry.issue_epoch)))
-            elif kind == _FENCE:
-                schedule(1, self._complete, entry, entry.issue_epoch)
-            else:  # ALU / BRANCH
-                latency = op.latency
-                if latency > 1:
-                    schedule(latency, self._complete, entry,
-                             entry.issue_epoch)
+        fold = self._folded
+        if ready:
+            issued = 0
+            issue_width = self._issue_width
+            heappop = heapq.heappop
+            while issued < issue_width and ready:
+                entry = heappop(ready)[1]
+                if entry.squashed or entry.issued:
+                    continue  # squashed incarnation or duplicate
+                entry.issued = True
+                if tracer is not None:
+                    tracer.on_issue(entry.seq, now)
+                op = entry.op
+                kind = op.kind
+                if kind == _LOAD:
+                    if fold:
+                        mark = len(bucket_next)
+                        self._issue_load(entry)
+                        if len(bucket_next) != mark:
+                            self._spill(mark)
+                    else:
+                        self._issue_load(entry)
+                elif kind == _STORE or kind == _FENCE or op.latency < 2:
+                    # Address generation (then the SQ entry resolves), a
+                    # fence, or a 1-cycle ALU op or branch: completes
+                    # next cycle.
+                    fold.append(entry)
                 else:
-                    engine._seq = s = engine._seq + 1
-                    bucket_next.append((now + 1, s, self._complete,
-                                        (entry, entry.issue_epoch)))
-            issued += 1
-        work |= issued > 0
+                    engine.schedule(op.latency, self._complete, entry)
+                issued += 1
+            if issued:
+                work = True
 
         # ---- dispatch stage ----
-        dispatched = 0
         stall = _STALL_NONE
-        ops = self._trace_ops
-        trace_len = self._trace_len
-        rob_capacity = self.rob.capacity
         fetch_idx = self.fetch_idx
-        done = self.done
-        consumers = self.consumers
-        heappush = heapq.heappush
-        while dispatched < issue_width:
-            if fetch_idx >= trace_len:
-                break
-            if self.barrier_seq is not None:
-                break
-            op = ops[fetch_idx]
-            kind = op.kind
-            if len(rob_entries) >= rob_capacity:
-                stall = _STALL_ROB
-                break
-            if kind == _LOAD:
-                lq = self.lq
-                if len(lq._entries) >= lq.capacity:
-                    stall = _STALL_LQ
+        trace_len = self._trace_len
+        if fetch_idx < trace_len and self.barrier_seq is None:
+            dispatched = 0
+            issue_width = self._issue_width
+            ops = self._trace_ops
+            rob_capacity = self.rob.capacity
+            lq = self.lq
+            done = self.done
+            consumers = self.consumers
+            heappush = heapq.heappush
+            while True:
+                op = ops[fetch_idx]
+                kind = op.kind
+                if len(rob_entries) >= rob_capacity:
+                    stall = _STALL_ROB
+                    stats.stall_cycles_rob += 1
                     break
-            elif kind == _STORE:
-                if sb._count == sb.capacity:
-                    stall = _STALL_SQ
+                if kind == _LOAD:
+                    if len(lq._entries) >= lq.capacity:
+                        stall = _STALL_LQ
+                        stats.stall_cycles_lq += 1
+                        break
+                elif kind == _STORE:
+                    if sb._count == sb.capacity:
+                        stall = _STALL_SQ
+                        stats.stall_cycles_sq += 1
+                        break
+                seq = fetch_idx
+                fetch_idx += 1
+                entry = RobEntry(seq, op)
+                rob_entries.append(entry)
+                if tracer is not None:
+                    tracer.on_dispatch(seq, kind, now)
+                if kind == _LOAD:
+                    lentry = lq.allocate(seq, op.pc)
+                    lentry.memdep_wait = self.storeset.predicted_store(op.pc)
+                    entry.lsq = lentry
+                elif kind == _STORE:
+                    entry.lsq = sb.allocate(seq, op.pc, op.value)
+                    self.storeset.store_dispatched(op.pc, seq)
+                elif kind == _FENCE or kind == _RMW:
+                    # Both serialize younger loads until they leave the ROB.
+                    self.pending_fences.append(seq)
+                elif kind == _BRANCH:
+                    mispredicted = op.mispredict
+                    if not mispredicted and self.branch_predictor is not None:
+                        mispredicted = (self.branch_predictor.predict(op.pc)
+                                        != op.taken)
+                    if mispredicted:
+                        self.barrier_seq = seq
+                deps_left = 0
+                for dep in op.deps:
+                    if not done[dep]:
+                        consumers.setdefault(dep, []).append(entry)
+                        deps_left += 1
+                entry.deps_left = deps_left
+                # RMWs never enter the ready pool: the retire stage launches
+                # them once they reach the ROB head with an empty SB.
+                if deps_left == 0 and kind != _RMW:
+                    heappush(ready, (seq, entry))
+                dispatched += 1
+                if (dispatched == issue_width or fetch_idx >= trace_len
+                        or self.barrier_seq is not None):
                     break
-            seq = fetch_idx
-            fetch_idx += 1
-            entry = RobEntry(seq, op)
-            rob_entries.append(entry)
-            if tracer is not None:
-                tracer.on_dispatch(seq, kind, now)
-            if kind == _LOAD:
-                lentry = self.lq.allocate(seq, op.pc)
-                lentry.memdep_wait = self.storeset.predicted_store(op.pc)
-                self.load_of[seq] = lentry
-            elif kind == _STORE:
-                store = sb.allocate(seq, op.pc, op.value)
-                self.store_of[seq] = store
-                self.storeset.store_dispatched(op.pc, seq)
-            elif kind == _FENCE or kind == _RMW:
-                # Both serialize younger loads until they leave the ROB.
-                self.pending_fences.append(seq)
-            elif kind == _BRANCH:
-                mispredicted = op.mispredict
-                if not mispredicted and self.branch_predictor is not None:
-                    mispredicted = (self.branch_predictor.predict(op.pc)
-                                    != op.taken)
-                if mispredicted:
-                    self.barrier_seq = seq
-            deps_left = 0
-            epoch = entry.issue_epoch
-            for dep in op.deps:
-                if not done[dep]:
-                    consumers.setdefault(dep, []).append((entry, epoch))
-                    deps_left += 1
-            entry.deps_left = deps_left
-            # RMWs never enter the ready pool: the retire stage launches
-            # them once they reach the ROB head with an empty SB.
-            if deps_left == 0 and kind != _RMW:
-                heappush(ready, (seq, epoch, entry))
-            dispatched += 1
-        self.fetch_idx = fetch_idx
-        work |= dispatched > 0
-        if stall != _STALL_NONE:
-            self._account_stall(stall, 1)
+            if dispatched:
+                self.fetch_idx = fetch_idx
+                work = True
 
         # ---- next-cycle scheduling ----
         if fetch_idx >= trace_len and not rob_entries and not sb._count:
             self._finish()
             return
         if work:
-            if not self._tick_scheduled and not self.finished:
+            if not self._tick_scheduled:
                 self._tick_scheduled = True
                 engine._seq = s = engine._seq + 1
                 bucket_next.append((now + 1, s, self._tick, ()))
+            elif fold:
+                self._spill(len(bucket_next))
         else:
             # Fully stalled: every possible state change is event-driven
             # (memory response, execution completion, barrier release),
@@ -432,6 +467,30 @@ class Core:
             self._sleeping = True
             self._sleep_since = now + 1
             self._sleep_stall = stall
+
+    def _spill(self, at: int) -> None:
+        """Turn the folded completions back into next-cycle events at
+        index ``at`` of the bucket, where their events would have been.
+
+        The events from ``at`` on are taken off and queued again behind
+        them with fresh seqs, so the bucket's FIFO order stays its
+        ``seq`` order.  (A bucket event's seq is never compared, and
+        every heap event due next cycle is older than anything queued
+        this cycle, so drawing new ones moves no event.)
+        """
+        engine = self.engine
+        bucket_next = engine._bucket_next
+        later = [bucket_next.pop() for _ in range(len(bucket_next) - at)]
+        time = engine.now + 1
+        for entry in self._folded:
+            fn = (self._complete_store if entry.op.kind == _STORE
+                  else self._complete)
+            engine._seq = s = engine._seq + 1
+            bucket_next.append((time, s, fn, (entry,)))
+        self._folded.clear()
+        for _, _, fn, args in reversed(later):
+            engine._seq = s = engine._seq + 1
+            bucket_next.append((time, s, fn, args))
 
     def _finish(self) -> None:
         self.finished = True
@@ -447,12 +506,12 @@ class Core:
         """A fence (or locked RMW) left the ROB: release deferred loads."""
         if self.pending_fences and self.pending_fences[0] == seq:
             self.pending_fences.pop(0)
-        for consumer, cepoch in self.deferred_on_fence.pop(seq, ()):
-            if consumer.issue_epoch == cepoch and not consumer.issued:
+        for consumer in self.deferred_on_fence.pop(seq, ()):
+            if not consumer.squashed and not consumer.issued:
                 self._push_ready(consumer)
 
     def _try_retire_load(self, head: RobEntry) -> bool:
-        lentry = self.load_of[head.seq]
+        lentry = head.lsq
         reason = self.policy.load_retire_block(lentry)
         if reason is not None:
             if lentry.gate_blocked_since is None:
@@ -476,7 +535,6 @@ class Core:
         # ``head`` is the completed ROB head (checked by the caller).
         self.rob._entries.popleft()
         self.lq.retire_head(head.seq)
-        del self.load_of[head.seq]
         self.retired_load_values[head.seq] = lentry.value
         if self.tracer is not None:
             blocked = 0
@@ -540,13 +598,13 @@ class Core:
     # ------------------------------------------------------------------
 
     def _push_ready(self, entry: RobEntry) -> None:
-        heapq.heappush(self.ready, (entry.seq, entry.issue_epoch, entry))
+        heapq.heappush(self.ready, (entry.seq, entry))
 
     def _issue_load(self, entry: RobEntry) -> None:
         op = entry.op
         seq = entry.seq
         addr = op.addr
-        lentry = self.load_of[seq]
+        lentry = entry.lsq
         lentry.addr = addr
         lentry.line = self.controller.line_of(addr)
 
@@ -555,23 +613,24 @@ class Core:
             if fence_seq < seq:
                 entry.issued = False
                 self.deferred_on_fence.setdefault(fence_seq, []).append(
-                    (entry, entry.issue_epoch))
+                    entry)
                 return
 
         # Memory-dependence prediction past older unresolved stores (the
         # prediction was captured at dispatch, as in real rename stages).
-        # ``store_of`` holds exactly the non-retired stores and a retired
-        # store is always resolved, so the predicted store is unresolved
-        # iff it is in ``store_of`` with ``resolved`` still False — no
-        # buffer scan needed.
+        # ROB seqs are consecutive, so the predicted store sits
+        # ``predicted - head.seq`` entries behind the ROB head; a
+        # negative index means it retired, and a retired store is always
+        # resolved — no buffer scan needed.
         predicted = lentry.memdep_wait
         if predicted is not None and predicted < seq:
-            pstore = self.store_of.get(predicted)
-            if pstore is not None and not pstore.resolved:
+            rob_entries = self.rob._entries
+            index = predicted - rob_entries[0].seq
+            if index >= 0 and not rob_entries[index].lsq.resolved:
                 entry.issued = False
                 lentry.deferred = True
                 self.deferred_on_store.setdefault(predicted, []).append(
-                    (entry, entry.issue_epoch))
+                    entry)
                 return
 
         match = self.sb.forwarding_match(addr, seq)
@@ -586,9 +645,7 @@ class Core:
         self.stats.loads_issued += 1
         if self.prefetcher is not None:
             self.prefetcher.observe(op.pc, addr)
-        epoch = entry.issue_epoch
-        hit = self.controller.load(
-            addr, lambda: self._perform_load(entry, epoch))
+        hit = self.controller.load(addr, partial(self._perform_load, entry))
         if hit:
             self.stats.l1_load_hits += 1
 
@@ -605,7 +662,7 @@ class Core:
         if self.detector is not None:
             self.detector.on_forward(lentry, store)
         self.engine.schedule(self.config.forward_latency,
-                             self._perform_load, entry, entry.issue_epoch)
+                             self._perform_load, entry)
 
     def _wait_for_store_write(self, entry: RobEntry, lentry: LoadEntry,
                               store: StoreEntry) -> None:
@@ -613,11 +670,10 @@ class Core:
         is inserted in memory order (written to the L1)."""
         self.stats.sb_wait_events += 1
         start = self.engine.now
-        epoch = entry.issue_epoch
         lentry.state = WAITING
 
         def resume() -> None:
-            if entry.issue_epoch != epoch:
+            if entry.squashed:
                 return
             self.stats.sb_wait_cycles += self.engine.now - start
             # Re-run the full issue logic: another (younger) matching
@@ -627,12 +683,10 @@ class Core:
 
         store.waiters.append(resume)
 
-    def _perform_load(self, entry: RobEntry, epoch: int) -> None:
-        if entry.issue_epoch != epoch:
+    def _perform_load(self, entry: RobEntry) -> None:
+        if entry.squashed:
             return
-        lentry = self.load_of.get(entry.seq)
-        if lentry is None:
-            return
+        lentry = entry.lsq
         if not lentry.slf:
             # Read the globally ordered value as of perform time; a
             # later conflicting write squashes this load while it is
@@ -660,28 +714,28 @@ class Core:
             self._p_load_perform(self.core_id, self.engine.now, entry.seq,
                                  lentry.addr, lentry.line, lentry.slf,
                                  spec)
-        self._complete(entry, epoch)
+        self._complete(entry)
 
-    def _complete(self, entry: RobEntry, epoch: int) -> None:
-        if entry.issue_epoch != epoch:
+    def _complete(self, entry: RobEntry) -> None:
+        if entry.squashed:
             return
         entry.completed = True
         self.done[entry.seq] = 1
         if self.tracer is not None:
-            lentry = self.load_of.get(entry.seq)
-            self.tracer.on_complete(entry.seq, self.engine.now,
-                                    slf=bool(lentry and lentry.slf))
+            self.tracer.on_complete(
+                entry.seq, self.engine.now,
+                slf=entry.op.kind == _LOAD and entry.lsq.slf)
         waiters = self.consumers.pop(entry.seq, None)
         if waiters:
             ready = self.ready
             heappush = heapq.heappush
-            for consumer, cepoch in waiters:
-                if consumer.issue_epoch != cepoch or consumer.issued:
+            for consumer in waiters:
+                if consumer.squashed or consumer.issued:
                     continue
                 deps_left = consumer.deps_left - 1
                 consumer.deps_left = deps_left
                 if deps_left == 0 and consumer.op.kind != _RMW:
-                    heappush(ready, (consumer.seq, cepoch, consumer))
+                    heappush(ready, (consumer.seq, consumer))
         op = entry.op
         if op.kind == _BRANCH:
             if self.branch_predictor is not None:
@@ -706,26 +760,23 @@ class Core:
         """Execute an atomic exchange: acquire ownership, then read and
         write the global memory image in one indivisible step."""
         op = entry.op
-        epoch = entry.issue_epoch
 
         def done() -> None:
-            if entry.issue_epoch != epoch:
+            if entry.squashed:
                 return
             old = self.memory_data.get(op.addr, 0)
             self.memory_data[op.addr] = op.value
             self.retired_load_values[entry.seq] = old
-            self._complete(entry, epoch)
+            self._complete(entry)
 
         self.controller.store(op.addr, done)
 
-    def _complete_store(self, entry: RobEntry, epoch: int) -> None:
+    def _complete_store(self, entry: RobEntry) -> None:
         """Store address generation finished: resolve the SQ entry, check
         for memory-dependence violations, release predicted loads."""
-        if entry.issue_epoch != epoch:
+        if entry.squashed:
             return
-        store = self.store_of.get(entry.seq)
-        if store is None:  # pragma: no cover - defensive
-            return
+        store = entry.lsq
         self.sb.resolve_store(store, entry.op.addr)
         self.storeset.store_resolved(entry.op.pc, entry.seq)
 
@@ -738,14 +789,12 @@ class Core:
                 self._rfo_pending += 1
 
         self._check_memdep_violation(entry, store)
-        for consumer, cepoch in self.deferred_on_store.pop(entry.seq, ()):
-            if consumer.issue_epoch != cepoch or consumer.issued:
+        for consumer in self.deferred_on_store.pop(entry.seq, ()):
+            if consumer.squashed or consumer.issued:
                 continue
-            lentry = self.load_of.get(consumer.seq)
-            if lentry is not None:
-                lentry.deferred = False
+            consumer.lsq.deferred = False
             self._push_ready(consumer)
-        self._complete(entry, epoch)
+        self._complete(entry)
 
     def _check_memdep_violation(self, entry: RobEntry,
                                 store: StoreEntry) -> None:
@@ -792,10 +841,8 @@ class Core:
             self.stats.squashes_memdep += 1
         self.stats.reexecuted_instructions += len(removed)
 
-        for lentry in self.lq.squash_from(seq):
-            self.load_of.pop(lentry.seq, None)
+        self.lq.squash_from(seq)
         for store in self.sb.squash_from(seq):
-            self.store_of.pop(store.seq, None)
             self.storeset.store_squashed(store.pc, store.seq)
             if store.resolved and not store.rfo_sent:
                 self._rfo_pending -= 1

@@ -15,10 +15,16 @@ from repro.cpu.isa import Op
 
 
 class RobEntry:
-    """One instruction in flight."""
+    """One instruction in flight.
+
+    ``lsq`` is a load's LQ entry or a store's SQ/SB entry (None for
+    every other op).  ``squashed`` is set when a squash flushes the
+    entry: it never re-enters the ROB (re-dispatch makes a new entry),
+    so every callback still holding it checks the flag and drops out.
+    """
 
     __slots__ = ("seq", "op", "completed", "issued", "deps_left",
-                 "issue_epoch")
+                 "squashed", "lsq")
 
     def __init__(self, seq: int, op: Op) -> None:
         self.seq = seq
@@ -26,7 +32,8 @@ class RobEntry:
         self.completed = False
         self.issued = False
         self.deps_left = 0
-        self.issue_epoch = 0
+        self.squashed = False
+        self.lsq = None
 
     def __lt__(self, other: "RobEntry") -> bool:
         return self.seq < other.seq
@@ -63,10 +70,11 @@ class ReorderBuffer:
         return self._entries[0] if self._entries else None
 
     def squash_from(self, seq: int) -> List[RobEntry]:
-        """Remove all entries with ``seq >= seq``, youngest first."""
+        """Remove all entries with ``seq >= seq``, youngest first, and
+        mark them squashed."""
         removed: List[RobEntry] = []
         while self._entries and self._entries[-1].seq >= seq:
             entry = self._entries.pop()
-            entry.issue_epoch += 1
+            entry.squashed = True
             removed.append(entry)
         return removed

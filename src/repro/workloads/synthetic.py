@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.cpu.isa import ALU, BRANCH, LOAD, STORE, Op, Trace
 from repro.workloads.profiles import BenchmarkProfile
@@ -52,13 +52,31 @@ _N_SITES = 8
 _ALU_LATENCIES = (1, 1, 1, 2, 3)
 
 
+def _randbelow(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
+    """``randrange`` for one ``random.Random``, bound to its
+    ``getrandbits``: a copy of CPython's
+    ``Random._randbelow_with_getrandbits``, which ``randrange(n)`` calls
+    for ``n >= 1``.  It draws exactly what ``randrange(n)`` draws,
+    without the two Python frames in between.  Defined for ``n >= 1``
+    only: ``n == 0`` would draw forever."""
+    def randrange(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+    return randrange
+
+
 class _TraceBuilder:
     """Stateful generator for one core's trace.
 
     The order of the random draws is part of the stats contract: every
     pinned stats digest, and the generation pin in
     ``tests/integration/test_trace_pin.py``, depends on it.  The builder
-    draws only through ``rng.random`` and ``rng.randrange``.  Where it
+    draws only through ``rng.random`` and ``self.randrange``, which
+    makes the ``getrandbits`` draws ``rng.randrange(n)`` makes (see
+    :func:`_randbelow`; every call site passes ``n >= 1``).  Where it
     stands in for ``randint``, ``choice`` or ``sample`` it makes the
     ``randrange`` calls those methods make, in the same order, so the
     stream is the one they would draw.
@@ -68,7 +86,7 @@ class _TraceBuilder:
                  rng: random.Random, stream_epoch: int = 0) -> None:
         self.profile = profile
         self.random = rng.random
-        self.randrange = rng.randrange
+        self.randrange = _randbelow(rng.getrandbits)
         self.trace = Trace()
         self.ops = self.trace.ops
         self.recent: Deque[int] = deque(maxlen=8)   # recent producers
@@ -78,6 +96,12 @@ class _TraceBuilder:
         self.n_branches = 0
         self.stack_base = _STACK_BASE + core_id * _CORE_STRIDE
         self.heap_base = _HEAP_BASE + core_id * _CORE_STRIDE
+        lo, hi = profile.fwd_filler
+        if hi < lo:
+            # rng.randrange raised on this empty range; _randbelow would
+            # spin on it.
+            raise ValueError(f"{profile.name}: fwd_filler {lo}..{hi} is "
+                             f"an empty range")
         self.stack_words = profile.stack_bytes // WORD
         self.heap_words = max(1, profile.footprint_bytes // WORD)
         self.hot_words = max(1, self.heap_words // 8)

@@ -16,10 +16,19 @@ shape; its pin is also the output of the original, pre-fast-path event
 kernel.  Its count of dispatched engine events is pinned too: the
 bench's events/sec divides that count, and the CI kernel-speed job
 checks the bench's row against both pins.
+
+Two off-default regimes are pinned under all five policies, plus one
+obs cell each.  The core folds next-cycle completions into its next
+tick (``Core._tick``) and must fall back to engine events in both: with
+``l1_evict_squash`` an L1 castout squashes inside a tick and wakes the
+core for the same cycle, and on a 1-cycle machine a load's issue
+itself schedules next-cycle events.
 """
 
 import pytest
 
+from repro.sim.config import (CacheConfig, CoreConfig, MemoryConfig,
+                              NetworkConfig, SystemConfig)
 from repro.sim.system import System
 from repro.sweep import SweepJob, run_sweep
 from repro.sweep.cache import content_key
@@ -64,7 +73,38 @@ FLAG_PINS = {
 }
 KERNEL_CELL = SweepJob(name="barnes", policy=KEY, cores=8, length=750)
 KERNEL_PIN = "b60c392473e0487f"
-KERNEL_EVENTS = 15_451
+KERNEL_EVENTS = 11_943
+
+#: Off-default configurations: L1 castouts squash speculative loads
+#: (with a 4 KB L1, so they do inside ticks), and a machine whose L1
+#: hit, forwarding, store commit and network hop each take one cycle.
+REGIMES = {
+    "l1-evict-squash": SystemConfig(
+        core=CoreConfig(l1_evict_squash=True),
+        memory=MemoryConfig(l1=CacheConfig(4 * 1024, 2, 4))),
+    "one-cycle": SystemConfig(
+        core=CoreConfig(forward_latency=1),
+        memory=MemoryConfig(l1=CacheConfig(32 * 1024, 8, 1),
+                            store_commit_latency=1),
+        network=NetworkConfig(switch_latency=0, data_flits=1,
+                              control_flits=1)),
+}
+#: (regime, policy) at radix × CORES × LENGTH, seed 0; "obs" is KEY
+#: with the observability layer attached.
+REGIME_PINS = {
+    ("l1-evict-squash", "x86"): "eddf3513af929cf4",
+    ("l1-evict-squash", "370-NoSpec"): "e6dd0bd032779e74",
+    ("l1-evict-squash", "370-SLFSpec"): "1b8772ec7c950777",
+    ("l1-evict-squash", "370-SLFSoS"): "dd1f27dca00e229c",
+    ("l1-evict-squash", "370-SLFSoS-key"): "b0a79e3e5fca3da9",
+    ("l1-evict-squash", "obs"): "a74310f5d0a0e260",
+    ("one-cycle", "x86"): "e007ea6b3608ece1",
+    ("one-cycle", "370-NoSpec"): "8c0a87b4630bc37a",
+    ("one-cycle", "370-SLFSpec"): "a869961fbdaca172",
+    ("one-cycle", "370-SLFSoS"): "c006c43c91da25d6",
+    ("one-cycle", "370-SLFSoS-key"): "b9b2d863b0bd9833",
+    ("one-cycle", "obs"): "3608a46e21c02180",
+}
 
 
 def digest(payload):
@@ -86,6 +126,15 @@ def test_grid_cell_is_pinned(cell):
 def test_flagged_cell_is_pinned(flag):
     value, pin = FLAG_PINS[flag]
     assert digest(execute_job(_job(**{flag: value}))) == pin
+
+
+@pytest.mark.parametrize("cell", sorted(REGIME_PINS), ids="/".join)
+def test_regime_cell_is_pinned(cell):
+    regime, policy = cell
+    obs = policy == "obs"
+    job = _job("radix", KEY if obs else policy, obs=obs,
+               config=REGIMES[regime])
+    assert digest(execute_job(job)) == REGIME_PINS[cell]
 
 
 def test_kernel_bench_cell_is_pinned():

@@ -183,6 +183,10 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["synth", "--spaces", "2x2x2", "--url", "http://127.0.0.1:9",
      "--chunks", "-2"],
     ["cache", "--max-bytes", "-1"],
+    ["sample", "sb", "-n", "200", "--top", "-1"],
+    ["sample", "sb", "-n", "200", "--top", "0"],
+    ["trace", "fft", "-c", "2", "-l", "100", "--top", "-1"],
+    ["trace", "fft", "-c", "2", "-l", "100", "--top", "0"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
         "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
@@ -192,14 +196,16 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
         "serve-shards-0", "serve-queue-limit-0",
         "serve-cache-max-bytes-neg", "serve-stuck-after-neg",
         "synth-limit-neg", "synth-chunks-0", "synth-chunks-neg",
-        "cache-max-bytes-neg"])
+        "cache-max-bytes-neg", "sample-top-neg", "sample-top-0",
+        "trace-top-neg", "trace-top-0"])
 def test_bad_count_is_a_usage_error(argv, capsys):
     """A count or budget that cannot mean what it asks for (no chaos
     trials, no workers, a zero sampling period, a negative number of
     random programs, a sweep or serve timeout or a serve watchdog
     period that is not a positive number of seconds, negative retries,
     no sampling runs, no serve shards or queue room, a negative store
-    or cache bound, a negative synth witness limit, no synth chunks)
+    or cache bound, a negative synth witness limit, no synth chunks, no
+    sampled outcomes or gate intervals to list)
     exits 2 with a one-line usage error, before anything runs,
     instead of a vacuous pass, a silent fallback, a failure of every
     cell, a service that starts only to fail every job, or a

@@ -179,6 +179,33 @@ class TestMemoryDependence:
         stats = run([t], "x86")
         assert stats.total.squashes_memdep == 0
 
+    def test_store_resolves_before_a_load_performing_that_cycle(self):
+        """On a machine with a 1-cycle L1, a store's address generation
+        and a younger same-address load's L1 hit issue in one cycle, and
+        both finish the next, store first (it issued first).  The core
+        folds the store's completion into its next tick, but the load's
+        perform event lands behind it, so the completion goes back into
+        the bucket ahead of it: the store squashes the load (cycle 2)
+        before the load performs, and the load performs once, re-run."""
+        from repro.obs.bus import ProbeBus
+        from repro.sim.config import NetworkConfig
+        config = SystemConfig(
+            cores=1, core=CoreConfig(forward_latency=1),
+            memory=MemoryConfig(l1=CacheConfig(32 * 1024, 8, 1),
+                                store_commit_latency=1),
+            network=NetworkConfig(switch_latency=0, data_flits=1,
+                                  control_flits=1))
+        t = Trace()
+        t.append(store(0x3000, pc=0x30))
+        t.append(load(0x3000, pc=0x40))
+        bus = ProbeBus()
+        performs, squashes = [], []
+        bus.subscribe("load.perform", lambda *args: performs.append(args))
+        bus.subscribe("squash.memdep", lambda *args: squashes.append(args))
+        System([t], "x86", config=config, probes=bus).run()
+        assert squashes == [(0, 2, 1, 1)]  # (core, cycle, from_seq, flushed)
+        assert [(cycle, seq) for _, cycle, seq, *_ in performs] == [(4, 1)]
+
 
 class TestInvalidationSquash:
     def _contended(self):

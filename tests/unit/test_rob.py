@@ -15,12 +15,12 @@ def _rob(capacity, seqs):
     return rob, entries
 
 
-def test_squash_from_bumps_epochs():
+def test_squash_from_marks_entries_squashed():
     rob, (keep, *victims) = _rob(8, (0, 2, 4, 6))
     removed = rob.squash_from(2)
     assert [e.seq for e in removed] == [6, 4, 2]
-    assert all(e.issue_epoch == 1 for e in victims)
-    assert keep.issue_epoch == 0
+    assert all(e.squashed for e in victims)
+    assert not keep.squashed
     assert list(rob) == [keep]
     assert rob.head() is keep
 

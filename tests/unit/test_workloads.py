@@ -1,11 +1,14 @@
 """Tests for the Table IV data, profiles, and synthetic generator."""
 
+import random
+
 import pytest
 
 from repro.cpu import isa
 from repro.workloads.profiles import (PARALLEL_PROFILES, PROFILES,
                                       SEQUENTIAL_PROFILES, get_profile)
-from repro.workloads.synthetic import (generate_trace, generate_warmup,
+from repro.workloads.synthetic import (_SHARED_BYTES, WORD, _randbelow,
+                                       generate_trace, generate_warmup,
                                        generate_workload)
 from repro.workloads.tableiv import (FIGURE10_GEOMEAN, PARALLEL_AVERAGE,
                                      PARALLEL_ROWS, SEQUENTIAL_AVERAGE,
@@ -137,3 +140,33 @@ class TestGenerator:
         hot = 0x6000_0000_0000
         for trace in traces:
             assert any(op.is_mem and op.addr == hot for op in trace.ops)
+
+
+class TestRandbelow:
+    """The builder's ``randrange`` stand-in makes the draws
+    ``random.Random.randrange`` makes."""
+
+    @staticmethod
+    def _builder_ns():
+        """Every large ``n`` the builder draws below: each profile's
+        heap and hot-heap word counts, and the shared heap's."""
+        ns = {_SHARED_BYTES // WORD}
+        for profile in PROFILES.values():
+            heap_words = max(1, profile.footprint_bytes // WORD)
+            ns |= {heap_words, max(1, heap_words // 8)}
+        return sorted(ns)
+
+    @pytest.mark.parametrize("seed", [0, 1, 11, 7_777_777, 0xFFFFFFFF])
+    def test_same_draws_as_randrange(self, seed):
+        ns = list(range(1, 1025)) + self._builder_ns()
+        reference = random.Random(seed)
+        rng = random.Random(seed)
+        randrange = _randbelow(rng.getrandbits)
+        assert [randrange(n) for n in ns] == \
+            [reference.randrange(n) for n in ns]
+        assert rng.getstate() == reference.getstate()
+
+    def test_empty_filler_range_is_refused(self):
+        profile = get_profile("barnes").scaled(fwd_filler=(2, 1))
+        with pytest.raises(ValueError, match="fwd_filler"):
+            generate_trace(profile, 0, 100)
