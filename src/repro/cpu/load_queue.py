@@ -23,8 +23,7 @@ class LoadEntry:
     """One load in the LQ."""
 
     __slots__ = ("seq", "addr", "line", "state", "slf", "key",
-                 "store_seq", "pc", "deferred",
-                 "gate_blocked_since", "blocked_reason", "performed_at",
+                 "store_seq", "pc", "gate_blocked_since", "blocked_reason",
                  "memdep_wait", "value")
 
     def __init__(self, seq: int, pc: int = 0) -> None:
@@ -36,10 +35,8 @@ class LoadEntry:
         self.key: Optional[int] = None  # forwarding store's key
         self.store_seq: Optional[int] = None  # forwarding store's seq
         self.pc = pc
-        self.deferred = False         # waiting on memory-dependence prediction
         self.gate_blocked_since: Optional[int] = None
         self.blocked_reason: Optional[str] = None
-        self.performed_at: int = -1
         # StoreSet prediction captured at dispatch: the seq of the store
         # this load must wait for (None = issue freely).
         self.memdep_wait: Optional[int] = None

@@ -628,7 +628,6 @@ class Core:
             index = predicted - rob_entries[0].seq
             if index >= 0 and not rob_entries[index].lsq.resolved:
                 entry.issued = False
-                lentry.deferred = True
                 self.deferred_on_store.setdefault(predicted, []).append(
                     entry)
                 return
@@ -693,7 +692,6 @@ class Core:
             # still speculative in the LQ, re-reading the fresh value.
             lentry.value = self.memory_data.get(entry.op.addr, 0)
         lentry.state = PERFORMED
-        lentry.performed_at = self.engine.now
         if self._p_load_perform is not None:
             # Speculation status at perform time, mirroring the squash
             # criteria of _on_line_removed: bit 1 = performed past an
@@ -792,7 +790,6 @@ class Core:
         for consumer in self.deferred_on_store.pop(entry.seq, ()):
             if consumer.squashed or consumer.issued:
                 continue
-            consumer.lsq.deferred = False
             self._push_ready(consumer)
         self._complete(entry)
 

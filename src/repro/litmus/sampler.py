@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Counter as CounterT, Dict, Optional
+from typing import Counter as CounterT, Dict
 
 from repro.litmus.operational import MODELS, _matches, machine_for
 from repro.litmus.program import Outcome, Program
@@ -35,11 +35,6 @@ class SampleReport:
         hits = sum(count for outcome, count in self.histogram.items()
                    if _matches(outcome, conditions))
         return hits / self.runs if self.runs else 0.0
-
-    def rarest(self) -> Optional[Outcome]:
-        if not self.histogram:
-            return None
-        return min(self.histogram, key=self.histogram.get)
 
     def summary(self, top: int = 10) -> str:
         lines = [f"{self.program.name} under {self.model}: "

@@ -92,9 +92,6 @@ class GateWatcher:
             self.hist_lock.add(interval.cycles)
         self._open.clear()
 
-    def interval_count(self) -> int:
-        return sum(len(v) for v in self.intervals.values())
-
 
 class StallWatcher:
     """Histograms of retire-blocked episodes from ``gate.stall``."""

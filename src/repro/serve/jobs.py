@@ -1,12 +1,15 @@
 """The service's job model: requests, idempotency keys, execution.
 
-A *job request* is the JSON clients POST to ``/v1/jobs``.  Two kinds
-exist:
+A *job request* is the JSON clients POST to ``/v1/jobs``.  Each kind is
+one spec type that reads and validates its wire fields (``from_dict``),
+writes them back (``to_dict``) and names itself in deadline errors
+(``label``):
 
 * ``bench`` (alias ``sweep``) — one simulation cell, exactly a
   :class:`~repro.sweep.runner.SweepJob`: benchmark profile × policy ×
-  (cores, length, seed, flags).  Executing it calls ``execute_job``,
-  the sweep runner's one-cell trace unit, so a result served by the
+  (cores, length, seed, flags), refused when built if it cannot run.
+  Executing it calls ``execute_job``, which generates the cell's
+  traces, walks its warm-up and simulates, so a result served by the
   service is byte-identical to a direct :func:`run_sweep` of the same
   cell — and the two share one cache namespace.
 * ``litmus`` — enumerate a named litmus test under one or more memory
@@ -30,13 +33,13 @@ and the pool collapse concurrent duplicates into one simulation.
 ``execute_request`` is the worker-side entry point: module-level and
 operating on picklable specs, so it crosses the ``ProcessPoolExecutor``
 boundary, with the sweep runner's SIGALRM deadline guard
-(:func:`~repro.sweep.runner.with_deadline`) around both kinds.
+(:func:`~repro.sweep.runner.with_deadline`) around every kind.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (TYPE_CHECKING, Dict, List, Optional, Tuple,
                     Union)
 
@@ -45,14 +48,11 @@ from repro.litmus.operational import enumerate_outcomes
 from repro.litmus.registry import litmus_registry
 from repro.models import model_names
 from repro.sweep.cache import code_version, content_key
-from repro.sweep.runner import (SweepJob, execute_job, job_key,
-                                with_deadline)
+from repro.sweep.runner import (SweepJob, check_type, execute_job,
+                                job_key, with_deadline)
 
 if TYPE_CHECKING:  # pragma: no cover — keeps the synth machinery off
     from repro.synth.space import SynthBounds  # the worker boot path
-
-#: Request kinds accepted by ``POST /v1/jobs``.
-JOB_KINDS = ("bench", "sweep", "litmus", "leak", "synth")
 
 #: Default priority; lower runs earlier.
 DEFAULT_PRIORITY = 100
@@ -70,28 +70,123 @@ class JobValidationError(ValueError):
             self.payload.update(detail)
 
 
+# ----------------------------------------------------------------------
+# The spec types and their wire fields
+# ----------------------------------------------------------------------
+
+def _require_type(data: Dict, name: str, kind: type, default):
+    value = data.get(name, default)
+    try:
+        check_type(name, value, kind)
+    except ValueError as exc:
+        raise JobValidationError(str(exc)) from None
+    return value
+
+
+def _refuse_unknown(spec_type, data: Dict) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(spec_type)})
+    if unknown:
+        raise JobValidationError(
+            f"unknown field(s) for a {spec_type.kind} job: {unknown}")
+
+
+def _member(spec_type, data: Dict, name: str, registry, noun: str) -> str:
+    """``data[name]``: a string naming an entry of ``registry``."""
+    value = data.get(name)
+    if not isinstance(value, str):
+        raise JobValidationError(
+            f"{spec_type.kind} jobs need a {name!r} string")
+    if value not in registry:
+        raise JobValidationError(f"unknown {noun} {value!r}",
+                                 {"known": sorted(registry)})
+    return value
+
+
+def _members(data: Dict, name: str, registry, noun: str,
+             nouns: str) -> Tuple[str, ...]:
+    """``data[name]``: a non-empty list of entries of ``registry`` (all
+    of them when absent)."""
+    values = data.get(name)
+    if values is None:
+        values = list(registry)
+    if (not isinstance(values, list) or not values
+            or not all(isinstance(v, str) for v in values)):
+        raise JobValidationError(
+            f"{name!r} must be a non-empty list of {noun} names")
+    bad = sorted(set(values) - set(registry))
+    if bad:
+        raise JobValidationError(f"unknown {nouns} {bad}",
+                                 {name: list(registry)})
+    return tuple(values)
+
+
+def _wire(value):
+    """A spec field in JSON form."""
+    if isinstance(value, tuple):
+        return [_wire(item) for item in value]
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+class _Spec:
+    """A litmus, leak or synth spec: its dataclass fields are its wire
+    fields, and its class attribute ``kind`` names it in its key and in
+    its 400s."""
+
+    def to_dict(self) -> Dict:
+        return {f.name: _wire(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class LitmusSpec:
+class LitmusSpec(_Spec):
     """One litmus enumeration request: a named battery program under a
     tuple of memory models."""
+
+    kind = "litmus"
 
     name: str
     models: Tuple[str, ...] = model_names()
 
+    @classmethod
+    def from_dict(cls, data: Dict) -> "LitmusSpec":
+        _refuse_unknown(cls, data)
+        name = _member(cls, data, "name", litmus_registry(), "litmus test")
+        return cls(name, _members(data, "models", model_names(), "model",
+                                  "model(s)"))
+
+    @property
+    def label(self) -> str:
+        return f"litmus:{self.name}"
+
 
 @dataclass(frozen=True)
-class LeakSpec:
+class LeakSpec(_Spec):
     """One leakage-gadget request: a named Spectre gadget under a tuple
     of policies, run with taint tracking attached."""
+
+    kind = "leak"
 
     gadget: str
     policies: Tuple[str, ...] = tuple(POLICY_ORDER)
 
+    @classmethod
+    def from_dict(cls, data: Dict) -> "LeakSpec":
+        from repro.leakage import GADGETS
+        _refuse_unknown(cls, data)
+        gadget = _member(cls, data, "gadget", GADGETS, "gadget")
+        return cls(gadget, _members(data, "policies", POLICY_ORDER,
+                                    "policy", "policy(ies)"))
+
+    @property
+    def label(self) -> str:
+        return f"leak:{self.gadget}"
+
 
 @dataclass(frozen=True)
-class SynthSpec:
+class SynthSpec(_Spec):
     """One synthesis chunk: search ``chunk`` of ``chunks`` congruence
     classes of a bounded program space for model-pair distinguishers."""
+
+    kind = "synth"
 
     bounds: "SynthBounds"
     pairs: Tuple[Tuple[str, str], ...]
@@ -99,30 +194,67 @@ class SynthSpec:
     chunks: int = 1
     limit: int = 0
 
+    @classmethod
+    def from_dict(cls, data: Dict) -> "SynthSpec":
+        from repro.synth.search import MODEL_PAIRS
+        from repro.synth.space import LATTICE, SynthBounds
+        _refuse_unknown(cls, data)
+        bounds_data = data.get("bounds")
+        if not isinstance(bounds_data, dict):
+            raise JobValidationError("synth jobs need a 'bounds' object")
+        try:
+            bounds = SynthBounds.from_dict(bounds_data)
+        except (TypeError, ValueError) as exc:
+            raise JobValidationError(f"bad synth bounds: {exc}")
+        pairs = data.get("pairs")
+        if pairs is None:
+            pairs = [list(pair) for pair in MODEL_PAIRS]
+        if (not isinstance(pairs, list) or not pairs
+                or not all(isinstance(p, list) and len(p) == 2
+                           and all(isinstance(m, str) for m in p)
+                           for p in pairs)):
+            raise JobValidationError(
+                "'pairs' must be a non-empty list of [strong, weak] "
+                "model-name pairs")
+        for strong, weak in pairs:
+            bad = sorted({strong, weak} - set(LATTICE))
+            if bad:
+                raise JobValidationError(
+                    f"unknown model(s) {bad}", {"models": list(LATTICE)})
+            if LATTICE.index(strong) >= LATTICE.index(weak):
+                raise JobValidationError(
+                    f"pair [{strong}, {weak}] is not (stronger, weaker) "
+                    f"in the {' / '.join(LATTICE)} lattice")
+        chunk = _require_type(data, "chunk", int, 0)
+        chunks = _require_type(data, "chunks", int, 1)
+        if chunks < 1 or not (0 <= chunk < chunks):
+            raise JobValidationError(
+                f"bad chunk {chunk}/{chunks}: need 0 <= chunk < chunks")
+        limit = _require_type(data, "limit", int, 0)
+        if limit < 0:
+            raise JobValidationError("'limit' must be >= 0")
+        return cls(bounds=bounds, pairs=tuple(map(tuple, pairs)),
+                   chunk=chunk, chunks=chunks, limit=limit)
 
-#: What a job executes: sweep cell, litmus enumeration, leak run, or
-#: synthesis chunk.
-JobSpec = Union[SweepJob, LitmusSpec, LeakSpec, "SynthSpec"]
+    @property
+    def label(self) -> str:
+        return f"synth:{self.chunk}/{self.chunks}"
+
+
+#: What a job executes: a sweep cell, or a litmus, leak or synth spec.
+JobSpec = Union[SweepJob, LitmusSpec, LeakSpec, SynthSpec]
+
+#: Each request kind's spec type; ``sweep`` is an alias of ``bench``.
+_SPEC_TYPES = {"bench": SweepJob, "sweep": SweepJob, "litmus": LitmusSpec,
+               "leak": LeakSpec, "synth": SynthSpec}
+
+#: Request kinds accepted by ``POST /v1/jobs``.
+JOB_KINDS = tuple(_SPEC_TYPES)
 
 
 # ----------------------------------------------------------------------
 # Request parsing / serialization
 # ----------------------------------------------------------------------
-
-def _require_type(data: Dict, name: str, types, default):
-    value = data.get(name, default)
-    if value is default:
-        return value
-    if isinstance(value, bool) and bool not in (
-            types if isinstance(types, tuple) else (types,)):
-        raise JobValidationError(
-            f"field {name!r} must be {types}, got a bool")
-    if not isinstance(value, types):
-        raise JobValidationError(
-            f"field {name!r} must be {getattr(types, '__name__', types)}, "
-            f"got {type(value).__name__}")
-    return value
-
 
 def parse_request(data: object) -> "Tuple[str, JobSpec, int]":
     """Validate one job-request dict → ``(kind, spec, priority)``.
@@ -140,164 +272,20 @@ def parse_request(data: object) -> "Tuple[str, JobSpec, int]":
         raise JobValidationError(
             f"unknown job kind {kind!r}", {"kinds": list(JOB_KINDS)})
     priority = _require_type(data, "priority", int, DEFAULT_PRIORITY)
-
-    if kind == "litmus":
-        allowed = {"kind", "priority", "name", "models"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise JobValidationError(
-                f"unknown field(s) for a litmus job: {unknown}")
-        name = data.get("name")
-        if not isinstance(name, str):
-            raise JobValidationError("litmus jobs need a 'name' string")
-        if name not in litmus_registry():
-            raise JobValidationError(
-                f"unknown litmus test {name!r}",
-                {"known": sorted(litmus_registry())})
-        registered = model_names()
-        models = data.get("models")
-        if models is None:
-            models = list(registered)
-        if (not isinstance(models, list) or not models
-                or not all(isinstance(m, str) for m in models)):
-            raise JobValidationError(
-                "'models' must be a non-empty list of model names")
-        bad = sorted(set(models) - set(registered))
-        if bad:
-            raise JobValidationError(
-                f"unknown model(s) {bad}", {"models": list(registered)})
-        return kind, LitmusSpec(name, tuple(models)), priority
-
-    if kind == "leak":
-        allowed = {"kind", "priority", "gadget", "policies"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise JobValidationError(
-                f"unknown field(s) for a leak job: {unknown}")
-        gadget = data.get("gadget")
-        if not isinstance(gadget, str):
-            raise JobValidationError("leak jobs need a 'gadget' string")
-        from repro.leakage import GADGETS
-        if gadget not in GADGETS:
-            raise JobValidationError(
-                f"unknown gadget {gadget!r}", {"known": sorted(GADGETS)})
-        policies = data.get("policies")
-        if policies is None:
-            policies = list(POLICY_ORDER)
-        if (not isinstance(policies, list) or not policies
-                or not all(isinstance(p, str) for p in policies)):
-            raise JobValidationError(
-                "'policies' must be a non-empty list of policy names")
-        bad = sorted(set(policies) - set(POLICY_ORDER))
-        if bad:
-            raise JobValidationError(
-                f"unknown policy(ies) {bad}",
-                {"policies": list(POLICY_ORDER)})
-        return kind, LeakSpec(gadget, tuple(policies)), priority
-
-    if kind == "synth":
-        allowed = {"kind", "priority", "bounds", "pairs", "chunk",
-                   "chunks", "limit"}
-        unknown = sorted(set(data) - allowed)
-        if unknown:
-            raise JobValidationError(
-                f"unknown field(s) for a synth job: {unknown}")
-        from repro.synth.search import MODEL_PAIRS
-        from repro.synth.space import LATTICE, SynthBounds
-        bounds_data = data.get("bounds")
-        if not isinstance(bounds_data, dict):
-            raise JobValidationError("synth jobs need a 'bounds' object")
-        try:
-            bounds = SynthBounds.from_dict(bounds_data)
-        except (TypeError, ValueError) as exc:
-            raise JobValidationError(f"bad synth bounds: {exc}")
-        pairs_data = data.get("pairs")
-        if pairs_data is None:
-            pairs_data = [list(pair) for pair in MODEL_PAIRS]
-        if (not isinstance(pairs_data, list) or not pairs_data
-                or not all(isinstance(p, list) and len(p) == 2
-                           and all(isinstance(m, str) for m in p)
-                           for p in pairs_data)):
-            raise JobValidationError(
-                "'pairs' must be a non-empty list of [strong, weak] "
-                "model-name pairs")
-        for strong, weak in pairs_data:
-            bad = sorted({strong, weak} - set(LATTICE))
-            if bad:
-                raise JobValidationError(
-                    f"unknown model(s) {bad}", {"models": list(LATTICE)})
-            if LATTICE.index(strong) >= LATTICE.index(weak):
-                raise JobValidationError(
-                    f"pair [{strong}, {weak}] is not (stronger, weaker) "
-                    f"in the {' / '.join(LATTICE)} lattice")
-        chunk = _require_type(data, "chunk", int, 0)
-        chunks = _require_type(data, "chunks", int, 1)
-        if chunks < 1 or not (0 <= chunk < chunks):
-            raise JobValidationError(
-                f"bad chunk {chunk}/{chunks}: need 0 <= chunk < chunks")
-        limit = _require_type(data, "limit", int, 0)
-        if limit < 0:
-            raise JobValidationError("'limit' must be >= 0")
-        return kind, SynthSpec(
-            bounds=bounds,
-            pairs=tuple((strong, weak) for strong, weak in pairs_data),
-            chunk=chunk, chunks=chunks, limit=limit), priority
-
-    # bench / sweep: a SweepJob in wire form.
     spec_fields = {k: v for k, v in data.items()
                    if k not in ("kind", "priority")}
     try:
-        job = SweepJob.from_dict(spec_fields)
-    except (TypeError, ValueError) as exc:
+        return kind, _SPEC_TYPES[kind].from_dict(spec_fields), priority
+    except JobValidationError:
+        raise
+    except ValueError as exc:  # a cell that SweepJob refuses
         raise JobValidationError(str(exc))
-    _require_type(spec_fields, "name", str, None)
-    _require_type(spec_fields, "policy", str, None)
-    _require_type(spec_fields, "cores", int, None)
-    _require_type(spec_fields, "length", int, None)
-    _require_type(spec_fields, "seed", int, None)
-    _require_type(spec_fields, "obs", bool, False)
-    _require_type(spec_fields, "detect_violations", bool, False)
-    _require_type(spec_fields, "memdep_hints", bool, True)
-    _require_type(spec_fields, "obs_sample_interval", int, 64)
-    if job.policy not in POLICY_ORDER:
-        raise JobValidationError(
-            f"unknown policy {job.policy!r}",
-            {"policies": list(POLICY_ORDER)})
-    from repro.workloads.profiles import PROFILES
-    if job.name not in PROFILES:
-        raise JobValidationError(
-            f"unknown benchmark {job.name!r}",
-            {"known": sorted(PROFILES)})
-    # A bench or sweep job runs on the paper's system: a core count it
-    # lacks is a 400 here, not a failure in a worker.
-    from repro.sim.config import SKYLAKE_LIKE
-    if job.cores < 1 or job.cores > SKYLAKE_LIKE.cores:
-        raise JobValidationError(
-            f"'cores' must be in [1, {SKYLAKE_LIKE.cores}]")
-    if job.length is not None and job.length < 1:
-        raise JobValidationError("'length' must be >= 1")
-    if job.obs_sample_interval < 1:
-        raise JobValidationError("'obs_sample_interval' must be >= 1")
-    return kind, job, priority
 
 
 def spec_to_dict(kind: str, spec: JobSpec) -> Dict:
     """Wire form of a parsed spec (inverse of :func:`parse_request`,
     minus the priority)."""
-    if isinstance(spec, LitmusSpec):
-        return {"kind": "litmus", "name": spec.name,
-                "models": list(spec.models)}
-    if isinstance(spec, LeakSpec):
-        return {"kind": "leak", "gadget": spec.gadget,
-                "policies": list(spec.policies)}
-    if isinstance(spec, SynthSpec):
-        return {"kind": "synth", "bounds": spec.bounds.to_dict(),
-                "pairs": [list(pair) for pair in spec.pairs],
-                "chunk": spec.chunk, "chunks": spec.chunks,
-                "limit": spec.limit}
-    out = {"kind": kind}
-    out.update(spec.to_dict())
-    return out
+    return {"kind": kind, **spec.to_dict()}
 
 
 def request_key(spec: JobSpec) -> str:
@@ -305,38 +293,14 @@ def request_key(spec: JobSpec) -> str:
 
     Sweep cells reuse :func:`repro.sweep.runner.job_key` verbatim, so
     the service's store and the sweep runner's disk cache are one
-    namespace: a result computed by either is a hit for both.  Litmus
-    keys hash the (name, models) closure plus the simulator source
-    version, like every other key.
+    namespace: a result computed by either is a hit for both.  Every
+    other kind hashes its kind and wire fields plus the simulator
+    source version.
     """
     if isinstance(spec, SweepJob):
         return job_key(spec)
-    if isinstance(spec, LeakSpec):
-        return content_key({
-            "schema": 1,
-            "kind": "leak",
-            "gadget": spec.gadget,
-            "policies": list(spec.policies),
-            "code": code_version(),
-        })
-    if isinstance(spec, SynthSpec):
-        return content_key({
-            "schema": 1,
-            "kind": "synth",
-            "bounds": spec.bounds.to_dict(),
-            "pairs": [list(pair) for pair in spec.pairs],
-            "chunk": spec.chunk,
-            "chunks": spec.chunks,
-            "limit": spec.limit,
-            "code": code_version(),
-        })
-    return content_key({
-        "schema": 1,
-        "kind": "litmus",
-        "name": spec.name,
-        "models": list(spec.models),
-        "code": code_version(),
-    })
+    return content_key({"schema": 1, "kind": spec.kind, **spec.to_dict(),
+                        "code": code_version()})
 
 
 # ----------------------------------------------------------------------
@@ -395,19 +359,12 @@ def execute_request(spec: JobSpec, timeout: Optional[float] = None
     Module-level (pickles for the process pool).  Returns the result
     payload the store persists: for sweep cells this is exactly
     ``SystemStats.to_dict()`` — the same bytes ``run_sweep`` caches.
+    The executor is looked up at call time, so a wrapper bound over one
+    of the module's ``execute_*`` names applies.
     """
-    if isinstance(spec, SweepJob):
-        return with_deadline(lambda: execute_job(spec), timeout,
-                             f"{spec.name}/{spec.policy}")
-    if isinstance(spec, LeakSpec):
-        return with_deadline(lambda: execute_leak(spec), timeout,
-                             f"leak:{spec.gadget}")
-    if isinstance(spec, SynthSpec):
-        return with_deadline(
-            lambda: execute_synth(spec), timeout,
-            f"synth:{spec.chunk}/{spec.chunks}")
-    return with_deadline(lambda: execute_litmus(spec), timeout,
-                         f"litmus:{spec.name}")
+    run = {SweepJob: execute_job, LitmusSpec: execute_litmus,
+           LeakSpec: execute_leak, SynthSpec: execute_synth}[type(spec)]
+    return with_deadline(lambda: run(spec), timeout, spec.label)
 
 
 # ----------------------------------------------------------------------

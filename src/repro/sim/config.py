@@ -69,6 +69,12 @@ class MemoryConfig:
     prefetcher: bool = True          # stride L1 prefetcher
     prefetch_degree: int = 2
 
+    def __post_init__(self) -> None:
+        # A 0-cycle commit lands the L1 write after the core's tick in
+        # the same cycle, so a blocked head misses its gate's reopening.
+        if self.store_commit_latency < 1:
+            raise ValueError("store_commit_latency must be >= 1 cycle")
+
 
 @dataclass(frozen=True, slots=True)
 class NetworkConfig:

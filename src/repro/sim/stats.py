@@ -195,7 +195,10 @@ class SystemStats:
           the run: the SB must drain before a core finishes);
         * the head cannot have been gate-blocked for longer than the
           gate was actually held closed (in-order retirement means the
-          blocked head retires the same cycle the gate opens);
+          blocked head retires the same cycle the gate opens).  This
+          holds only because a store commit takes at least one cycle
+          (``MemoryConfig`` refuses less): a 0-cycle commit would reopen
+          the gate after the blocked head's tick that cycle;
         * the per-key lock breakdown sums to the lock total;
         * squash episodes sum across the per-reason counters (inval,
           evict, memdep, fault) — every squash has exactly one cause.

@@ -23,7 +23,7 @@ class System:
     """A simulated multicore: N cores + coherent memory hierarchy."""
 
     __slots__ = ("config", "policy_name", "engine", "probe_bus", "memory",
-                 "cores", "memory_data", "_unfinished", "faults")
+                 "cores", "memory_data", "_unfinished")
 
     def __init__(self, traces: Sequence["Trace"], policy_name: str,
                  config: Optional[SystemConfig] = None,
@@ -83,7 +83,6 @@ class System:
         # Deterministic fault injection (repro.resilience.faults): wire
         # the plan's hooks last, once every component exists.  None (the
         # default) leaves every hook site on its zero-cost path.
-        self.faults = faults
         if faults is not None:
             faults.install(self)
 
@@ -92,34 +91,26 @@ class System:
         if self._unfinished == 0:
             self.engine.stop()
 
-    @staticmethod
-    def _describe_core(core: "Core") -> str:
-        ctrl = core.controller
-        return (f"  core {core.core_id}: finished={core.finished} "
-                f"sleeping={core._sleeping} fetch={core.fetch_idx}/"
-                f"{len(core.trace)} rob={len(core.rob)} lq={len(core.lq)} "
-                f"sb={len(core.sb)} ready={len(core.ready)} "
-                f"barrier={core.barrier_seq} txns={list(ctrl.txns)} "
-                f"txn_queue={len(ctrl.txn_queue)} "
-                f"rob_head={core.rob.head()!r}")
-
     @property
     def done(self) -> bool:
         return self._unfinished == 0
 
     def run(self, max_cycles: int = 500_000_000) -> SystemStats:
         """Run to completion (every core retired its whole trace and
-        drained its SB).  Raises on deadlock or cycle-budget overrun."""
+        drained its SB).  Raises on deadlock (a
+        :class:`~repro.resilience.invariants.DeadlockError` with per-core
+        snapshots) or cycle-budget overrun."""
         for core in self.cores:
             core.start()
         self.engine.run(max_cycles=max_cycles)
         if not self.done:
             if self.engine.pending == 0:
-                raise RuntimeError(
+                from repro.resilience.invariants import (DeadlockError,
+                                                         system_diagnostic)
+                raise DeadlockError(
                     f"deadlock: no pending events but "
                     f"{self._unfinished} cores unfinished "
-                    f"(policy={self.policy_name})\n"
-                    + "\n".join(self._describe_core(c) for c in self.cores))
+                    f"(policy={self.policy_name})", system_diagnostic(self))
             raise RuntimeError(
                 f"simulation exceeded {max_cycles} cycles "
                 f"(policy={self.policy_name})")

@@ -8,8 +8,8 @@ once, inside the worker, so the pool pickles only small
 geometry, installing the captured memory image into each cell
 (:func:`repro.snapshot.capture_memory`).  Generation, the warm-up and
 the engine are deterministic, so results are placed back at their
-job's input index and every cell equals :func:`execute_job` (the
-one-cell unit) run alone.
+job's input index and every cell equals :func:`execute_job` run alone
+(which generates the cell's traces and walks its warm-up itself).
 
 Completed results are stored in a :class:`~repro.sweep.cache.ResultCache`
 keyed by :func:`job_key`, so re-running a figure after editing only the
@@ -44,20 +44,41 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
+from repro.core.policies import POLICY_ORDER
 from repro.sim.config import SKYLAKE_LIKE, SystemConfig
 from repro.sim.stats import SystemStats
 from repro.sim.system import simulate
 from repro.sweep.cache import ResultCache, code_version, content_key
-from repro.workloads.profiles import get_profile
+from repro.workloads.profiles import PROFILES, get_profile
 from repro.workloads.runner import (DEFAULT_CORES, BenchmarkResult,
                                     cell_traces, resolved_length)
 
 ProgressFn = Callable[[str], None]
 
 
+def check_type(name: str, value: object, kind: type) -> None:
+    """Refuse a field ``value`` that is not a ``kind`` (nor a bool for an
+    int)."""
+    if isinstance(value, bool) and kind is not bool:
+        raise ValueError(f"field {name!r} must be {kind}, got a bool")
+    if not isinstance(value, kind):
+        raise ValueError(f"field {name!r} must be {kind.__name__}, "
+                         f"got {type(value).__name__}")
+
+
+#: The wire fields of a :class:`SweepJob` (every field but ``config``)
+#: and the type each holds, in the order they are checked.
+_CELL_FIELDS = (("name", str), ("policy", str), ("cores", int),
+                ("length", int), ("seed", int), ("obs", bool),
+                ("detect_violations", bool), ("memdep_hints", bool),
+                ("obs_sample_interval", int))
+
+
 @dataclass(frozen=True)
 class SweepJob:
-    """One cell of a sweep grid: a complete simulation specification."""
+    """One cell of a sweep grid: a complete simulation specification,
+    refused when built (a ``ValueError`` naming the field) if it cannot
+    run on the paper's system."""
 
     name: str                          # benchmark profile name
     policy: str                        # consistency configuration
@@ -76,6 +97,31 @@ class SweepJob:
     obs: bool = False
     obs_sample_interval: int = 64
 
+    def __post_init__(self) -> None:
+        for field_name, kind in _CELL_FIELDS:
+            value = getattr(self, field_name)
+            # None is the suite length; a None name or policy is
+            # reported as unknown below.
+            if value is not None or field_name not in ("name", "policy",
+                                                       "length"):
+                check_type(field_name, value, kind)
+        if self.policy not in POLICY_ORDER:
+            raise ValueError(f"unknown policy {self.policy!r}")
+        if self.name not in PROFILES:
+            raise ValueError(f"unknown benchmark {self.name!r}")
+        if not 1 <= self.cores <= SKYLAKE_LIKE.cores:
+            raise ValueError(
+                f"'cores' must be in [1, {SKYLAKE_LIKE.cores}]")
+        if self.length is not None and self.length < 1:
+            raise ValueError("'length' must be >= 1")
+        if self.obs_sample_interval < 1:
+            raise ValueError("'obs_sample_interval' must be >= 1")
+
+    @property
+    def label(self) -> str:
+        """The cell's name in progress notes and deadline errors."""
+        return f"{self.name}/{self.policy}"
+
     def to_dict(self) -> Dict:
         """JSON-safe description; exact under :meth:`from_dict`.
 
@@ -87,27 +133,14 @@ class SweepJob:
         if self.config is not None:
             raise ValueError("SweepJob.to_dict: custom SystemConfig is "
                              "not JSON-serializable; use config=None")
-        return {
-            "name": self.name,
-            "policy": self.policy,
-            "cores": self.cores,
-            "length": self.length,
-            "seed": self.seed,
-            "detect_violations": self.detect_violations,
-            "memdep_hints": self.memdep_hints,
-            "obs": self.obs,
-            "obs_sample_interval": self.obs_sample_interval,
-        }
+        return {name: getattr(self, name) for name, _ in _CELL_FIELDS}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "SweepJob":
         """Inverse of :meth:`to_dict`; unknown keys are rejected so a
         typo in a job request fails loudly instead of keying a cache
         entry under a spec the simulation ignored."""
-        allowed = {"name", "policy", "cores", "length", "seed",
-                   "detect_violations", "memdep_hints", "obs",
-                   "obs_sample_interval"}
-        unknown = set(data) - allowed
+        unknown = set(data) - {name for name, _ in _CELL_FIELDS}
         if unknown:
             raise ValueError(f"SweepJob.from_dict: unknown field(s) "
                              f"{sorted(unknown)}")
@@ -158,16 +191,10 @@ def job_key(job: SweepJob) -> str:
     """
     return content_key({
         "schema": 1,
-        "name": job.name,
-        "policy": job.policy,
-        "cores": job.cores,
+        **{name: getattr(job, name) for name, _ in _CELL_FIELDS},
         "length": resolved_length(job.name, job.length),
-        "seed": job.seed,
         "config": (None if job.config is None
                    else dataclasses.asdict(job.config)),
-        "detect_violations": job.detect_violations,
-        "memdep_hints": job.memdep_hints,
-        "obs": job.obs,
         "obs_sample_interval": job.obs_sample_interval if job.obs else None,
         "code": code_version(),
     })
@@ -193,8 +220,9 @@ def _run_cell(job: SweepJob, traces, warm) -> Dict:
 
 
 def execute_job(job: SweepJob) -> Dict:
-    """Run one job to completion — the one-cell trace unit, serve's
-    ``bench`` path; returns the stats as a JSON-safe dict."""
+    """Run one cell alone, serve's ``bench`` path: generate its traces,
+    walk its warm-up into its own memory system (no captured image, no
+    collection) and simulate; returns the stats as a JSON-safe dict."""
     traces, warm = cell_traces(job.name, job.cores, job.length, job.seed,
                                job.memdep_hints)
     return _run_cell(job, traces, warm)
@@ -293,8 +321,7 @@ def _unit_outcomes(unit: Sequence[SweepJob], timeout: Optional[float]
                 return _run_cell(job, traces, images[_warm_key(job)])
 
             try:
-                outcome = "ok", with_deadline(cell, timeout,
-                                              f"{job.name}/{job.policy}")
+                outcome = "ok", with_deadline(cell, timeout, job.label)
             except Exception as exc:
                 outcome = "err", _exc_info(exc)
             if not shared:
@@ -355,13 +382,6 @@ def _error_payload(job: SweepJob, info: Dict, attempts: int) -> Dict:
         "attempts": attempts,
         "cause": info.get("cause"),
     }
-
-
-def _cancel_payload(job: SweepJob) -> Dict:
-    return {"name": job.name, "policy": job.policy, "cores": job.cores,
-            "seed": job.seed, "type": "Cancelled",
-            "message": "sweep interrupted before this job finished",
-            "timeout": False, "attempts": 0, "cause": None}
 
 
 def _result(job: SweepJob, stats: SystemStats) -> BenchmarkResult:
@@ -441,7 +461,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         # simulation takes, so mixing them in skews the estimate.
         for idx, key in enumerate(keys):
             if key in stats_by_key:
-                note(f"sweep: [cache] {jobs[idx].name}/{jobs[idx].policy}")
+                note(f"sweep: [cache] {jobs[idx].label}")
 
     # Deduplicated misses, in first-appearance order.
     todo: List[int] = []
@@ -481,8 +501,7 @@ def run_sweep(jobs: Sequence[SweepJob],
         # before t_run and are excluded by construction).
         rate = (time.perf_counter() - t_run) / done
         eta = rate * (len(todo) - done)
-        job = jobs[idx]
-        note(f"sweep: [{done}/{len(todo)}] {job.name}/{job.policy} "
+        note(f"sweep: [{done}/{len(todo)}] {jobs[idx].label} "
              f"done, ETA {eta:.0f}s")
 
     def settle(unit: List[int], outcomes, attempts: int,
@@ -499,7 +518,7 @@ def run_sweep(jobs: Sequence[SweepJob],
             job = jobs[idx]
             errors_by_key[keys[idx]] = _error_payload(job, payload, attempts)
             if not quiet:
-                note(f"sweep: [fail] {job.name}/{job.policy}: "
+                note(f"sweep: [fail] {job.label}: "
                      f"{payload['type']}: {payload['message']}")
             retry.append(idx)
         return retry
@@ -587,7 +606,9 @@ def run_sweep(jobs: Sequence[SweepJob],
             results.append(None)
             # A cell an interrupt cut off before it ran has no
             # recorded error yet; mark it cancelled.
-            errors.append(errors_by_key.get(key) or _cancel_payload(job))
+            errors.append(errors_by_key.get(key) or _error_payload(
+                job, {"type": "Cancelled", "timeout": False, "message":
+                      "sweep interrupted before this job finished"}, 0))
     failed_cells = sum(1 for r in results if r is None)
     if failed_cells:
         note(f"sweep: {failed_cells} of {len(jobs)} cell(s) failed "

@@ -153,11 +153,6 @@ class SynthResult:
         """distinct / hits — 1.0 means every hit was structurally new."""
         return self.distinct / self.hits if self.hits else 1.0
 
-    def by_pair(self, pair: Tuple[str, str]) -> List[Distinguisher]:
-        found = [d for (p, _), d in self.distinguishers.items()
-                 if p == pair]
-        return sorted(found, key=lambda d: (d.index, d.key))
-
     def to_dict(self) -> Dict:
         return {
             "bounds": self.bounds.to_dict(),

@@ -68,3 +68,14 @@ def test_tiny_config_is_consistent():
 def test_configs_are_frozen():
     with pytest.raises(Exception):
         SKYLAKE_LIKE.cores = 4
+
+
+def test_zero_cycle_store_commit_is_refused():
+    """A 0-cycle commit lands the L1 write after the core's tick in the
+    same cycle, so the retire gate reopens after its blocked head tried
+    to retire: a radix 370-SLFSoS cell then fails
+    ``SystemStats.validate`` (gate stall cycles above lock cycles).
+    The config refuses it; one cycle is the least commit it takes."""
+    with pytest.raises(ValueError, match="store_commit_latency"):
+        SystemConfig(memory=MemoryConfig(store_commit_latency=0))
+    assert MemoryConfig(store_commit_latency=1).store_commit_latency == 1

@@ -67,3 +67,28 @@ def test_system_deadlock_without_watchdog_is_an_error():
     system.engine.at(50, gate.close, 3 | (1 << 31))
     with pytest.raises(RuntimeError, match="deadlock|exceeded"):
         system.run(max_cycles=100_000)
+
+
+def test_drained_queue_deadlock_carries_per_core_snapshots(monkeypatch):
+    """Requests that the directory never answers drain the event queue
+    with both cores unfinished: the run raises the watchdog's
+    DeadlockError, with one pipeline snapshot per core."""
+    from repro.coherence.mesi import DirectoryBank
+    from repro.cpu.isa import Trace, load
+    from repro.resilience import DeadlockError
+
+    monkeypatch.setattr(DirectoryBank, "request",
+                        lambda bank, kind, line, requestor: None)
+    traces = []
+    for core in range(2):
+        trace = Trace()
+        for i in range(4):
+            trace.append(load(0x100000 * (core + 1) + 64 * i))
+        traces.append(trace)
+    system = System(traces, "370-SLFSoS-key", TINY, warm_caches=False)
+    with pytest.raises(DeadlockError,
+                       match="^deadlock: no pending events") as err:
+        system.run(max_cycles=100_000)
+    cores = err.value.diagnostic["cores"]
+    assert [snap["core"] for snap in cores] == [0, 1]
+    assert not any(snap["finished"] for snap in cores)
