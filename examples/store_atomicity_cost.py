@@ -14,8 +14,9 @@ Run:  python examples/store_atomicity_cost.py [benchmark] [cores]
 import sys
 
 from repro.core.policies import POLICY_ORDER
+from repro.sweep import SweepJob, run_sweep
 from repro.workloads import get_profile
-from repro.workloads.runner import normalized_times, run_policy_sweep
+from repro.workloads.runner import normalized_times
 
 
 def main(name="water_spatial", cores=4):
@@ -25,7 +26,9 @@ def main(name="water_spatial", cores=4):
           f"forwarded {profile.paper.forwarded_pct}%, "
           f"gate stalls {profile.paper.gate_stalls_pct}%\n")
 
-    results = run_policy_sweep(name, cores=cores)
+    jobs = [SweepJob(name, policy, cores=cores) for policy in POLICY_ORDER]
+    outcome = run_sweep(jobs, workers=1, cache=False)
+    results = dict(zip(POLICY_ORDER, outcome.results))
     norm = normalized_times(results)
 
     header = (f"{'config':17s}{'cycles':>9s}{'norm':>7s}"

@@ -3,9 +3,9 @@
 
 Public API highlights:
 
-* :func:`repro.sim.simulate` / :func:`repro.sim.compare_policies` — run
-  micro-op traces on the cycle-level multicore model under any of the
-  five consistency configurations.
+* :func:`repro.sim.simulate` — run micro-op traces on the cycle-level
+  multicore model under any of the five consistency configurations;
+  :func:`repro.sweep.run_sweep` runs named benchmark cells.
 * :mod:`repro.core` — the retire gate, SA-speculation policies.
 * :mod:`repro.litmus` — operational and axiomatic memory-model engines
   (mp, n6, iriw, and the paper's Figure 5 test).
@@ -16,7 +16,7 @@ __version__ = "1.0.0"
 
 from repro.core.policies import POLICY_ORDER
 from repro.sim.config import SKYLAKE_LIKE, SystemConfig
-from repro.sim.system import compare_policies, simulate
+from repro.sim.system import simulate
 
-__all__ = ["simulate", "compare_policies", "SystemConfig", "SKYLAKE_LIKE",
-           "POLICY_ORDER", "__version__"]
+__all__ = ["simulate", "SystemConfig", "SKYLAKE_LIKE", "POLICY_ORDER",
+           "__version__"]

@@ -6,11 +6,16 @@ Commands:
 ``litmus NAME``                   enumerate a litmus test under all models
 ``explain NAME -m MODEL k=v ...`` happens-before explanation of a witness
 ``compare NAME``                  ConsistencyChecker: 370 vs x86 diff
+``run-file PATH``                 enumerate a litmus test from a file
 ``sample NAME -m MODEL``          litmus7-style outcome sampling
 ``bench NAME [-p POLICY]``        run one benchmark, print its stats
 ``trace NAME [-p POLICY]``        run with full observability: Chrome
                                   trace JSON (Perfetto-loadable) +
                                   JSONL metrics + top-stalls summary
+``leak [GADGET ...]``             Spectre gadgets under taint tracking:
+                                  transient leaks per policy
+``record NAME PATH``              save a benchmark's traces to a file
+``replay PATH``                   run a saved trace file
 ``sweep NAME [NAME ...]``         benchmarks under all 5 configs, in
                                   parallel, with on-disk result caching,
                                   per-job timeouts and bounded retries
@@ -63,36 +68,20 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from repro.core.policies import POLICY_ORDER
-from repro.litmus import MODELS, enumerate_outcomes, explain, sample
+from repro.litmus import (MODELS, enumerate_outcomes, explain,
+                          litmus_registry, sample)
 from repro.resilience import DEFAULT_CHAOS as DEFAULT_CHAOS_SPEC
 from repro.litmus.checker import compare
+from repro.litmus.parser import parse_witness
 from repro.litmus.program import Program
 
 
-def _litmus_registry() -> Dict[str, Program]:
-    # Memoized once per process (repro.litmus.registry): cmd_list,
-    # cmd_litmus, cmd_explain, ... all resolve names against the same
-    # build instead of reconstructing the battery on every call.
-    from repro.litmus.registry import litmus_registry
-    return litmus_registry()
-
-
 def _find_program(name: str) -> Program:
-    registry = _litmus_registry()
+    registry = litmus_registry()
     if name not in registry:
         raise SystemExit(f"unknown litmus test {name!r}; try one of: "
                          + ", ".join(sorted(registry)))
     return registry[name]
-
-
-def _parse_witness(pairs: List[str]) -> Dict[str, int]:
-    witness = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise SystemExit(f"witness condition {pair!r} is not key=value")
-        key, value = pair.split("=", 1)
-        witness[key] = int(value)
-    return witness
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +91,7 @@ def _parse_witness(pairs: List[str]) -> Dict[str, int]:
 def cmd_list(_args) -> int:
     from repro.workloads import PARALLEL_PROFILES, SEQUENTIAL_PROFILES
     print("litmus tests:")
-    for name in sorted(_litmus_registry()):
+    for name in sorted(litmus_registry()):
         print(f"  {name}")
     print("\nparallel benchmarks (SPLASH-3 / PARSEC):")
     print("  " + ", ".join(PARALLEL_PROFILES))
@@ -130,9 +119,12 @@ def cmd_litmus(args) -> int:
 
 def cmd_explain(args) -> int:
     program = _find_program(args.name)
-    witness = _parse_witness(args.witness)
-    if not witness:
+    if not args.witness:
         raise SystemExit("explain needs witness conditions (e.g. r0_rx=1)")
+    try:
+        witness = parse_witness(program, args.witness)
+    except ValueError as exc:
+        raise SystemExit(f"explain: witness {exc}")
     print(explain(program, args.model, **witness))
     return 0
 
@@ -186,26 +178,36 @@ def _emit_obs(report, stats, obs_out: Optional[str]) -> None:
         print(f"wrote {obs_out}: {n} metric records")
 
 
+def _observe_cell(args, **observe):
+    """``observe_run`` on the cell's traces (bench --obs, trace)."""
+    from repro.obs.session import observe_run
+    from repro.workloads.runner import cell_traces
+    traces, warm = cell_traces(args.name, args.cores, args.length,
+                               args.seed)
+    return observe_run(traces, args.policy, warm_caches=warm, **observe)
+
+
 def cmd_bench(args) -> int:
+    from repro.sim.stats import SystemStats
+    from repro.sweep.runner import SweepJob, execute_job
+
     obs = args.obs or bool(args.obs_out)
     if obs:
-        from repro.workloads.runner import observe_benchmark
-        result, report, _system = observe_benchmark(
-            args.name, policy=args.policy, cores=args.cores,
-            length=args.length, seed=args.seed)
+        stats, report, _system = _observe_cell(args)
     else:
-        from repro.workloads.runner import run_benchmark
-        result = run_benchmark(args.name, policy=args.policy,
-                               cores=args.cores, length=args.length,
-                               seed=args.seed)
+        # The payload the sweep cache and the serve store hold; its
+        # round trip through SystemStats is exact.
+        stats = SystemStats.from_dict(execute_job(SweepJob(
+            args.name, args.policy, cores=args.cores, length=args.length,
+            seed=args.seed)))
     if args.json:
-        print(result.stats.to_json(indent=2))
+        print(stats.to_json(indent=2))
         if obs and args.obs_out:
             report.write_jsonl(args.obs_out)
         return 0
-    total = result.stats.total
+    total = stats.total
     print(f"{args.name} under {args.policy}: "
-          f"{result.cycles} cycles, "
+          f"{stats.execution_cycles} cycles, "
           f"{total.retired_instructions} instructions")
     print(f"  loads:          {total.loads_pct:6.2f}% of instructions")
     print(f"  forwarded (SLF):{total.forwarded_pct:6.2f}%")
@@ -216,7 +218,7 @@ def cmd_bench(args) -> int:
     print(f"  dispatch stalls: ROB {stalls['ROB']:.1f}%  "
           f"LQ {stalls['LQ']:.1f}%  SQ/SB {stalls['SQ/SB']:.1f}%")
     if obs:
-        _emit_obs(report, result.stats, args.obs_out)
+        _emit_obs(report, stats, args.obs_out)
     return 0
 
 
@@ -224,14 +226,11 @@ def cmd_trace(args) -> int:
     from repro.obs.chrome_trace import write_chrome_trace
     from repro.obs.validate import validate_chrome_trace
     from repro.analysis.report import top_stalls
-    from repro.workloads.runner import observe_benchmark
 
-    result, report, system = observe_benchmark(
-        args.name, policy=args.policy, cores=args.cores,
-        length=args.length, seed=args.seed, trace_pipeline=True,
-        sample_interval=args.sample_interval)
+    stats, report, system = _observe_cell(
+        args, trace_pipeline=True, sample_interval=args.sample_interval)
     out = args.out or f"{args.name}-{args.policy}.trace.json"
-    trace = write_chrome_trace(out, system, report, result.stats)
+    trace = write_chrome_trace(out, system, report, stats)
     counts = validate_chrome_trace(trace)
     print(f"wrote {out}: {len(trace['traceEvents'])} events "
           f"({counts['X']} slices, {counts['C']} counter samples, "
@@ -241,7 +240,7 @@ def cmd_trace(args) -> int:
     n = report.write_jsonl(metrics)
     print(f"wrote {metrics}: {n} metric records")
     print()
-    print(top_stalls(report, result.stats, top=args.top))
+    print(top_stalls(report, stats, top=args.top))
     return 0
 
 
@@ -1037,6 +1036,15 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _port(text: str) -> int:
+    """An argparse type: a TCP port, 0 (pick a free one) to 65535;
+    anything else is a usage error (exit 2)."""
+    if not text.isdigit() or int(text) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected a TCP port from 0 to 65535, got {text!r}")
+    return int(text)
+
+
 def _add_workload_args(p: argparse.ArgumentParser, names: bool = False
                        ) -> None:
     """``name`` (``names``: one or more) and ``-c/-l/--seed`` of bench,
@@ -1244,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
              "a sharded worker pool with admission control and a "
              "persistent result store (docs/SERVICE.md)")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8377,
+    p.add_argument("--port", type=_port, default=8377,
                    help="TCP port (0 = pick a free one; the bound port "
                         "is printed on stdout)")
     p.add_argument("--shards", default=2,

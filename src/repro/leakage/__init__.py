@@ -20,16 +20,16 @@ Three pieces:
   (bounds-check bypass and SLF-forwarding variants) that exercise the
   five policies' different speculation windows.
 
-Entry point: :func:`~repro.leakage.watcher.leak_run`.
+Entry points: :func:`~repro.leakage.watcher.leak_run` and
+:func:`~repro.leakage.watcher.leak_observe_run`.
 """
 
 from repro.leakage.gadgets import GADGET_CONFIG, GADGETS, Gadget
 from repro.leakage.taint import TaintMap
-from repro.leakage.watcher import (LeakCandidate, LeakReport, LeakSession,
-                                   LeakWatcher, leak_observe_run, leak_run)
+from repro.leakage.watcher import (LeakCandidate, LeakReport, LeakWatcher,
+                                   leak_observe_run, leak_run)
 
 __all__ = [
     "GADGET_CONFIG", "GADGETS", "Gadget", "TaintMap", "LeakCandidate",
-    "LeakReport", "LeakSession", "LeakWatcher", "leak_observe_run",
-    "leak_run",
+    "LeakReport", "LeakWatcher", "leak_observe_run", "leak_run",
 ]

@@ -25,12 +25,13 @@ never executes any of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Dict, List, Set, TYPE_CHECKING
 
 from repro.leakage.gadgets import GADGET_CONFIG, Gadget
 from repro.leakage.taint import TaintMap
 from repro.obs.bus import SQUASH_REASONS, ProbeBus
 from repro.obs.samplers import LogHistogram
+from repro.obs.session import ObsSession
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
@@ -245,72 +246,46 @@ class LeakReport:
             metrics.histogram(f"{prefix}.{name}").merge(hist)
 
 
-class LeakSession:
-    """One observed run of a leakage workload: bus + watcher.
+def _run_gadget(gadget: Gadget, policy: str, obs=None):
+    """Run ``gadget`` with a :class:`LeakWatcher` on a bare bus, or on
+    ``obs``'s with its sampler and pipeline tracers.  Watchers subscribe
+    before the system is built (ProbeBus resolve-at-attach)."""
+    from repro.sim.system import System
 
-    Watchers subscribe before the system is built (the ProbeBus
-    resolve-at-attach contract), so construct the session first and
-    pass ``session.bus`` as the system's ``probes``.
-    """
+    bus = ProbeBus() if obs is None else obs.bus
+    taints = {core_id: TaintMap(trace, gadget.secret)
+              for core_id, trace in enumerate(gadget.traces)}
+    watcher = LeakWatcher(bus, taints)
+    system = System(list(gadget.traces), policy, GADGET_CONFIG,
+                    warm_caches=list(gadget.warm),
+                    initial_memory=dict(gadget.initial_memory),
+                    trace_pipeline=obs is not None, probes=bus)
+    if obs is not None:
+        obs.install(system)
+    stats = system.run(5_000_000)
+    report = watcher.finalize()
+    stats.leakage = {"gadget": gadget.name, "policy": policy,
+                     **report.to_dict()}
+    return stats, report, system
 
-    def __init__(self, traces: Sequence, secret: Sequence[int],
-                 event_limit: int = 100_000) -> None:
-        self.bus = ProbeBus()
-        self.taints = {core_id: TaintMap(trace, secret)
-                       for core_id, trace in enumerate(traces)}
-        self.watcher = LeakWatcher(self.bus, self.taints, event_limit)
 
-    def report(self) -> LeakReport:
-        return self.watcher.finalize()
-
-
-def leak_run(gadget: Gadget, policy: str, config=None,
-             max_cycles: int = 5_000_000, faults=None):
+def leak_run(gadget: Gadget, policy: str):
     """Run one gadget under one policy with leakage tracking attached.
 
     Returns ``(stats, report, system)``.  ``stats.leakage`` carries the
     report's dict form (plus gadget/policy identity), so a serialized
     ``SystemStats`` is the complete leakage record.
     """
-    from repro.sim.system import System
-
-    session = LeakSession(gadget.traces, gadget.secret)
-    system = System(list(gadget.traces), policy,
-                    config or GADGET_CONFIG,
-                    warm_caches=list(gadget.warm),
-                    initial_memory=dict(gadget.initial_memory),
-                    probes=session.bus, faults=faults)
-    stats = system.run(max_cycles)
-    report = session.report()
-    stats.leakage = {"gadget": gadget.name, "policy": policy,
-                     **report.to_dict()}
-    return stats, report, system
+    return _run_gadget(gadget, policy)
 
 
-def leak_observe_run(gadget: Gadget, policy: str, config=None,
-                     max_cycles: int = 5_000_000,
-                     sample_interval: int = 16):
+def leak_observe_run(gadget: Gadget, policy: str):
     """Like :func:`leak_run`, but with the full standard observability
     session sharing the bus, so the run can feed the Chrome trace
     exporter's gate/squash/leakage tracks together.
 
     Returns ``(stats, obs_report, leak_report, system)``.
     """
-    from repro.obs.session import ObsSession
-    from repro.sim.system import System
-
-    obs = ObsSession(sample_interval=sample_interval)
-    taints = {core_id: TaintMap(trace, gadget.secret)
-              for core_id, trace in enumerate(gadget.traces)}
-    watcher = LeakWatcher(obs.bus, taints)
-    system = System(list(gadget.traces), policy,
-                    config or GADGET_CONFIG,
-                    warm_caches=list(gadget.warm),
-                    initial_memory=dict(gadget.initial_memory),
-                    trace_pipeline=True, probes=obs.bus)
-    obs.install(system)
-    stats = system.run(max_cycles)
-    leak_report = watcher.finalize()
-    stats.leakage = {"gadget": gadget.name, "policy": policy,
-                     **leak_report.to_dict()}
-    return stats, obs.report(stats), leak_report, system
+    obs = ObsSession(sample_interval=16)
+    stats, report, system = _run_gadget(gadget, policy, obs)
+    return stats, obs.report(stats), report, system

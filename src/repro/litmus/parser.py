@@ -32,17 +32,18 @@ Instructions:
 
 The optional ``exists:`` clause names the witness condition in the same
 ``key=value`` syntax the :func:`repro.litmus.operational.allows` API
-uses (``rT_REG`` for registers, ``mem_ADDR`` for final memory).
+uses (``rT_REG`` for registers, ``mem_ADDR`` for final memory), checked
+against the program by :func:`parse_witness`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.litmus.program import (Cas, Fence, Instruction, Ld, Program, Rmw,
-                                  St, make_program)
+from repro.litmus.program import (READS, Cas, Fence, Instruction, Ld,
+                                  Program, Rmw, St, make_program)
 
 
 class LitmusParseError(ValueError):
@@ -91,19 +92,45 @@ def _parse_instruction(line: str, line_no: int) -> Instruction:
     raise LitmusParseError(f"line {line_no}: cannot parse {line!r}")
 
 
-def _parse_conditions(text: str, line_no: int) -> Dict[str, int]:
+def _parse_conditions(tokens: Sequence[str]) -> Dict[str, int]:
     conditions: Dict[str, int] = {}
-    for token in text.split():
-        if "=" not in token:
-            raise LitmusParseError(
-                f"line {line_no}: condition {token!r} is not key=value")
-        key, value = token.split("=", 1)
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"condition {token!r} is not key=value")
         try:
             conditions[key] = int(value)
         except ValueError:
-            raise LitmusParseError(
-                f"line {line_no}: {value!r} is not an integer") from None
+            raise ValueError(f"condition {token!r}: {value!r} is not an "
+                             f"integer") from None
     return conditions
+
+
+def parse_witness(program: Program,
+                  tokens: Sequence[str]) -> Dict[str, int]:
+    """Witness ``key=value`` tokens as a condition dict, each value an
+    integer and each key a register some op of thread T writes
+    (``rT_REG``) or a location the program uses (``mem_ADDR``): the
+    check behind ``exists:`` and ``repro explain -w``.  Raises
+    ValueError naming the first bad token."""
+    conditions = _parse_conditions(tokens)
+    known = {f"mem_{addr}" for addr in program.addresses}
+    known.update(f"r{tid}_{op.reg}"
+                 for tid, thread in enumerate(program.threads)
+                 for op in thread if isinstance(op, READS))
+    for key in conditions:
+        if key not in known:
+            raise ValueError(f"condition {key!r}: {program.name} has no "
+                             f"such register or location")
+    return conditions
+
+
+def _on_line(line_no: int, parse, *args):
+    """``parse(*args)``, a ValueError re-raised naming the line."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise LitmusParseError(f"line {line_no}: {exc}") from None
 
 
 def parse_litmus(source: str) -> ParsedLitmus:
@@ -111,7 +138,7 @@ def parse_litmus(source: str) -> ParsedLitmus:
     name = "unnamed"
     initial: Dict[str, int] = {}
     threads: Dict[int, List[Instruction]] = {}
-    witness: Optional[Dict[str, int]] = None
+    exists: Optional[Tuple[int, List[str]]] = None   # (line, tokens)
     current: Optional[int] = None
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -124,7 +151,8 @@ def parse_litmus(source: str) -> ParsedLitmus:
             continue
         match = _INIT_RE.match(line)
         if match:
-            initial.update(_parse_conditions(match.group(1), line_no))
+            initial.update(_on_line(line_no, _parse_conditions,
+                                    match.group(1).split()))
             continue
         match = _THREAD_RE.match(line)
         if match:
@@ -136,7 +164,7 @@ def parse_litmus(source: str) -> ParsedLitmus:
             continue
         match = _EXISTS_RE.match(line)
         if match:
-            witness = _parse_conditions(match.group(1), line_no)
+            exists = line_no, match.group(1).split()
             continue
         if current is None:
             raise LitmusParseError(
@@ -152,6 +180,8 @@ def parse_litmus(source: str) -> ParsedLitmus:
             f"{sorted('T%d' % t for t in threads)}")
     program = make_program(
         name, [threads[tid] for tid in expected], initial)
+    witness = (None if exists is None
+               else _on_line(exists[0], parse_witness, program, exists[1]))
     return ParsedLitmus(program=program, witness=witness)
 
 

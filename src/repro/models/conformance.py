@@ -38,13 +38,12 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
 
 from repro.core.policies import POLICY_ORDER
-from repro.litmus.battery import EXTRA_CASES
 from repro.litmus.checker import random_program
 from repro.litmus.explain import explain_chain, outcome_conditions
-from repro.litmus.generated import GENERATED_CASES
 from repro.litmus.pipeline_runner import compile_program, run_once
 from repro.litmus.program import Outcome, Program
-from repro.litmus.tests import ALL_CASES, LitmusCase
+from repro.litmus.registry import BATTERY_CASES
+from repro.litmus.tests import LitmusCase
 from repro.models import get_model, model_names
 from repro.models.axiomatic import outcome_profile
 from repro.models.lattice import (LatticeViolation, containment_violations,
@@ -173,9 +172,9 @@ def check(programs: Iterable[Program]) -> ConformanceReport:
 
 
 def battery_corpus() -> List[LitmusCase]:
-    """Every battery case: the paper's tests, the extra hand-written
-    cases and the synthesized (generated) ones."""
-    return list(ALL_CASES) + list(EXTRA_CASES) + list(GENERATED_CASES)
+    """Every battery case (:data:`repro.litmus.registry.BATTERY_CASES`),
+    in the registry's order."""
+    return list(BATTERY_CASES)
 
 
 def random_corpus(count: int, seed: int, **vocabulary) -> List[Program]:

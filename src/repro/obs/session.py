@@ -342,8 +342,7 @@ def observe_run(traces: Sequence["Trace"], policy: str,
                 warm_caches: object = True,
                 detect_violations: bool = False,
                 trace_pipeline: bool = False,
-                sample_interval: int = 64,
-                max_cycles: int = 500_000_000):
+                sample_interval: int = 64):
     """Run ``traces`` under ``policy`` with full observability.
 
     Returns ``(stats, report, system)`` — the usual
@@ -361,5 +360,5 @@ def observe_run(traces: Sequence["Trace"], policy: str,
                     trace_pipeline=trace_pipeline,
                     probes=session.bus)
     session.install(system)
-    stats = system.run(max_cycles)
+    stats = system.run()
     return stats, session.report(stats), system

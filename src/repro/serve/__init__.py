@@ -11,7 +11,7 @@ The layers, bottom up:
 
 * :mod:`~repro.serve.jobs` — the job model: request parsing, idempotency
   keys, worker-side execution;
-* :mod:`~repro.serve.store` — job records + two-tier result store;
+* :mod:`~repro.serve.store` — job records + one-tier result store;
 * :mod:`~repro.serve.workers` — single-process shards fed from one
   priority queue, admission control, single-flight dedup, stuck-shard
   watchdog;

@@ -4,8 +4,10 @@ Layered on :class:`~repro.sweep.cache.ResultCache`, which already gives
 us content-addressed, atomically-written, corruption-tolerant JSON files
 keyed by the same hashes the sweep runner uses.  The store adds:
 
-* an **in-memory tier** (key → payload) so repeat hits inside one
-  service process never touch the filesystem;
+* one **result tier**: the disk cache, or, with no disk tier
+  (``--no-cache``), an in-memory dict.  A payload lives in exactly one,
+  so ``--cache-max-bytes`` bounds every result a long-lived service
+  holds and an entry the LRU pruned is a miss;
 * the **job registry** (id → :class:`~repro.serve.jobs.Job`) with a
   bounded history of finished jobs, so ``GET /v1/jobs/<id>`` stays O(1)
   and a long-lived service does not leak one record per request ever
@@ -31,7 +33,7 @@ DEFAULT_HISTORY = 4096
 
 
 class ResultStore:
-    """Job records + two-tier (memory, disk) result memoization."""
+    """Job records + result memoization on disk (or in memory)."""
 
     def __init__(self,
                  cache_dir: Union[str, os.PathLike, None] = None,
@@ -43,22 +45,19 @@ class ResultStore:
                                  max_bytes=max_bytes)
                      if persistent else None)
         self.history = history
-        self._memory: Dict[str, Dict] = {}
+        self._memory: Dict[str, Dict] = {}   # the tier when disk is None
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._live = 0                 # jobs not yet in a terminal state
-        self.hits = 0                  # get() calls answered (any tier)
+        self.hits = 0                  # get() calls answered
         self.misses = 0
         self.puts = 0
 
     # -- result tier ---------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict]:
-        """The stored payload for ``key`` or None, memory tier first."""
-        payload = self._memory.get(key)
-        if payload is None and self.disk is not None:
-            payload = self.disk.get(key)
-            if payload is not None:
-                self._memory[key] = payload
+        """The stored payload for ``key`` or None."""
+        payload = (self._memory.get(key) if self.disk is None
+                   else self.disk.get(key))
         if payload is None:
             self.misses += 1
         else:
@@ -66,10 +65,11 @@ class ResultStore:
         return payload
 
     def put(self, key: str, payload: Dict) -> None:
-        """Store a finished result in both tiers."""
+        """Store a finished result in the store's one tier."""
         self.puts += 1
-        self._memory[key] = payload
-        if self.disk is not None:
+        if self.disk is None:
+            self._memory[key] = payload
+        else:
             self.disk.put(key, payload)
 
     def flush(self) -> None:

@@ -145,8 +145,7 @@ class System:
 def simulate(traces: Sequence["Trace"], policy: str,
              config: Optional[SystemConfig] = None,
              detect_violations: bool = False,
-             warm_caches: object = True,
-             max_cycles: int = 500_000_000) -> SystemStats:
+             warm_caches: object = True) -> SystemStats:
     """Build a system, run the traces under ``policy``, return stats.
 
     Args:
@@ -161,20 +160,6 @@ def simulate(traces: Sequence["Trace"], policy: str,
             walks ``traces``, a list of traces walks those, and a dict
             from :func:`repro.snapshot.capture_memory` installs a
             memory image warmed elsewhere.
-        max_cycles: safety bound.
     """
     return System(traces, policy, config, detect_violations,
-                  warm_caches).run(max_cycles)
-
-
-def compare_policies(traces: Sequence["Trace"],
-                     policies: Optional[Sequence[str]] = None,
-                     config: Optional[SystemConfig] = None
-                     ) -> Dict[str, SystemStats]:
-    """Run the same traces under several policies (default: all five of
-    the paper) and return ``{policy_name: stats}``."""
-    from repro.core.policies import POLICY_ORDER
-    results: Dict[str, SystemStats] = {}
-    for name in (policies or POLICY_ORDER):
-        results[name] = simulate(traces, name, config)
-    return results
+                  warm_caches).run()

@@ -4,8 +4,7 @@ from repro.workloads.profiles import (PARALLEL_PROFILES, PROFILES,
                                       SEQUENTIAL_PROFILES, BenchmarkProfile,
                                       get_profile)
 from repro.workloads.runner import (BenchmarkResult, geomean,
-                                    normalized_times, run_benchmark,
-                                    run_policy_sweep, suite_names)
+                                    normalized_times, suite_names)
 from repro.workloads.synthetic import (generate_trace, generate_warmup,
                                        generate_workload)
 from repro.workloads.tracefile import (TraceFileError, load_workload,
@@ -16,9 +15,8 @@ from repro.workloads.tableiv import (FIGURE10_GEOMEAN, PARALLEL_AVERAGE,
 
 __all__ = ["BenchmarkProfile", "get_profile", "PROFILES",
            "PARALLEL_PROFILES", "SEQUENTIAL_PROFILES", "generate_trace",
-           "generate_workload", "generate_warmup", "run_benchmark",
-           "run_policy_sweep", "normalized_times", "geomean",
-           "suite_names", "BenchmarkResult",
+           "generate_workload", "generate_warmup", "normalized_times",
+           "geomean", "suite_names", "BenchmarkResult",
            "save_workload", "load_workload", "TraceFileError",
            "PaperRow", "all_rows", "PARALLEL_ROWS",
            "SEQUENTIAL_ROWS", "PARALLEL_AVERAGE", "SEQUENTIAL_AVERAGE",

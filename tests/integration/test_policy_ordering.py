@@ -7,8 +7,11 @@ roughly by how much, and which mechanism produces which statistic.
 
 import pytest
 
-from repro.workloads.runner import (geomean, normalized_times,
-                                    run_benchmark, run_policy_sweep)
+from repro.core.policies import POLICY_ORDER
+from repro.sim.stats import SystemStats
+from repro.sweep import SweepJob, run_sweep
+from repro.sweep.runner import execute_job
+from repro.workloads.runner import geomean, normalized_times
 
 # Forwarding-heavy benchmarks where the configurations separate clearly.
 SAMPLES = ["barnes", "water_spatial", "502.gcc_1", "511.povray"]
@@ -16,8 +19,17 @@ SAMPLES = ["barnes", "water_spatial", "502.gcc_1", "511.povray"]
 
 @pytest.fixture(scope="module")
 def sweeps():
-    return {name: run_policy_sweep(name, cores=4, length=2500)
+    jobs = [SweepJob(name, policy, cores=4, length=2500)
+            for name in SAMPLES for policy in POLICY_ORDER]
+    results = iter(run_sweep(jobs, workers=1, cache=False).results)
+    return {name: {policy: next(results) for policy in POLICY_ORDER}
             for name in SAMPLES}
+
+
+def _key_cell(name):
+    """The proposal's cell of ``name``, run alone."""
+    return SystemStats.from_dict(execute_job(
+        SweepJob(name, "370-SLFSoS-key", cores=4, length=2500)))
 
 
 class TestFigure10Shape:
@@ -80,8 +92,7 @@ class TestTableIVShape:
         """Measured SLF share must be close to the Table IV target the
         generator was calibrated against."""
         for name in ("barnes", "502.gcc_1", "fft"):
-            result = run_benchmark(name, cores=4, length=2500)
-            total = result.stats.total
+            total = _key_cell(name).total
             from repro.workloads import get_profile
             target = get_profile(name).forwarded_pct
             assert total.forwarded_pct == pytest.approx(target, abs=1.0), \
@@ -90,8 +101,7 @@ class TestTableIVShape:
     def test_gate_stalls_are_rare_and_short(self):
         """Section VI-A: closing the gate is 'a rare and short-lived
         event' — ~1% of instructions, tens of cycles."""
-        result = run_benchmark("502.gcc_1", cores=4, length=2500)
-        total = result.stats.total
+        total = _key_cell("502.gcc_1").total
         assert total.gate_stalls_pct < 15.0
         assert total.avg_gate_stall_cycles < 120.0
 

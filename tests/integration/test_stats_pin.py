@@ -25,16 +25,18 @@ core for the same cycle, and on a 1-cycle machine a load's issue
 itself schedules next-cycle events.
 """
 
+import json
+
 import pytest
 
+from repro.cli import main
 from repro.sim.config import (CacheConfig, CoreConfig, MemoryConfig,
                               NetworkConfig, SystemConfig)
 from repro.sim.system import System
 from repro.sweep import SweepJob, run_sweep
 from repro.sweep.cache import content_key
 from repro.sweep.runner import execute_job
-from repro.workloads.runner import (cell_traces, observe_benchmark,
-                                    run_benchmark, run_policy_sweep)
+from repro.workloads.runner import cell_traces
 
 CORES = 2
 LENGTH = 400
@@ -152,18 +154,17 @@ def test_kernel_bench_cell_event_count_is_pinned():
     assert system.engine.events_dispatched == KERNEL_EVENTS
 
 
-def test_every_cell_entry_point_reaches_the_pin():
-    """The library and sweep entry points build the same traces and
-    produce the same stats as execute_job."""
-    kw = dict(cores=CORES, length=LENGTH)
+def test_every_cell_entry_point_reaches_the_pin(capsys):
+    """A named cell reaches its pin however it is run: alone, through a
+    sweep, or through ``repro bench --json``."""
+    assert main(["bench", "fft", "-p", KEY, "-c", str(CORES),
+                 "-l", str(LENGTH), "--json"]) == 0
     reached = {
-        "run_benchmark": run_benchmark("fft", KEY, **kw).stats,
-        "observe_benchmark": observe_benchmark("fft", KEY, **kw)[0].stats,
-        "run_policy_sweep": run_policy_sweep("fft", [KEY], **kw)[KEY].stats,
+        "execute_job": execute_job(_job()),
         "run_sweep": run_sweep([_job()], workers=1,
-                               cache=False).results[0].stats,
+                               cache=False).results[0].stats.to_dict(),
+        "bench --json": json.loads(capsys.readouterr().out),
     }
     pin = GRID_PINS[("fft", KEY)]
-    assert ({where: digest(stats.to_dict())
-             for where, stats in reached.items()}
+    assert ({where: digest(payload) for where, payload in reached.items()}
             == dict.fromkeys(reached, pin))

@@ -2,9 +2,9 @@
 
 The load-bearing properties:
 
-* a parallel sweep is *cycle-identical* to the serial
-  ``run_policy_sweep`` loop (the engine is deterministic and jobs are
-  independent, so process fan-out must not change any number);
+* a parallel sweep is *stat-identical* to each cell run alone,
+  serially, by ``execute_job`` (the engine is deterministic and jobs
+  are independent, so process fan-out must not change any number);
 * the on-disk cache answers repeat sweeps with zero simulations, and
   its keys distinguish everything that changes a result;
 * cells that share a trace specification run as one *trace unit* on
@@ -22,12 +22,12 @@ import pytest
 
 from repro.coherence import warmup
 from repro.sim.config import SKYLAKE_LIKE, TINY, CacheConfig
+from repro.sim.stats import SystemStats
 from repro.sweep import SweepJob, job_key, run_sweep
 from repro.sweep import runner as sweep_runner
 from repro.sweep.cache import ResultCache
 from repro.sweep.runner import execute_job
 from repro.workloads import runner, synthetic
-from repro.workloads.runner import run_policy_sweep
 
 PROFILES = ["fft", "radix", "502.gcc_1"]
 POLICIES = ["x86", "370-NoSpec", "370-SLFSpec", "370-SLFSoS",
@@ -42,23 +42,18 @@ def _grid_jobs(names=PROFILES):
 
 
 def test_parallel_sweep_matches_serial_reference(tmp_path):
-    """3 profiles x 5 policies through a 2-worker pool == the serial
-    in-process loop, stat for stat."""
-    outcome = run_sweep(_grid_jobs(), workers=2,
-                        cache_dir=tmp_path / "cache")
+    """3 profiles x 5 policies through a 2-worker pool == each cell run
+    alone in-process, stat for stat."""
+    jobs = _grid_jobs()
+    outcome = run_sweep(jobs, workers=2, cache_dir=tmp_path / "cache")
     assert outcome.simulated == len(PROFILES) * len(POLICIES)
     assert outcome.cached == 0
 
-    it = iter(outcome.results)
-    for name in PROFILES:
-        serial = run_policy_sweep(name, POLICIES, cores=CORES,
-                                  length=LENGTH)
-        for policy in POLICIES:
-            parallel = next(it)
-            assert parallel.name == name
-            assert parallel.policy == policy
-            assert (dataclasses.asdict(parallel.stats)
-                    == dataclasses.asdict(serial[policy].stats))
+    for job, parallel in zip(jobs, outcome.results):
+        serial = SystemStats.from_dict(execute_job(job))
+        assert (parallel.name, parallel.policy) == (job.name, job.policy)
+        assert (dataclasses.asdict(parallel.stats)
+                == dataclasses.asdict(serial))
 
 
 def test_second_sweep_is_fully_cached(tmp_path):

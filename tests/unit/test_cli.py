@@ -45,9 +45,22 @@ def test_explain_requires_witness():
         main(["explain", "mp", "-m", "x86"])
 
 
-def test_explain_bad_witness():
-    with pytest.raises(SystemExit):
-        main(["explain", "mp", "-m", "x86", "-w", "rx"])
+@pytest.mark.parametrize("argv", [
+    ["mp", "-m", "x86", "-w", "rx"],
+    ["n6", "-m", "370", "-w", "r0_rx=x"],
+    ["n6", "-m", "370", "-w", "bogus=1"],
+    ["n6", "-m", "370", "-w", "r9_rx=1"],
+    ["n6", "-m", "370", "-w", "mem_q=1"],
+], ids=["not-key-value", "not-an-integer", "bad-key", "no-such-thread",
+        "no-such-location"])
+def test_explain_bad_witness(argv):
+    """A witness condition that is not ``key=value`` with an integer
+    value naming a register some op of its thread writes or a location
+    the program uses exits 1 with one line, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["explain"] + argv)
+    assert isinstance(exc.value.code, str)
+    assert "\n" not in exc.value.code
 
 
 def test_compare(capsys):
@@ -187,6 +200,8 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["sample", "sb", "-n", "200", "--top", "0"],
     ["trace", "fft", "-c", "2", "-l", "100", "--top", "-1"],
     ["trace", "fft", "-c", "2", "-l", "100", "--top", "0"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
         "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
@@ -197,7 +212,8 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
         "serve-cache-max-bytes-neg", "serve-stuck-after-neg",
         "synth-limit-neg", "synth-chunks-0", "synth-chunks-neg",
         "cache-max-bytes-neg", "sample-top-neg", "sample-top-0",
-        "trace-top-neg", "trace-top-0"])
+        "trace-top-neg", "trace-top-0", "serve-port-over",
+        "serve-port-neg"])
 def test_bad_count_is_a_usage_error(argv, capsys):
     """A count or budget that cannot mean what it asks for (no chaos
     trials, no workers, a zero sampling period, a negative number of
@@ -205,7 +221,8 @@ def test_bad_count_is_a_usage_error(argv, capsys):
     period that is not a positive number of seconds, negative retries,
     no sampling runs, no serve shards or queue room, a negative store
     or cache bound, a negative synth witness limit, no synth chunks, no
-    sampled outcomes or gate intervals to list)
+    sampled outcomes or gate intervals to list, a TCP port outside
+    0-65535)
     exits 2 with a one-line usage error, before anything runs,
     instead of a vacuous pass, a silent fallback, a failure of every
     cell, a service that starts only to fail every job, or a

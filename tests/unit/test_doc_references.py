@@ -6,9 +6,12 @@ at code: ``src/``, ``tests/``, ``benchmarks/`` and ``examples/`` paths,
 backticks.  Each must resolve in this checkout, so a rename or a
 deletion that leaves a doc behind fails here.  A path that
 ``.gitignore`` lists (a cache a run creates) is not a reference to
-code and is skipped.
+code and is skipped.  The two lists of ``repro`` subcommands, in the
+``repro.cli`` docstring and in README's architecture sketch, must name
+exactly the subcommands the parser has.
 """
 
+import argparse
 import ast
 import glob
 import importlib
@@ -134,3 +137,24 @@ def test_every_named_module_resolves(doc):
                       if ref_doc == doc and kind == "dotted"
                       and not _resolves(ref)})
     assert not missing, f"{doc} names what does not exist: {missing}"
+
+
+def _subcommands():
+    from repro.cli import build_parser
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+def test_cli_docstring_names_every_subcommand():
+    import repro.cli
+    block = repro.cli.__doc__.split("Commands:\n\n", 1)[1]
+    entries = block.split("\n\n", 1)[0]
+    named = re.findall(r"^``([\w-]+)", entries, re.MULTILINE)
+    assert sorted(named) == _subcommands()
+
+
+def test_readme_names_every_subcommand():
+    text = (ROOT / "README.md").read_text()
+    (names,) = re.findall(r"cli\.py\s+`python -m repro ([^`]*)`", text)
+    assert sorted(re.sub(r"\s+", "", names).split("|")) == _subcommands()

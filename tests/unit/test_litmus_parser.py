@@ -87,6 +87,15 @@ class TestErrors:
         with pytest.raises(LitmusParseError, match="key=value"):
             parse_litmus("T0:\n  st x,1\nexists: broken\n")
 
+    @pytest.mark.parametrize("condition", ["r9_rq=1", "mem_q=1",
+                                           "bogus=1", "r1_rx=1"])
+    def test_witness_names_what_the_program_has(self, condition):
+        """An ``exists:`` key names a register some op of that thread
+        writes or a location the program uses; anything else is an
+        error naming the line."""
+        with pytest.raises(LitmusParseError, match="^line 3: "):
+            parse_litmus(f"T0:\n  ld x -> rx\nexists: {condition}\n")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-"""Unit tests for the benchmark runner."""
+"""Unit tests for the benchmark runner helpers and the cells they
+normalize."""
 
 import pytest
 
-from repro.workloads.runner import (geomean, normalized_times,
-                                    run_benchmark, run_policy_sweep,
-                                    suite_names)
+from repro.sweep import SweepJob, run_sweep
+from repro.sweep.runner import execute_job
+from repro.workloads.runner import geomean, normalized_times, suite_names
 
 
 def test_geomean():
@@ -23,8 +24,16 @@ def test_suite_names():
         suite_names("mobile")
 
 
-def test_run_benchmark_returns_result():
-    result = run_benchmark("fft", cores=2, length=600)
+def _cells(name, policies, **kw):
+    jobs = [SweepJob(name, policy, **kw) for policy in policies]
+    outcome = run_sweep(jobs, workers=1, cache=False)
+    return dict(zip(policies, outcome.results))
+
+
+def test_sweep_cell_returns_result():
+    result = run_sweep([SweepJob("fft", "370-SLFSoS-key", cores=2,
+                                 length=600)],
+                       workers=1, cache=False).results[0]
     assert result.name == "fft"
     assert result.suite == "parallel"
     assert result.policy == "370-SLFSoS-key"
@@ -33,13 +42,14 @@ def test_run_benchmark_returns_result():
 
 
 def test_sequential_benchmark_uses_one_core():
-    result = run_benchmark("557.xz_2", cores=4, length=600)
-    assert len(result.stats.per_core) == 1
+    payload = execute_job(SweepJob("557.xz_2", "370-SLFSoS-key", cores=4,
+                                   length=600))
+    assert len(payload["per_core"]) == 1
 
 
-def test_run_policy_sweep_and_normalization():
-    results = run_policy_sweep("water_spatial", cores=2, length=800,
-                               policies=("x86", "370-NoSpec"))
+def test_sweep_cells_and_normalization():
+    results = _cells("water_spatial", ("x86", "370-NoSpec"), cores=2,
+                     length=800)
     assert set(results) == {"x86", "370-NoSpec"}
     norm = normalized_times(results)
     assert norm["x86"] == 1.0
@@ -47,19 +57,6 @@ def test_run_policy_sweep_and_normalization():
 
 
 def test_sweep_is_reproducible():
-    a = run_policy_sweep("fft", cores=2, length=500,
-                         policies=("x86",))["x86"].cycles
-    b = run_policy_sweep("fft", cores=2, length=500,
-                         policies=("x86",))["x86"].cycles
+    a = _cells("fft", ("x86",), cores=2, length=500)["x86"].cycles
+    b = _cells("fft", ("x86",), cores=2, length=500)["x86"].cycles
     assert a == b
-
-
-def test_compare_policies_helper():
-    from repro.sim.system import compare_policies
-    from repro.workloads import generate_workload, get_profile
-    traces = generate_workload(get_profile("fft"), cores=1,
-                               length_per_core=300)
-    results = compare_policies(traces, policies=("x86", "370-SLFSoS-key"))
-    assert set(results) == {"x86", "370-SLFSoS-key"}
-    for stats in results.values():
-        assert stats.total.retired_instructions == 300

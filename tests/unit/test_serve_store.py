@@ -1,4 +1,4 @@
-"""Unit tests for the serve ResultStore (two-tier memoization + job
+"""Unit tests for the serve ResultStore (one-tier memoization + job
 registry history bounds)."""
 
 from repro.serve.jobs import (DONE, QUEUED, Job, LitmusSpec, next_job_id,
@@ -25,8 +25,15 @@ class TestResultTiers:
         ResultStore(cache_dir=tmp_path).put("a" * 64, {"v": 2})
         fresh = ResultStore(cache_dir=tmp_path)
         assert fresh.get("a" * 64) == {"v": 2}
-        # ...and the hit populated the memory tier.
-        assert fresh._memory["a" * 64] == {"v": 2}
+
+    def test_pruned_entry_is_a_miss(self, tmp_path):
+        """The disk bound holds every result: once the LRU prunes an
+        entry, no copy of it is served."""
+        store = ResultStore(cache_dir=tmp_path, max_bytes=60)
+        store.put("a" * 64, {"v": "x" * 40})
+        store.put("b" * 64, {"v": "y" * 40})   # prunes "a"
+        assert store.get("a" * 64) is None
+        assert store.get("b" * 64) == {"v": "y" * 40}
 
     def test_memory_only_mode(self, tmp_path):
         store = ResultStore(cache_dir=tmp_path, persistent=False)
