@@ -14,74 +14,82 @@ On x86 nothing stops this — that is precisely the non-store-atomic
 behaviour of Sections III-A/III-B.  This detector counts such witnessed
 windows so that tests and examples can demonstrate that (a) x86 exhibits
 them and (b) every 370 configuration exhibits none (their gating or
-squashing makes condition 2 or 3 unsatisfiable).
+squashing makes condition 2 or 3 unsatisfiable).  It subscribes to a
+run's probe bus and keeps each core's windows apart.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional
 
-from repro.cpu.load_queue import LoadEntry
-from repro.cpu.store_buffer import StoreEntry
+from repro.obs.bus import ProbeBus
 
 
 class ViolationDetector:
-    """Tracks retired loads inside open windows of vulnerability."""
+    """Tracks retired loads inside open windows of vulnerability, per
+    core."""
 
-    __slots__ = ("line_bytes", "_forwardings", "_store_lines",
-                 "_windows", "violations")
+    __slots__ = ("line_bytes", "_windows", "by_core")
 
-    def __init__(self, line_bytes: int = 64) -> None:
+    def __init__(self, bus: ProbeBus, line_bytes: int = 64) -> None:
         self.line_bytes = line_bytes
-        # store key -> seq of its (oldest) SLF load.
-        self._forwardings: Dict[int, int] = {}
-        # store key -> line of the store itself (to exclude self-hits).
-        self._store_lines: Dict[int, int] = {}
-        # store key -> lines of loads retired under its shadow.
-        self._windows: Dict[int, Set[int]] = {}
-        self.violations = 0
+        # core -> store key -> [seq of its oldest SLF load, the store's
+        # own line (to exclude self-hits), lines of loads retired under
+        # its shadow].
+        self._windows: Dict[int, Dict[int, list]] = {}
+        self.by_core: Dict[int, int] = {}    # core -> violations witnessed
+        bus.subscribe("slf.forward", self.on_forward)
+        bus.subscribe("inst.retire", self.on_retire)
+        bus.subscribe("sb.write_l1", self.on_store_written)
+        bus.subscribe("squash.*", self.on_squash)
+        bus.subscribe("line.removed", self.on_line_removed)
+
+    @property
+    def violations(self) -> int:
+        return sum(self.by_core.values())
 
     # ------------------------------------------------------------------
 
     def _line(self, addr: int) -> int:
         return addr - (addr % self.line_bytes)
 
-    def on_forward(self, load: LoadEntry, store: StoreEntry) -> None:
-        key = store.key
-        previous = self._forwardings.get(key)
-        if previous is None or load.seq < previous:
-            self._forwardings[key] = load.seq
-            self._store_lines[key] = self._line(store.addr)
+    def on_forward(self, core_id: int, cycle: int, load_seq: int,
+                   store_seq: int, addr: int, key: int) -> None:
+        windows = self._windows.setdefault(core_id, {})
+        window = windows.get(key)
+        if window is None:
+            windows[key] = [load_seq, self._line(addr), set()]
+        elif load_seq < window[0]:
+            window[0] = load_seq
 
-    def on_load_retired(self, load: LoadEntry) -> None:
+    def on_retire(self, core_id: int, cycle: int, seq: int, addr: int,
+                  blocked: int, reason: Optional[str]) -> None:
         """Condition 2: a load retires inside an open window."""
-        if load.addr < 0:
+        windows = self._windows.get(core_id)
+        if addr < 0 or not windows:
             return
-        line = self._line(load.addr)
-        for key, slf_seq in self._forwardings.items():
-            if slf_seq < load.seq and self._store_lines.get(key) != line:
-                self._windows.setdefault(key, set()).add(line)
+        line = self._line(addr)
+        for slf_seq, store_line, lines in windows.values():
+            if slf_seq < seq and store_line != line:
+                lines.add(line)
 
-    def on_store_written(self, store: StoreEntry) -> None:
+    def on_store_written(self, core_id: int, cycle: int, store_seq: int,
+                         addr: int, drain: int, key: int) -> None:
         """The window closes when the forwarding store hits the L1."""
-        self._forwardings.pop(store.key, None)
-        self._store_lines.pop(store.key, None)
-        self._windows.pop(store.key, None)
+        self._windows.get(core_id, {}).pop(key, None)
 
-    def on_squash(self, seq: int) -> None:
+    def on_squash(self, core_id: int, cycle: int, from_seq: int,
+                  flushed: int) -> None:
         """Forwardings from flushed SLF loads never happened."""
-        stale = [key for key, slf_seq in self._forwardings.items()
-                 if slf_seq >= seq]
-        for key in stale:
-            self._forwardings.pop(key, None)
-            self._store_lines.pop(key, None)
-            self._windows.pop(key, None)
+        windows = self._windows.get(core_id, {})
+        for key in [key for key, window in windows.items()
+                    if window[0] >= from_seq]:
+            del windows[key]
 
-    def on_line_removed(self, line: int) -> None:
+    def on_line_removed(self, core_id: int, cycle: int, line: int,
+                        kind: str) -> None:
         """Condition 3: an invalidation/eviction lands in a window."""
-        for key, lines in list(self._windows.items()):
+        for _, _, lines in self._windows.get(core_id, {}).values():
             if line in lines:
-                self.violations += 1
+                self.by_core[core_id] = self.by_core.get(core_id, 0) + 1
                 lines.discard(line)
-                if not lines:
-                    del self._windows[key]

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.reasons import GATE, SLF_SB
 from repro.cpu.branch import TagePredictor
-from repro.core.violation import ViolationDetector
 from repro.cpu import isa
 from repro.cpu.isa import Trace
 from repro.cpu.load_queue import (ISSUED, PERFORMED, WAITING, LoadEntry,
@@ -67,10 +66,10 @@ class Core:
     __slots__ = (
         "engine", "core_id", "config", "trace", "_trace_ops", "_trace_len",
         "_issue_width", "_retire_width", "controller", "policy", "on_finish",
-        "probe_bus", "_p_slf_forward", "_p_sb_write", "_p_gate_stall",
-        "_p_squash", "_p_load_perform", "stats", "rob", "lq", "sb",
-        "storeset", "detector",
-        "prefetcher", "branch_predictor", "tracer", "memory_data",
+        "probe_bus", "_p_slf_forward", "_p_sb_write", "_p_squash",
+        "_p_load_perform", "_p_dispatch", "_p_issue", "_p_complete",
+        "_p_retire", "_p_line_removed", "stats", "rob", "lq", "sb",
+        "storeset", "prefetcher", "branch_predictor", "memory_data",
         "retired_load_values", "fetch_idx", "done",
         "consumers", "ready", "deferred_on_store", "pending_fences",
         "deferred_on_fence", "barrier_seq", "_sb_inflight",
@@ -82,9 +81,8 @@ class Core:
     def __init__(self, engine: Engine, core_id: int, config: SystemConfig,
                  trace: Trace, controller, policy: "ConsistencyPolicy",
                  on_finish: Optional[Callable[["Core"], None]] = None,
-                 detect_violations: bool = True,
                  memory_data: Optional[Dict[int, int]] = None,
-                 tracer=None, probes=None) -> None:
+                 probes=None) -> None:
         self.engine = engine
         self.core_id = core_id
         self.config = config.core
@@ -102,15 +100,19 @@ class Core:
         self.on_finish = on_finish
         # Probe resolution happens once, here; each site fires behind an
         # ``is not None`` guard, so an unobserved run pays one pointer
-        # compare per site (the same contract as ``tracer`` below).  The
-        # bus must be in place before the policy attaches — _SoSBase
-        # resolves its gate probes from ``core.probe_bus`` in attach().
-        self.probe_bus = probes if probes is not None else NULL_BUS
-        self._p_slf_forward = self.probe_bus.resolve("slf.forward")
-        self._p_sb_write = self.probe_bus.resolve("sb.write_l1")
-        self._p_gate_stall = self.probe_bus.resolve("gate.stall")
-        self._p_squash = resolve_squash_probes(self.probe_bus)
-        self._p_load_perform = self.probe_bus.resolve("load.perform")
+        # compare per site.  The bus must be in place before the policy
+        # attaches — _SoSBase resolves its gate probes from
+        # ``core.probe_bus`` in attach().
+        self.probe_bus = bus = probes if probes is not None else NULL_BUS
+        self._p_slf_forward = bus.resolve("slf.forward")
+        self._p_sb_write = bus.resolve("sb.write_l1")
+        self._p_squash = resolve_squash_probes(bus)
+        self._p_load_perform = bus.resolve("load.perform")
+        self._p_dispatch = bus.resolve("inst.dispatch")
+        self._p_issue = bus.resolve("inst.issue")
+        self._p_complete = bus.resolve("inst.complete")
+        self._p_retire = bus.resolve("inst.retire")
+        self._p_line_removed = bus.resolve("line.removed")
         policy.attach(self)
         controller.removal_listener = self._on_line_removed
 
@@ -123,9 +125,6 @@ class Core:
         for load_pc, store_pc in getattr(trace, "memdep_hints", ()):
             self.storeset.train_violation(load_pc, store_pc)
         self.storeset.violations_trained = 0
-        self.detector = ViolationDetector(
-            line_bytes=config.memory.l1.line_bytes) \
-            if detect_violations else None
         self.prefetcher = StridePrefetcher(
             controller.prefetch,
             line_bytes=config.memory.l1.line_bytes,
@@ -133,7 +132,6 @@ class Core:
             if config.memory.prefetcher else None
         self.branch_predictor = TagePredictor() \
             if self.config.branch_predictor else None
-        self.tracer = tracer  # optional PipeTracer
 
         # Functional value layer: global word-granular memory image,
         # shared by all cores of the system.  Stores update it at their
@@ -255,7 +253,7 @@ class Core:
         # directly — exactly what Engine.schedule does for delay == 1,
         # minus the call.
         bucket_next = engine._bucket_next
-        tracer = self.tracer
+        p_retire = self._p_retire
         stats = self.stats
         sb = self.sb
         rob_entries = self.rob._entries
@@ -272,8 +270,8 @@ class Core:
                         and not head.issued and head.deps_left == 0
                         and not sb._count):
                     head.issued = True
-                    if tracer is not None:
-                        tracer.on_issue(head.seq, now)
+                    if self._p_issue is not None:
+                        self._p_issue(self.core_id, now, head.seq)
                     self._start_rmw(head)
                 break
             op = head.op
@@ -295,8 +293,8 @@ class Core:
                 stats.retired_stores += 1
             else:
                 rob_entries.popleft()
-            if tracer is not None and kind != _LOAD:
-                tracer.on_retire(head.seq, now)
+            if p_retire is not None and kind != _LOAD:
+                p_retire(self.core_id, now, head.seq, -1, 0, None)
             stats.retired_instructions += 1
             retired += 1
         work = retired > 0
@@ -349,13 +347,14 @@ class Core:
             issued = 0
             issue_width = self._issue_width
             heappop = heapq.heappop
+            p_issue = self._p_issue
             while issued < issue_width and ready:
                 entry = heappop(ready)[1]
                 if entry.squashed or entry.issued:
                     continue  # squashed incarnation or duplicate
                 entry.issued = True
-                if tracer is not None:
-                    tracer.on_issue(entry.seq, now)
+                if p_issue is not None:
+                    p_issue(self.core_id, now, entry.seq)
                 op = entry.op
                 kind = op.kind
                 if kind == _LOAD:
@@ -390,6 +389,7 @@ class Core:
             done = self.done
             consumers = self.consumers
             heappush = heapq.heappush
+            p_dispatch = self._p_dispatch
             while True:
                 op = ops[fetch_idx]
                 kind = op.kind
@@ -411,8 +411,8 @@ class Core:
                 fetch_idx += 1
                 entry = RobEntry(seq, op)
                 rob_entries.append(entry)
-                if tracer is not None:
-                    tracer.on_dispatch(seq, kind, now)
+                if p_dispatch is not None:
+                    p_dispatch(self.core_id, now, seq, kind)
                 if kind == _LOAD:
                     lentry = lq.allocate(seq, op.pc)
                     lentry.memdep_wait = self.storeset.predicted_store(op.pc)
@@ -522,31 +522,24 @@ class Core:
                 elif reason == SLF_SB:
                     self.stats.slf_retire_stall_events += 1
             return False
+        blocked = 0
         if lentry.gate_blocked_since is not None:
             blocked = self.engine.now - lentry.gate_blocked_since
             if lentry.blocked_reason == GATE:
                 self.stats.gate_stall_cycles += blocked
             elif lentry.blocked_reason == SLF_SB:
                 self.stats.slf_retire_stall_cycles += blocked
-            if self._p_gate_stall is not None:
-                self._p_gate_stall(self.core_id, self.engine.now,
-                                   lentry.seq, blocked,
-                                   lentry.blocked_reason)
         # ``head`` is the completed ROB head (checked by the caller).
         self.rob._entries.popleft()
         self.lq.retire_head(head.seq)
         self.retired_load_values[head.seq] = lentry.value
-        if self.tracer is not None:
-            blocked = 0
-            if lentry.gate_blocked_since is not None:
-                blocked = self.engine.now - lentry.gate_blocked_since
-            self.tracer.on_retire(head.seq, self.engine.now, blocked)
         self.stats.retired_loads += 1
         if lentry.slf:
             self.stats.slf_loads += 1
         self.policy.on_load_retire(lentry)
-        if self.detector is not None:
-            self.detector.on_load_retired(lentry)
+        if self._p_retire is not None:
+            self._p_retire(self.core_id, self.engine.now, head.seq,
+                           lentry.addr, blocked, lentry.blocked_reason)
         return True
 
     # ------------------------------------------------------------------
@@ -572,8 +565,6 @@ class Core:
             self._p_sb_write(self.core_id, now, entry.seq, entry.addr,
                              drain, entry.key)
         self.policy.on_store_written(entry)
-        if self.detector is not None:
-            self.detector.on_store_written(entry)
         for waiter in entry.waiters:
             waiter()
         entry.waiters.clear()
@@ -657,9 +648,7 @@ class Core:
         self.policy.on_forward(lentry, store)
         if self._p_slf_forward is not None:
             self._p_slf_forward(self.core_id, self.engine.now, lentry.seq,
-                                store.seq, store.key)
-        if self.detector is not None:
-            self.detector.on_forward(lentry, store)
+                                store.seq, store.addr, store.key)
         self.engine.schedule(self.config.forward_latency,
                              self._perform_load, entry)
 
@@ -719,10 +708,9 @@ class Core:
             return
         entry.completed = True
         self.done[entry.seq] = 1
-        if self.tracer is not None:
-            self.tracer.on_complete(
-                entry.seq, self.engine.now,
-                slf=entry.op.kind == _LOAD and entry.lsq.slf)
+        if self._p_complete is not None:
+            self._p_complete(self.core_id, self.engine.now, entry.seq,
+                             entry.op.kind == _LOAD and entry.lsq.slf)
         waiters = self.consumers.pop(entry.seq, None)
         if waiters:
             ready = self.ready
@@ -821,8 +809,6 @@ class Core:
         removed = self.rob.squash_from(seq)
         if not removed:
             return
-        if self.tracer is not None:
-            self.tracer.on_squash(seq, self.engine.now, reason)
         probe = self._p_squash.get(reason)
         if probe is not None:
             probe(self.core_id, self.engine.now, seq, len(removed))
@@ -850,8 +836,6 @@ class Core:
         if self.barrier_seq is not None and self.barrier_seq >= seq:
             self.barrier_seq = None
         self.policy.on_squash(seq)
-        if self.detector is not None:
-            self.detector.on_squash(seq)
         self._wake()
 
     # ------------------------------------------------------------------
@@ -862,10 +846,8 @@ class Core:
         """An invalidation or a private-hierarchy eviction removed a
         line: squash any speculative performed load on that line (the
         paper treats evictions exactly like invalidations)."""
-        if self.detector is not None:
-            victims = self.detector
-            victims.on_line_removed(line)
-            self.stats.store_atomicity_violations = victims.violations
+        if self._p_line_removed is not None:
+            self._p_line_removed(self.core_id, self.engine.now, line, kind)
         matching = self.lq.matching_performed(line)
         if not matching:
             return

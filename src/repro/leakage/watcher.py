@@ -31,7 +31,7 @@ from repro.leakage.gadgets import GADGET_CONFIG, Gadget
 from repro.leakage.taint import TaintMap
 from repro.obs.bus import SQUASH_REASONS, ProbeBus
 from repro.obs.samplers import LogHistogram
-from repro.obs.session import ObsSession
+from repro.obs.session import EVENT_LIMIT, ObsSession
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
@@ -72,10 +72,8 @@ class LeakCandidate:
 class LeakWatcher:
     """Subscribes the full leakage probe set and correlates it."""
 
-    def __init__(self, bus: ProbeBus, taints: Dict[int, TaintMap],
-                 limit: int = 100_000) -> None:
+    def __init__(self, bus: ProbeBus, taints: Dict[int, TaintMap]) -> None:
         self.taints = taints
-        self.limit = limit
         # core -> seq -> live candidate (a re-executed incarnation of
         # the same seq overwrites the previous, un-squashed one).
         self._pending: Dict[int, Dict[int, LeakCandidate]] = {}
@@ -114,7 +112,7 @@ class LeakWatcher:
         if not spec:
             return
         self.speculative_performs += 1
-        if self._spec_seen < self.limit:
+        if self._spec_seen < EVENT_LIMIT:
             self._spec_seen += 1
             self._spec_performs.setdefault(core_id, {})[seq] = cycle
         taint = self.taints.get(core_id)
@@ -142,14 +140,14 @@ class LeakWatcher:
                 candidate.squash_cycle = cycle
                 candidate.squash_reason = reason
                 self.hist_leak_window.add(candidate.window)
-                if len(self.confirmed) < self.limit:
+                if len(self.confirmed) < EVENT_LIMIT:
                     self.confirmed.append(candidate)
         return handler
 
     # -- SLF windows and side effects under them -----------------------
 
     def _on_forward(self, core_id: int, cycle: int, load_seq: int,
-                    store_seq: int, key: int) -> None:
+                    store_seq: int, addr: int, key: int) -> None:
         self._slf_open.setdefault((core_id, key), []).append(cycle)
 
     def _on_write(self, core_id: int, cycle: int, store_seq: int,
@@ -248,7 +246,7 @@ class LeakReport:
 
 def _run_gadget(gadget: Gadget, policy: str, obs=None):
     """Run ``gadget`` with a :class:`LeakWatcher` on a bare bus, or on
-    ``obs``'s with its sampler and pipeline tracers.  Watchers subscribe
+    ``obs``'s with its sampler and pipeline tracer.  Watchers subscribe
     before the system is built (ProbeBus resolve-at-attach)."""
     from repro.sim.system import System
 
@@ -259,7 +257,7 @@ def _run_gadget(gadget: Gadget, policy: str, obs=None):
     system = System(list(gadget.traces), policy, GADGET_CONFIG,
                     warm_caches=list(gadget.warm),
                     initial_memory=dict(gadget.initial_memory),
-                    trace_pipeline=obs is not None, probes=bus)
+                    probes=bus)
     if obs is not None:
         obs.install(system)
     stats = system.run(5_000_000)
@@ -286,6 +284,6 @@ def leak_observe_run(gadget: Gadget, policy: str):
 
     Returns ``(stats, obs_report, leak_report, system)``.
     """
-    obs = ObsSession(sample_interval=16)
+    obs = ObsSession(sample_interval=16, trace_pipeline=True)
     stats, report, system = _run_gadget(gadget, policy, obs)
     return stats, obs.report(stats), report, system

@@ -207,9 +207,9 @@ class ResolveOnceRule(Rule):
 
 def _guard_covers(test: ast.AST, probe: str) -> bool:
     """Does an ``if`` test establish that ``probe`` (a dotted
-    ``self._p_x`` string) is not None?  Accepts ``self._p_x is not
-    None``, plain truthiness ``self._p_x``, and either of those inside
-    an ``and`` chain."""
+    ``self._p_x`` string, or a local bound from one) is not None?
+    Accepts ``self._p_x is not None``, plain truthiness ``self._p_x``,
+    and either of those inside an ``and`` chain."""
     if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
         return any(_guard_covers(v, probe) for v in test.values)
     if isinstance(test, ast.Compare) and len(test.ops) == 1 \
@@ -220,19 +220,38 @@ def _guard_covers(test: ast.AST, probe: str) -> bool:
     return dotted_name(test) == probe
 
 
+def _is_probe_attr(node: ast.AST) -> bool:
+    """Is ``node`` a ``self._p_x`` attribute?"""
+    return (isinstance(node, ast.Attribute) and node.attr.startswith("_p_")
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 class _FireScanner(LintVisitor):
     def __init__(self) -> None:
         super().__init__()
         self.unguarded: List[ast.Call] = []
+        # (enclosing function, local name) of each ``x = self._p_y``.
+        self._bound: Set[tuple] = set()
+
+    def _local(self, name: str) -> tuple:
+        scope = self.function_stack[-1] if self.function_stack else None
+        return id(scope), name
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if _is_probe_attr(node.value):
+            self._bound.update(self._local(target.id)
+                               for target in node.targets
+                               if isinstance(target, ast.Name))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr.startswith("_p_")
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "self"):
+        if _is_probe_attr(func):
+            probe = f"self.{func.attr}"
+        elif isinstance(func, ast.Name) \
+                and self._local(func.id) in self._bound:
+            probe = func.id
+        else:
             return
-        probe = f"self.{func.attr}"
         for ancestor in reversed(self.ancestors):
             if isinstance(ancestor, ast.If) \
                     and _guard_covers(ancestor.test, probe):
@@ -257,8 +276,10 @@ class GuardedFireRule(Rule):
         "`self._p_x(...)` sits under `if self._p_x is not None:` so that "
         "with the NULL_BUS (probes resolve to None) the cost is one "
         "attribute load and a pointer compare — no call, no argument "
-        "tuple.  An unguarded fire crashes on NULL_BUS or, worse, pays "
-        "call overhead on every event.")
+        "tuple.  A hot loop that binds the probe to a local "
+        "(`p_x = self._p_x`) guards the local the same way.  An "
+        "unguarded fire crashes on NULL_BUS or, worse, pays call "
+        "overhead on every event.")
     scope = "obs"
 
     def check(self, source: SourceFile) -> Iterator[Violation]:

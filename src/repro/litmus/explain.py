@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.litmus.operational import _matches
+from repro.litmus.parser import check_witness
 from repro.litmus.program import Outcome, Program
 
 
@@ -59,6 +60,7 @@ def explain_chain(program: Program, model: str,
     is the paper's Figure 2 store-atomicity distinction, derived rather
     than hand-written.
     """
+    check_witness(program, conditions)
     # Imported here: repro.models imports repro.litmus, whose package
     # init imports this module.
     from repro.models.axiomatic import classify, event_name
@@ -100,6 +102,7 @@ def explain(program: Program, model: str, **conditions: int) -> str:
     """
     from repro.models.axiomatic import (RelationAnalysis, render_cycle,
                                         require_axiomatic)
+    check_witness(program, conditions)
     require_axiomatic(model)
     witness = ", ".join(f"{k}={v}" for k, v in conditions.items())
     header = f"{program.name} under {model}: witness [{witness}]"

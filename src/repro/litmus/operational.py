@@ -50,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.litmus.parser import check_witness
 from repro.litmus.program import (Cas, Fence, Ld, Outcome, Program, Rmw, St)
 
 SC = "SC"
@@ -541,14 +542,20 @@ def allows(program: Program, model: str, **conditions: int) -> bool:
     ``mem_x`` (final value of location ``x``)::
 
         allows(MP, "x86", r1_rx=1, r1_ry=0)
+
+    A key naming no register or location of ``program`` raises
+    ValueError (:func:`repro.litmus.parser.check_witness`).
     """
+    check_witness(program, conditions)
     return any(_matches(outcome, conditions)
                for outcome in enumerate_outcomes(program, model))
 
 
 def matching_outcomes(program: Program, model: str,
                       **conditions: int) -> FrozenSet[Outcome]:
-    """The outcomes that satisfy the given conditions."""
+    """The outcomes that satisfy the given conditions (keys checked as
+    by :func:`allows`)."""
+    check_witness(program, conditions)
     return frozenset(o for o in enumerate_outcomes(program, model)
                      if _matches(o, conditions))
 

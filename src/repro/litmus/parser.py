@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.litmus.program import (READS, Cas, Fence, Instruction, Ld,
                                   Program, Rmw, St, make_program)
@@ -106,22 +106,29 @@ def _parse_conditions(tokens: Sequence[str]) -> Dict[str, int]:
     return conditions
 
 
-def parse_witness(program: Program,
-                  tokens: Sequence[str]) -> Dict[str, int]:
-    """Witness ``key=value`` tokens as a condition dict, each value an
-    integer and each key a register some op of thread T writes
-    (``rT_REG``) or a location the program uses (``mem_ADDR``): the
-    check behind ``exists:`` and ``repro explain -w``.  Raises
-    ValueError naming the first bad token."""
-    conditions = _parse_conditions(tokens)
+def check_witness(program: Program, keys: Iterable[str]) -> None:
+    """The one witness-key rule: each key names a register some op of
+    thread T writes (``rT_REG``) or a location the program uses
+    (``mem_ADDR``).  Raises ValueError naming the first key that does
+    not.  Behind ``exists:``, ``repro explain -w`` and every library
+    function that matches outcomes against conditions."""
     known = {f"mem_{addr}" for addr in program.addresses}
     known.update(f"r{tid}_{op.reg}"
                  for tid, thread in enumerate(program.threads)
                  for op in thread if isinstance(op, READS))
-    for key in conditions:
+    for key in keys:
         if key not in known:
             raise ValueError(f"condition {key!r}: {program.name} has no "
                              f"such register or location")
+
+
+def parse_witness(program: Program,
+                  tokens: Sequence[str]) -> Dict[str, int]:
+    """Witness ``key=value`` tokens as a condition dict, each value an
+    integer and each key passing :func:`check_witness`.  Raises
+    ValueError naming the first bad token."""
+    conditions = _parse_conditions(tokens)
+    check_witness(program, conditions)
     return conditions
 
 

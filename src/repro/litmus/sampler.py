@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Counter as CounterT, Dict
 
 from repro.litmus.operational import MODELS, _matches, machine_for
+from repro.litmus.parser import check_witness
 from repro.litmus.program import Outcome, Program
 
 
@@ -32,6 +33,7 @@ class SampleReport:
 
     def frequency(self, **conditions: int) -> float:
         """Fraction of runs whose outcome satisfies the conditions."""
+        check_witness(self.program, conditions)
         hits = sum(count for outcome, count in self.histogram.items()
                    if _matches(outcome, conditions))
         return hits / self.runs if self.runs else 0.0

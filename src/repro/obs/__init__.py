@@ -6,11 +6,11 @@ subscribers that turn probe firings into artefacts:
 
 * :class:`~repro.obs.bus.ProbeBus` — named event probes that resolve to
   literal ``None`` when nothing subscribes, so disabled-mode overhead is
-  a single ``is not None`` test at each site (the same contract as the
-  pre-existing ``tracer`` hooks);
+  a single ``is not None`` test at each site (the simulator's one
+  observation channel: the tracer and violation detector use it too);
 * :class:`~repro.obs.session.ObsSession` — one-stop wiring of the
   standard watchers (gate intervals, stall/window/drain histograms,
-  squash and coherence counters) and the periodic occupancy sampler;
+  squash and coherence counters), the occupancy sampler and the tracer;
 * :func:`~repro.obs.session.observe_run` — run a workload with full
   observability and get ``(stats, report, system)`` back;
 * :mod:`~repro.obs.chrome_trace` — Chrome trace-event / Perfetto JSON

@@ -8,14 +8,14 @@ Instrumented components ask the bus for a probe **once, at attach time**
 and fire it behind an ``is not None`` guard on the hot path::
 
     if self._p_forward is not None:
-        self._p_forward(core_id, cycle, load_seq, store_seq, key)
+        self._p_forward(core_id, cycle, load_seq, store_seq, addr, key)
 
 :meth:`ProbeBus.resolve` returns ``None`` when the probe has no
 subscriber, so a disabled probe costs exactly one attribute load and
-pointer compare — the same no-op contract the pipeline already uses for
-its optional ``tracer``.  The default bus (:data:`NULL_BUS`) resolves
-*everything* to ``None`` and refuses subscriptions, so an uninstrumented
-run never builds a subscriber table at all.
+pointer compare (a hot loop may guard a local bound from it).  The
+default bus (:data:`NULL_BUS`) resolves *everything* to ``None`` and
+refuses subscriptions, so an uninstrumented run never builds a
+subscriber table at all.
 
 Because resolution is done at attach time, subscribers must be attached
 **before** the instrumented objects are constructed (the
@@ -39,8 +39,7 @@ ProbeFn = Callable[..., None]
 PROBE_SIGNATURES: Dict[str, str] = {
     "gate.close": "(core_id, cycle, key, load_seq)",
     "gate.open": "(core_id, cycle, key, reason)",     # reason: key|drain
-    "gate.stall": "(core_id, cycle, load_seq, blocked_cycles, reason)",
-    "slf.forward": "(core_id, cycle, load_seq, store_seq, key)",
+    "slf.forward": "(core_id, cycle, load_seq, store_seq, addr, key)",
     "sb.write_l1": "(core_id, cycle, store_seq, addr, drain_cycles, key)",
     "squash.inval": "(core_id, cycle, from_seq, flushed)",
     "squash.evict": "(core_id, cycle, from_seq, flushed)",
@@ -51,6 +50,13 @@ PROBE_SIGNATURES: Dict[str, str] = {
     # spec: bit 1 = M-speculative (performed past an older unperformed
     # load), bit 2 = SA-speculative under the active policy's floor.
     "load.perform": "(core_id, cycle, seq, addr, line, slf, spec)",
+    "inst.dispatch": "(core_id, cycle, seq, kind)",   # kind: isa op kind
+    "inst.issue": "(core_id, cycle, seq)",
+    "inst.complete": "(core_id, cycle, seq, slf)",
+    # addr, blocked, reason: a load's address and the cycles it waited
+    # at the ROB head and why; -1, 0 and None for other instructions.
+    "inst.retire": "(core_id, cycle, seq, addr, blocked, reason)",
+    "line.removed": "(core_id, cycle, line, kind)",   # kind: inval|evict
     "cache.fill": "(core_id, cycle, line)",
     "prefetch.issue": "(core_id, cycle, line)",
     "noc.msg": "(cycle, msg_class)",

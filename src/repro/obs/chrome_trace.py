@@ -73,7 +73,7 @@ def _core_instruction_events(core_id: int, tracer: "PipeTracer",
     events: List[Dict] = []
     drawable = []
     for record in tracer.records:
-        if record.dispatched is None:
+        if record.core_id != core_id or record.dispatched is None:
             continue
         if record.retired is not None:
             end = record.retired
@@ -224,9 +224,9 @@ def build_chrome_trace(system: "System", report: "ObsReport",
                        stats=None, leak_report=None) -> Dict:
     """Assemble the Trace Event Format dict for one finished run.
 
-    ``system`` supplies the per-core :class:`PipeTracer` objects (cores
-    without a tracer simply contribute no instruction slices);
-    ``report`` supplies gate intervals, samples, and squash events;
+    ``system`` supplies the cores; ``report`` supplies gate intervals,
+    samples, squash events and, if the pipeline was traced, the
+    :class:`PipeTracer` whose records become instruction slices;
     ``leak_report`` (optional) adds the per-core leakage track.
     """
     events: List[Dict] = []
@@ -241,9 +241,9 @@ def build_chrome_trace(system: "System", report: "ObsReport",
             "tid": 0, "args": {"sort_index": core_id},
         })
         events.extend(_core_gate_events(core_id, report))
-        if core.tracer is not None:
+        if report.tracer is not None:
             events.extend(_core_instruction_events(
-                core_id, core.tracer, report.end_cycle))
+                core_id, report.tracer, report.end_cycle))
         events.extend(_core_counter_events(core_id, report))
     events.extend(_squash_instants(report))
     if leak_report is not None:

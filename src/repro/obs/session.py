@@ -31,8 +31,13 @@ from repro.obs.samplers import LogHistogram, OccupancySampler, Sample
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.isa import Trace
     from repro.sim.config import SystemConfig
+    from repro.sim.pipetrace import PipeTracer
     from repro.sim.stats import SystemStats
     from repro.sim.system import System
+
+#: The most events any observer's bounded log keeps (squash events,
+#: leak candidates).
+EVENT_LIMIT = 100_000
 
 
 @dataclass
@@ -94,18 +99,18 @@ class GateWatcher:
 
 
 class StallWatcher:
-    """Histograms of retire-blocked episodes from ``gate.stall``."""
+    """Histograms of retire-blocked episodes from ``inst.retire``."""
 
     def __init__(self, bus: ProbeBus) -> None:
         self.hist_gate = LogHistogram()       # blocked behind closed gate
         self.hist_slf_sb = LogHistogram()     # SLFSpec: SLF load vs SB
-        bus.subscribe("gate.stall", self._on_stall)
+        bus.subscribe("inst.retire", self._on_retire)
 
-    def _on_stall(self, core_id: int, cycle: int, load_seq: int,
-                  blocked: int, reason: str) -> None:
+    def _on_retire(self, core_id: int, cycle: int, seq: int, addr: int,
+                   blocked: int, reason: Optional[str]) -> None:
         if reason == "gate":
             self.hist_gate.add(blocked)
-        else:
+        elif reason is not None:              # None: never blocked
             self.hist_slf_sb.add(blocked)
 
 
@@ -120,7 +125,7 @@ class SLFWindowWatcher:
         bus.subscribe("sb.write_l1", self._on_write)
 
     def _on_forward(self, core_id: int, cycle: int, load_seq: int,
-                    store_seq: int, key: int) -> None:
+                    store_seq: int, addr: int, key: int) -> None:
         self._pending.setdefault((core_id, key), []).append(cycle)
 
     def _on_write(self, core_id: int, cycle: int, store_seq: int,
@@ -146,11 +151,10 @@ class SquashWatcher:
     trace exporter.  The probe payload does not carry the reason (it is
     the probe's name), so one bound handler is subscribed per reason."""
 
-    def __init__(self, bus: ProbeBus, limit: int = 100_000) -> None:
+    def __init__(self, bus: ProbeBus) -> None:
         self.episodes: Dict[str, int] = {}
         self.flushed: Dict[str, int] = {}
         self.events: List[tuple] = []     # (core, cycle, seq, reason, n)
-        self.limit = limit
         for reason in SQUASH_REASONS:
             bus.subscribe(f"squash.{reason}",
                           self._handler_for(reason))
@@ -160,7 +164,7 @@ class SquashWatcher:
                     flushed: int) -> None:
             self.episodes[reason] = self.episodes.get(reason, 0) + 1
             self.flushed[reason] = self.flushed.get(reason, 0) + flushed
-            if len(self.events) < self.limit:
+            if len(self.events) < EVENT_LIMIT:
                 self.events.append((core_id, cycle, from_seq, reason,
                                     flushed))
         return handler
@@ -201,6 +205,7 @@ class ObsReport:
     occupancy: Dict[int, Dict[str, float]] = field(default_factory=dict)
     #: (core, cycle, from_seq, reason, flushed) — bounded event log.
     squash_events: List[tuple] = field(default_factory=list)
+    tracer: Optional["PipeTracer"] = None  # if the pipeline was traced
 
     def gate_interval_count(self) -> int:
         return sum(len(v) for v in self.gate_intervals.values())
@@ -289,15 +294,17 @@ class ObsSession:
     """One observed run: a bus, the standard watchers, the sampler."""
 
     def __init__(self, sample_interval: int = 64,
-                 event_limit: int = 100_000) -> None:
+                 trace_pipeline: bool = False) -> None:
         self.bus = ProbeBus()
         self.gate = GateWatcher(self.bus)
         self.stalls = StallWatcher(self.bus)
         self.slf = SLFWindowWatcher(self.bus)
         self.drain = DrainWatcher(self.bus)
-        self.squash = SquashWatcher(self.bus, event_limit)
+        self.squash = SquashWatcher(self.bus)
         self.mesi = MesiWatcher(self.bus)
         self.sampler = OccupancySampler(sample_interval)
+        from repro.sim.pipetrace import PipeTracer
+        self.tracer = PipeTracer(self.bus) if trace_pipeline else None
         self._system: Optional["System"] = None
 
     def install(self, system: "System") -> None:
@@ -334,6 +341,7 @@ class ObsSession:
             samples=self.sampler.samples,
             occupancy=self.sampler.summary(),
             squash_events=list(self.squash.events),
+            tracer=self.tracer,
         )
 
 
@@ -347,17 +355,17 @@ def observe_run(traces: Sequence["Trace"], policy: str,
 
     Returns ``(stats, report, system)`` — the usual
     :class:`~repro.sim.stats.SystemStats`, the finalized
-    :class:`ObsReport`, and the (finished) system, whose per-core
-    ``tracer`` objects feed the Chrome trace exporter when
-    ``trace_pipeline`` is on.
+    :class:`ObsReport`, and the (finished) system.  With
+    ``trace_pipeline`` on, ``report.tracer`` holds the instruction
+    timelines that feed the Chrome trace exporter.
     """
     from repro.sim.system import System
 
-    session = ObsSession(sample_interval=sample_interval)
+    session = ObsSession(sample_interval=sample_interval,
+                         trace_pipeline=trace_pipeline)
     system = System(traces, policy, config,
                     detect_violations=detect_violations,
                     warm_caches=warm_caches,
-                    trace_pipeline=trace_pipeline,
                     probes=session.bus)
     session.install(system)
     stats = system.run()

@@ -1,10 +1,11 @@
 """Pipeline tracing: per-instruction timelines (a classic "pipetrace").
 
-Attach a :class:`PipeTracer` to a core to record when each dynamic
-instruction was dispatched, issued, completed, and retired — including
-re-executed incarnations after squashes.  The text renderer prints a
-compact timeline useful for debugging gate stalls, forwarding windows,
-and squash storms:
+A :class:`PipeTracer` subscribes to the ``inst.*`` and ``squash.*``
+probes to record when each dynamic instruction of every core was
+dispatched, issued, completed, and retired — including re-executed
+incarnations after squashes.  The text renderer prints a core's compact
+timeline, useful for debugging gate stalls, forwarding windows, and
+squash storms:
 
     seq kind    D      I      C      R    notes
       0 store   0      1      3      5
@@ -12,22 +13,25 @@ and squash storms:
       2 load    0      2      7     42    gate-blocked 30
       ...
 
-Enable via ``Core(..., tracer=PipeTracer())`` or
-``System(..., trace_pipeline=True)``.
+Enable via ``observe_run(..., trace_pipeline=True)``, which returns it
+as ``report.tracer``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.cpu.isa import KIND_NAMES
+from repro.obs.bus import SQUASH_REASONS, ProbeBus
 
 
 @dataclass(slots=True)
 class InstructionRecord:
     """One dynamic incarnation of a trace instruction."""
 
+    core_id: int
     seq: int
     kind: str
     incarnation: int = 0
@@ -46,53 +50,64 @@ class InstructionRecord:
 
 
 class PipeTracer:
-    """Records instruction lifecycles for one core."""
+    """Records the instruction lifecycles of every core of one run."""
 
-    __slots__ = ("records", "_live", "_incarnations", "limit")
+    __slots__ = ("records", "_live", "_incarnations", "_kept", "limit")
 
-    def __init__(self, limit: int = 100_000) -> None:
+    def __init__(self, bus: ProbeBus, limit: int = 100_000) -> None:
         self.records: List[InstructionRecord] = []
-        self._live: Dict[int, InstructionRecord] = {}  # seq -> record
-        self._incarnations: Dict[int, int] = {}
-        self.limit = limit
+        self._live: Dict[Tuple[int, int], InstructionRecord] = {}
+        self._incarnations: Dict[Tuple[int, int], int] = {}  # (core, seq)
+        self._kept: Dict[int, int] = {}  # core -> records kept
+        self.limit = limit               # records kept per core
+        for stage in ("dispatch", "issue", "complete", "retire"):
+            bus.subscribe(f"inst.{stage}", getattr(self, f"on_{stage}"))
+        for reason in SQUASH_REASONS:
+            bus.subscribe(f"squash.{reason}", partial(self.on_squash, reason))
 
-    # -- hooks called by the pipeline -----------------------------------
+    # -- probe subscribers -----------------------------------------------
 
-    def on_dispatch(self, seq: int, kind: int, cycle: int) -> None:
-        if len(self.records) >= self.limit:
+    def on_dispatch(self, core_id: int, cycle: int, seq: int,
+                    kind: int) -> None:
+        kept = self._kept.get(core_id, 0)
+        if kept >= self.limit:
             return
-        incarnation = self._incarnations.get(seq, 0)
-        record = InstructionRecord(seq=seq, kind=KIND_NAMES[kind],
+        self._kept[core_id] = kept + 1
+        incarnation = self._incarnations.get((core_id, seq), 0)
+        record = InstructionRecord(core_id=core_id, seq=seq,
+                                   kind=KIND_NAMES[kind],
                                    incarnation=incarnation,
                                    dispatched=cycle)
         self.records.append(record)
-        self._live[seq] = record
+        self._live[core_id, seq] = record
 
-    def on_issue(self, seq: int, cycle: int) -> None:
-        record = self._live.get(seq)
+    def on_issue(self, core_id: int, cycle: int, seq: int) -> None:
+        record = self._live.get((core_id, seq))
         if record is not None and record.issued is None:
             record.issued = cycle
 
-    def on_complete(self, seq: int, cycle: int, slf: bool = False) -> None:
-        record = self._live.get(seq)
+    def on_complete(self, core_id: int, cycle: int, seq: int,
+                    slf: bool) -> None:
+        record = self._live.get((core_id, seq))
         if record is not None:
             record.completed = cycle
             record.slf = record.slf or slf
 
-    def on_retire(self, seq: int, cycle: int,
-                  gate_blocked: int = 0) -> None:
-        record = self._live.pop(seq, None)
+    def on_retire(self, core_id: int, cycle: int, seq: int, addr: int,
+                  blocked: int, reason: Optional[str]) -> None:
+        record = self._live.pop((core_id, seq), None)
         if record is not None:
             record.retired = cycle
-            record.gate_blocked_cycles = gate_blocked
+            record.gate_blocked_cycles = blocked
 
-    def on_squash(self, from_seq: int, cycle: int, reason: str) -> None:
-        for seq, record in list(self._live.items()):
-            if seq >= from_seq:
+    def on_squash(self, reason: str, core_id: int, cycle: int,
+                  from_seq: int, flushed: int) -> None:
+        for key, record in list(self._live.items()):
+            if key[0] == core_id and key[1] >= from_seq:
                 record.squashed = cycle
                 record.squash_reason = reason
-                self._incarnations[seq] = record.incarnation + 1
-                del self._live[seq]
+                self._incarnations[key] = record.incarnation + 1
+                del self._live[key]
 
     # -- queries / rendering ---------------------------------------------
 
@@ -102,14 +117,16 @@ class PipeTracer:
     def squashed_records(self) -> List[InstructionRecord]:
         return [r for r in self.records if r.squashed is not None]
 
-    def record_for(self, seq: int,
-                   incarnation: int = -1) -> Optional[InstructionRecord]:
-        matches = [r for r in self.records if r.seq == seq]
+    def record_for(self, seq: int, incarnation: int = -1,
+                   core_id: int = 0) -> Optional[InstructionRecord]:
+        matches = [r for r in self.records
+                   if r.seq == seq and r.core_id == core_id]
         if not matches:
             return None
         return matches[incarnation]
 
-    def render(self, start: int = 0, count: int = 50) -> str:
+    def render(self, start: int = 0, count: int = 50,
+               core_id: int = 0) -> str:
         header = (f"{'seq':>5} {'inc':>3} {'kind':6} {'D':>7} {'I':>7} "
                   f"{'C':>7} {'R':>7}  notes")
         lines = [header, "-" * len(header)]
@@ -117,7 +134,8 @@ class PipeTracer:
         def fmt(value: Optional[int]) -> str:
             return str(value) if value is not None else "-"
 
-        for record in self.records[start:start + count]:
+        records = [r for r in self.records if r.core_id == core_id]
+        for record in records[start:start + count]:
             notes = []
             if record.slf:
                 notes.append("SLF")

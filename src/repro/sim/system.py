@@ -23,14 +23,13 @@ class System:
     """A simulated multicore: N cores + coherent memory hierarchy."""
 
     __slots__ = ("config", "policy_name", "engine", "probe_bus", "memory",
-                 "cores", "memory_data", "_unfinished")
+                 "cores", "memory_data", "detector", "_unfinished")
 
     def __init__(self, traces: Sequence["Trace"], policy_name: str,
                  config: Optional[SystemConfig] = None,
                  detect_violations: bool = False,
                  warm_caches: object = True,
                  initial_memory: Optional[Dict[int, int]] = None,
-                 trace_pipeline: bool = False,
                  probes=None, faults=None) -> None:
         from repro.coherence.mesi import CoherentMemorySystem
         from repro.coherence.warmup import warm_from_traces
@@ -46,6 +45,13 @@ class System:
         self.config = base.with_cores(max(len(traces), 1))
         self.policy_name = policy_name
         self.engine = Engine()
+        self.detector = None  # subscribes before any probe resolves
+        if detect_violations:
+            from repro.core.violation import ViolationDetector
+            from repro.obs.bus import ProbeBus
+            probes = probes or ProbeBus()
+            self.detector = ViolationDetector(
+                probes, line_bytes=self.config.memory.l1.line_bytes)
         self.probe_bus = probes  # None => every component uses NULL_BUS
         self.memory = CoherentMemorySystem(self.engine, self.config,
                                            probes=probes)
@@ -68,16 +74,10 @@ class System:
         self._unfinished = 0
         for core_id, trace in enumerate(traces):
             policy = make_policy(policy_name)
-            tracer = None
-            if trace_pipeline:
-                from repro.sim.pipetrace import PipeTracer
-                tracer = PipeTracer()
             core = Core(self.engine, core_id, self.config, trace,
                         self.memory.controller(core_id), policy,
                         on_finish=self._core_finished,
-                        detect_violations=detect_violations,
-                        memory_data=self.memory_data, tracer=tracer,
-                        probes=probes)
+                        memory_data=self.memory_data, probes=probes)
             self.cores.append(core)
             self._unfinished += 1
         # Deterministic fault injection (repro.resilience.faults): wire
@@ -118,6 +118,9 @@ class System:
         stats.execution_cycles = max(c.stats.cycles for c in self.cores)
         for core in self.cores:
             stats.per_core[core.core_id] = core.stats
+            if self.detector is not None:
+                core.stats.store_atomicity_violations = \
+                    self.detector.by_core.get(core.core_id, 0)
             gate = getattr(core.policy, "gate", None)
             if gate is not None:
                 # Surface the RetireGate's own bookkeeping into the

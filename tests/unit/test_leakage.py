@@ -130,7 +130,7 @@ def test_watcher_side_effects_counted_inside_slf_window():
     noc = bus.resolve("noc.msg")
     prefetch = bus.resolve("prefetch.issue")
     fill(0, 5, 3)                       # no window open: not counted
-    bus.resolve("slf.forward")(0, 10, 4, 2, 1)
+    bus.resolve("slf.forward")(0, 10, 4, 2, 64, 1)
     fill(0, 12, 3)
     noc(13, "GetS")
     prefetch(0, 14, 9)

@@ -97,6 +97,41 @@ class TestErrors:
             parse_litmus(f"T0:\n  ld x -> rx\nexists: {condition}\n")
 
 
+class TestLibraryWitnessKeys:
+    """The library's outcome matchers check their keys with the
+    parser's rule, raising the same ValueError before any search."""
+
+    @staticmethod
+    def _matchers():
+        from repro.litmus import N6
+        from repro.litmus.explain import explain, explain_chain
+        from repro.litmus.operational import matching_outcomes
+        from repro.litmus.sampler import sample
+        return {
+            "allows": lambda **c: allows(N6, "370", **c),
+            "matching_outcomes":
+                lambda **c: matching_outcomes(N6, "370", **c),
+            "explain": lambda **c: explain(N6, "370", **c),
+            "explain_chain": lambda **c: explain_chain(N6, "370", **c),
+            "frequency":
+                lambda **c: sample(N6, "370", runs=1).frequency(**c),
+        }
+
+    @pytest.mark.parametrize("key", ["r9_rx", "mem_q"])
+    @pytest.mark.parametrize("matcher", ["allows", "matching_outcomes",
+                                         "explain", "explain_chain",
+                                         "frequency"])
+    def test_unknown_key_is_a_value_error(self, matcher, key):
+        with pytest.raises(ValueError,
+                           match=f"^condition '{key}': n6 has no such "):
+            self._matchers()[matcher](**{key: 1})
+
+    def test_known_keys_still_match(self):
+        matchers = self._matchers()
+        assert matchers["allows"](r0_rx=1, mem_x=1)
+        assert matchers["matching_outcomes"](r0_rx=1, mem_x=1)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "case",
