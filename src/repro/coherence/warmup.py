@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.coherence.mesi import E, GETM, GETS, M, S, CoherentMemorySystem
-from repro.cpu import isa
-from repro.cpu.isa import Trace
+from repro.cpu.isa import LOAD, STORE, Trace
 
 
 def _warm_evict(memory: CoherentMemorySystem, core_id: int,
@@ -92,14 +91,17 @@ def warm_load(memory: CoherentMemorySystem, core_id: int,
 def warm_from_traces(memory: CoherentMemorySystem,
                      traces: Sequence[Trace]) -> None:
     """Round-robin functional walk of all traces (one op per core per
-    step, as a fair interleaving) installing every touched line."""
-    longest = max(len(trace) for trace in traces)
+    step, as a fair interleaving) installing every touched line.  It
+    reads each trace's ``kinds`` and ``addrs`` columns."""
+    columns = [(core_id, trace.kinds, trace.addrs)
+               for core_id, trace in enumerate(traces)]
+    longest = max(len(kinds) for _, kinds, _ in columns)
     for position in range(longest):
-        for core_id, trace in enumerate(traces):
-            if position >= len(trace):
+        for core_id, kinds, addrs in columns:
+            if position >= len(kinds):
                 continue
-            op = trace[position]
-            if op.kind == isa.STORE:
-                warm_store(memory, core_id, op.addr)
-            elif op.kind == isa.LOAD:
-                warm_load(memory, core_id, op.addr)
+            kind = kinds[position]
+            if kind == STORE:
+                warm_store(memory, core_id, addrs[position])
+            elif kind == LOAD:
+                warm_load(memory, core_id, addrs[position])

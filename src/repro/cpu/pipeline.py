@@ -64,15 +64,15 @@ class Core:
     """One out-of-order core executing a micro-op trace."""
 
     __slots__ = (
-        "engine", "core_id", "config", "trace", "_trace_ops", "_trace_len",
-        "_issue_width", "_retire_width", "controller", "policy", "on_finish",
-        "probe_bus", "_p_slf_forward", "_p_sb_write", "_p_squash",
+        "engine", "core_id", "config", "trace", "_kinds", "_addrs", "_deps",
+        "_latencies", "_mispredicts", "_taken", "_pcs", "_values",
+        "_trace_len", "_issue_width", "_retire_width", "controller", "policy",
+        "on_finish", "probe_bus", "_p_slf_forward", "_p_sb_write", "_p_squash",
         "_p_load_perform", "_p_dispatch", "_p_issue", "_p_complete",
-        "_p_retire", "_p_line_removed", "stats", "rob", "lq", "sb",
-        "storeset", "prefetcher", "branch_predictor", "memory_data",
-        "retired_load_values", "fetch_idx", "done",
-        "consumers", "ready", "deferred_on_store", "pending_fences",
-        "deferred_on_fence", "barrier_seq", "_sb_inflight",
+        "_p_retire", "_p_line_removed", "stats", "rob", "lq", "sb", "storeset",
+        "prefetcher", "branch_predictor", "memory_data", "retired_load_values",
+        "fetch_idx", "done", "consumers", "ready", "deferred_on_store",
+        "pending_fences", "deferred_on_fence", "barrier_seq", "_sb_inflight",
         "_sb_miss_inflight", "_rfo_pending", "_rfo_scan_at", "finished",
         "_sleeping", "_sleep_since", "_sleep_stall", "_tick_scheduled",
         "_folded",
@@ -87,12 +87,15 @@ class Core:
         self.core_id = core_id
         self.config = config.core
         self.trace = trace
-        # Hot-loop bindings: the dispatch loop runs every cycle, so the
-        # trace's op list / length and the pipeline widths are cached as
-        # plain attributes instead of going through Trace.__getitem__ /
-        # __len__ and the frozen config dataclass each iteration.
-        self._trace_ops = trace.ops
-        self._trace_len = len(trace.ops)
+        # Hot-loop bindings: the core reads the trace's columns by seq,
+        # and the dispatch loop runs every cycle, so the columns, the
+        # trace's length and the pipeline widths are cached as plain
+        # attributes instead of going through the trace and the frozen
+        # config dataclass each iteration.
+        (self._kinds, self._addrs, self._deps, self._latencies,
+         self._mispredicts, self._taken, self._pcs,
+         self._values) = trace.columns()
+        self._trace_len = len(trace)
         self._issue_width = self.config.issue_width
         self._retire_width = self.config.retire_width
         self.controller = controller
@@ -240,7 +243,7 @@ class Core:
         if folded:
             self._folded = []
             for entry in folded:
-                if entry.op.kind == _STORE:
+                if entry.kind == _STORE:
                     self._complete_store(entry)
                 else:
                     self._complete(entry)
@@ -266,7 +269,7 @@ class Core:
             if head is None or not head.completed:
                 # A locked RMW executes only at the ROB head with the SB
                 # drained (x86 locked-instruction semantics).
-                if (head is not None and head.op.kind == _RMW
+                if (head is not None and head.kind == _RMW
                         and not head.issued and head.deps_left == 0
                         and not sb._count):
                     head.issued = True
@@ -274,8 +277,7 @@ class Core:
                         self._p_issue(self.core_id, now, head.seq)
                     self._start_rmw(head)
                 break
-            op = head.op
-            kind = op.kind
+            kind = head.kind
             if kind == _LOAD:
                 if not self._try_retire_load(head):
                     break
@@ -348,6 +350,7 @@ class Core:
             issue_width = self._issue_width
             heappop = heapq.heappop
             p_issue = self._p_issue
+            latencies = self._latencies
             while issued < issue_width and ready:
                 entry = heappop(ready)[1]
                 if entry.squashed or entry.issued:
@@ -355,8 +358,7 @@ class Core:
                 entry.issued = True
                 if p_issue is not None:
                     p_issue(self.core_id, now, entry.seq)
-                op = entry.op
-                kind = op.kind
+                kind = entry.kind
                 if kind == _LOAD:
                     if fold:
                         mark = len(bucket_next)
@@ -365,13 +367,16 @@ class Core:
                             self._spill(mark)
                     else:
                         self._issue_load(entry)
-                elif kind == _STORE or kind == _FENCE or op.latency < 2:
-                    # Address generation (then the SQ entry resolves), a
-                    # fence, or a 1-cycle ALU op or branch: completes
-                    # next cycle.
+                elif kind == _STORE or kind == _FENCE:
+                    # Address generation (then the SQ entry resolves) or
+                    # a fence: completes next cycle.
                     fold.append(entry)
                 else:
-                    engine.schedule(op.latency, self._complete, entry)
+                    latency = latencies[entry.seq]
+                    if latency < 2:
+                        fold.append(entry)  # a 1-cycle ALU op or branch
+                    else:
+                        engine.schedule(latency, self._complete, entry)
                 issued += 1
             if issued:
                 work = True
@@ -383,7 +388,8 @@ class Core:
         if fetch_idx < trace_len and self.barrier_seq is None:
             dispatched = 0
             issue_width = self._issue_width
-            ops = self._trace_ops
+            kinds = self._kinds
+            deps = self._deps
             rob_capacity = self.rob.capacity
             lq = self.lq
             done = self.done
@@ -391,8 +397,7 @@ class Core:
             heappush = heapq.heappush
             p_dispatch = self._p_dispatch
             while True:
-                op = ops[fetch_idx]
-                kind = op.kind
+                kind = kinds[fetch_idx]
                 if len(rob_entries) >= rob_capacity:
                     stall = _STALL_ROB
                     stats.stall_cycles_rob += 1
@@ -409,29 +414,32 @@ class Core:
                         break
                 seq = fetch_idx
                 fetch_idx += 1
-                entry = RobEntry(seq, op)
+                entry = RobEntry(seq, kind)
                 rob_entries.append(entry)
                 if p_dispatch is not None:
                     p_dispatch(self.core_id, now, seq, kind)
                 if kind == _LOAD:
-                    lentry = lq.allocate(seq, op.pc)
-                    lentry.memdep_wait = self.storeset.predicted_store(op.pc)
+                    pc = self._pcs[seq]
+                    lentry = lq.allocate(seq, pc)
+                    lentry.memdep_wait = self.storeset.predicted_store(pc)
                     entry.lsq = lentry
                 elif kind == _STORE:
-                    entry.lsq = sb.allocate(seq, op.pc, op.value)
-                    self.storeset.store_dispatched(op.pc, seq)
+                    pc = self._pcs[seq]
+                    entry.lsq = sb.allocate(seq, pc, self._values[seq])
+                    self.storeset.store_dispatched(pc, seq)
                 elif kind == _FENCE or kind == _RMW:
                     # Both serialize younger loads until they leave the ROB.
                     self.pending_fences.append(seq)
                 elif kind == _BRANCH:
-                    mispredicted = op.mispredict
+                    mispredicted = self._mispredicts[seq]
                     if not mispredicted and self.branch_predictor is not None:
-                        mispredicted = (self.branch_predictor.predict(op.pc)
-                                        != op.taken)
+                        mispredicted = (
+                            self.branch_predictor.predict(self._pcs[seq])
+                            != self._taken[seq])
                     if mispredicted:
                         self.barrier_seq = seq
                 deps_left = 0
-                for dep in op.deps:
+                for dep in deps[seq]:
                     if not done[dep]:
                         consumers.setdefault(dep, []).append(entry)
                         deps_left += 1
@@ -483,7 +491,7 @@ class Core:
         later = [bucket_next.pop() for _ in range(len(bucket_next) - at)]
         time = engine.now + 1
         for entry in self._folded:
-            fn = (self._complete_store if entry.op.kind == _STORE
+            fn = (self._complete_store if entry.kind == _STORE
                   else self._complete)
             engine._seq = s = engine._seq + 1
             bucket_next.append((time, s, fn, (entry,)))
@@ -592,9 +600,8 @@ class Core:
         heapq.heappush(self.ready, (entry.seq, entry))
 
     def _issue_load(self, entry: RobEntry) -> None:
-        op = entry.op
         seq = entry.seq
-        addr = op.addr
+        addr = self._addrs[seq]
         lentry = entry.lsq
         lentry.addr = addr
         lentry.line = self.controller.line_of(addr)
@@ -634,7 +641,7 @@ class Core:
         lentry.state = ISSUED
         self.stats.loads_issued += 1
         if self.prefetcher is not None:
-            self.prefetcher.observe(op.pc, addr)
+            self.prefetcher.observe(lentry.pc, addr)
         hit = self.controller.load(addr, partial(self._perform_load, entry))
         if hit:
             self.stats.l1_load_hits += 1
@@ -679,7 +686,7 @@ class Core:
             # Read the globally ordered value as of perform time; a
             # later conflicting write squashes this load while it is
             # still speculative in the LQ, re-reading the fresh value.
-            lentry.value = self.memory_data.get(entry.op.addr, 0)
+            lentry.value = self.memory_data.get(lentry.addr, 0)
         lentry.state = PERFORMED
         if self._p_load_perform is not None:
             # Speculation status at perform time, mirroring the squash
@@ -710,7 +717,7 @@ class Core:
         self.done[entry.seq] = 1
         if self._p_complete is not None:
             self._p_complete(self.core_id, self.engine.now, entry.seq,
-                             entry.op.kind == _LOAD and entry.lsq.slf)
+                             entry.kind == _LOAD and entry.lsq.slf)
         waiters = self.consumers.pop(entry.seq, None)
         if waiters:
             ready = self.ready
@@ -720,12 +727,12 @@ class Core:
                     continue
                 deps_left = consumer.deps_left - 1
                 consumer.deps_left = deps_left
-                if deps_left == 0 and consumer.op.kind != _RMW:
+                if deps_left == 0 and consumer.kind != _RMW:
                     heappush(ready, (consumer.seq, consumer))
-        op = entry.op
-        if op.kind == _BRANCH:
+        if entry.kind == _BRANCH:
             if self.branch_predictor is not None:
-                self.branch_predictor.update(op.pc, op.taken)
+                self.branch_predictor.update(self._pcs[entry.seq],
+                                             self._taken[entry.seq])
             if self.barrier_seq == entry.seq:
                 self.engine.schedule(self.config.mispredict_penalty,
                                      self._release_barrier, entry.seq)
@@ -745,17 +752,17 @@ class Core:
     def _start_rmw(self, entry: RobEntry) -> None:
         """Execute an atomic exchange: acquire ownership, then read and
         write the global memory image in one indivisible step."""
-        op = entry.op
+        addr = self._addrs[entry.seq]
 
         def done() -> None:
             if entry.squashed:
                 return
-            old = self.memory_data.get(op.addr, 0)
-            self.memory_data[op.addr] = op.value
+            old = self.memory_data.get(addr, 0)
+            self.memory_data[addr] = self._values[entry.seq]
             self.retired_load_values[entry.seq] = old
             self._complete(entry)
 
-        self.controller.store(op.addr, done)
+        self.controller.store(addr, done)
 
     def _complete_store(self, entry: RobEntry) -> None:
         """Store address generation finished: resolve the SQ entry, check
@@ -763,8 +770,8 @@ class Core:
         if entry.squashed:
             return
         store = entry.lsq
-        self.sb.resolve_store(store, entry.op.addr)
-        self.storeset.store_resolved(entry.op.pc, entry.seq)
+        self.sb.resolve_store(store, self._addrs[entry.seq])
+        self.storeset.store_resolved(store.pc, entry.seq)
 
         # Ownership prefetch: overlap the write's coherence latency with
         # the store's remaining time in the window/SB (retried by the
@@ -790,7 +797,7 @@ class Core:
         if not violators:
             return
         oldest = violators[-1]  # youngest-first scan: last is oldest
-        self.storeset.train_violation(oldest.pc, entry.op.pc)
+        self.storeset.train_violation(oldest.pc, store.pc)
         self._squash(oldest.seq, "memdep")
 
     def _release_barrier(self, seq: int) -> None:

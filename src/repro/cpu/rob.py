@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Iterator, List, Optional
 
-from repro.cpu.isa import Op
-
 
 class RobEntry:
-    """One instruction in flight.
+    """One instruction in flight: its trace index ``seq`` and op kind
+    (the core reads every other field from the trace's columns by
+    ``seq``).
 
     ``lsq`` is a load's LQ entry or a store's SQ/SB entry (None for
     every other op).  ``squashed`` is set when a squash flushes the
@@ -23,12 +23,12 @@ class RobEntry:
     so every callback still holding it checks the flag and drops out.
     """
 
-    __slots__ = ("seq", "op", "completed", "issued", "deps_left",
+    __slots__ = ("seq", "kind", "completed", "issued", "deps_left",
                  "squashed", "lsq")
 
-    def __init__(self, seq: int, op: Op) -> None:
+    def __init__(self, seq: int, kind: int) -> None:
         self.seq = seq
-        self.op = op
+        self.kind = kind
         self.completed = False
         self.issued = False
         self.deps_left = 0

@@ -1,9 +1,9 @@
 """Static taint propagation over micro-op traces.
 
-A trace's dependence graph is known up front (``Op.deps`` are indices of
-older ops), so secret-dependence is a single forward pass — no per-cycle
-bookkeeping in the pipeline, which is what keeps leakage tracking
-zero-overhead when off and timing-neutral when on.
+A trace's dependence graph is known up front (its ``deps`` column holds
+indices of older ops), so secret-dependence is a single forward pass —
+no per-cycle bookkeeping in the pipeline, which is what keeps leakage
+tracking zero-overhead when off and timing-neutral when on.
 
 Rules, in program order:
 
@@ -40,21 +40,22 @@ class TaintMap:
 
     def __init__(self, trace: Trace, secret: Iterable[int]) -> None:
         secret_addrs = frozenset(secret)
-        n = len(trace.ops)
+        n = len(trace)
         value_tainted: List[bool] = [False] * n
         addr_tainted: List[bool] = [False] * n
         source: List[int] = [UNTAINTED] * n
-        for seq, op in enumerate(trace.ops):
+        addrs = trace.addrs
+        for seq, (kind, deps) in enumerate(zip(trace.kinds, trace.deps)):
             vt = False
             src = UNTAINTED
-            for dep in op.deps:
+            for dep in deps:
                 if value_tainted[dep]:
                     vt = True
                     src = source[dep]
                     break
-            if op.is_mem and vt:
+            if vt and kind in isa.MEMORY_KINDS:
                 addr_tainted[seq] = True
-            if op.kind in (isa.LOAD, isa.RMW) and op.addr in secret_addrs:
+            if kind in (isa.LOAD, isa.RMW) and addrs[seq] in secret_addrs:
                 # Reading the secret dominates any dep-inherited taint:
                 # this op *is* the provenance of everything downstream.
                 vt = True

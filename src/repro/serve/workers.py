@@ -1,7 +1,8 @@
 """The sharded worker pool: where admitted jobs actually run.
 
 Each of the N shards is one worker process (a private
-``ProcessPoolExecutor(max_workers=1)``) running at most one job.  All
+``ProcessPoolExecutor(max_workers=1)``) running at most one job, and
+collecting the previous job's garbage before it starts the next.  All
 shards take work from one priority heap ordered by ``(priority,
 arrival)``: while a shard is idle and the heap is not empty, the shard
 that has been idle longest starts the next job, so no job waits next to
@@ -36,6 +37,7 @@ same shape as the resilience layer's.
 from __future__ import annotations
 
 import asyncio
+import gc
 import heapq
 import itertools
 import time
@@ -44,10 +46,24 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.jobs import (DONE, FAILED, QUEUED, RUNNING, Job,
-                              execute_request)
+                              JobSpec, execute_request)
 from repro.serve.store import ResultStore
 
 NoteFn = Callable[[str], None]
+
+
+def _execute_in_worker(spec: JobSpec, timeout: Optional[float]) -> Dict:
+    """A shard's entry point (module-level, so it pickles): collect the
+    previous job's garbage, then run ``spec``.
+
+    A finished ``System`` is cyclic garbage that lives until a full
+    collection, and a job need not allocate enough to start one, so
+    without this a worker carries earlier jobs' simulations into the
+    next and its peak memory grows.  The shard's process froze what it
+    held at start-up (``gc.freeze``), so the collection scans only what
+    jobs left behind."""
+    gc.collect()
+    return execute_request(spec, timeout)
 
 
 class _Shard:
@@ -68,7 +84,8 @@ class _Shard:
 
     def executor(self) -> ProcessPoolExecutor:
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=1)
+            self.pool = ProcessPoolExecutor(max_workers=1,
+                                            initializer=gc.freeze)
         return self.pool
 
     def recycle(self) -> None:
@@ -270,7 +287,7 @@ class ShardedWorkerPool:
                     return  # the watchdog failed it during the backoff
             try:
                 payload = await loop.run_in_executor(
-                    shard.executor(), execute_request, job.spec,
+                    shard.executor(), _execute_in_worker, job.spec,
                     self.timeout)
                 error = None
                 break

@@ -67,6 +67,9 @@ class System:
             # listeners fire).  Pass a list of traces to warm from a
             # separate warm-up workload, or True to self-warm.
             warm = traces if warm_caches is True else warm_caches
+            if len(warm) > len(traces):
+                raise ValueError(f"{len(warm)} warm-up traces but only "
+                                 f"{len(traces)} cores")
             warm_from_traces(self.memory, warm)
         self.cores: List["Core"] = []
         # Shared functional memory image (value layer).

@@ -24,7 +24,7 @@ import random
 from collections import deque
 from typing import Callable, Deque, List, Optional
 
-from repro.cpu.isa import ALU, BRANCH, LOAD, STORE, Op, Trace
+from repro.cpu.isa import ALU, BRANCH, LOAD, STORE, Trace
 from repro.workloads.profiles import BenchmarkProfile
 
 WORD = 8
@@ -68,6 +68,27 @@ def _randbelow(getrandbits: Callable[[int], int]) -> Callable[[int], int]:
     return randrange
 
 
+def _emitter(trace: Trace) -> Callable[[int, int, tuple, int, int, int],
+                                       None]:
+    """``emit(kind, addr, deps, latency, taken, pc)``: append one op's
+    fields to ``trace``'s columns, each column's ``append`` bound once.
+    A generated op never forces a mispredict and stores the value 0."""
+    (kinds, addrs, deps_, latencies, mispredicts, taken_, pcs,
+     values) = [column.append for column in trace.columns()]
+
+    def emit(kind: int, addr: int, deps: tuple, latency: int, taken: int,
+             pc: int) -> None:
+        kinds(kind)
+        addrs(addr)
+        deps_(deps)
+        latencies(latency)
+        mispredicts(0)
+        taken_(taken)
+        pcs(pc)
+        values(0)
+    return emit
+
+
 class _TraceBuilder:
     """Stateful generator for one core's trace.
 
@@ -88,7 +109,8 @@ class _TraceBuilder:
         self.random = rng.random
         self.randrange = _randbelow(rng.getrandbits)
         self.trace = Trace()
-        self.ops = self.trace.ops
+        self.kinds = self.trace.kinds   # its length is the next op's index
+        self.emit = _emitter(self.trace)
         self.recent: Deque[int] = deque(maxlen=8)   # recent producers
         self.n_loads = 0
         self.n_stores = 0
@@ -170,9 +192,10 @@ class _TraceBuilder:
 
     # -- op emitters -------------------------------------------------------
     #
-    # Each op is appended straight to ``ops``; its index is ``len(ops)``
-    # before the append.  A producer joins ``recent`` only after its own
-    # deps are drawn, so an op never depends on itself.
+    # Each op is appended straight to the trace's columns (``emit``); its
+    # index is ``len(kinds)`` before the append.  A producer joins
+    # ``recent`` only after its own deps are drawn, so an op never
+    # depends on itself.
 
     def emit_forward_pair(self) -> None:
         """The stack write-then-read idiom (argument passing): one or
@@ -185,8 +208,8 @@ class _TraceBuilder:
         the whole SB) and 370-SLFSoS (reopen on SB drain) pay more than
         370-SLFSoS-key (reopen when the forwarding store itself writes).
         """
-        profile, ops, recent = self.profile, self.ops, self.recent
-        random, randrange = self.random, self.randrange
+        profile, kinds, recent = self.profile, self.kinds, self.recent
+        emit, random, randrange = self.emit, self.random, self.randrange
         if (profile.contended_fraction
                 and random() < profile.contended_fraction):
             addrs = [_HOT_LINE]  # the shared synchronization variable
@@ -202,20 +225,19 @@ class _TraceBuilder:
                 addrs.append(addr)
                 sites.append((base_site + arg) % _N_SITES)
         for addr, site in zip(addrs, sites):
-            ops.append(Op(STORE, addr, self._deps(0.6),
-                          pc=_PC_FWD_STORE + site))
+            emit(STORE, addr, self._deps(0.6), 1, 1, _PC_FWD_STORE + site)
         lo, hi = profile.fwd_filler
         for _ in range(lo + randrange(hi - lo + 1)):  # randint(lo, hi)
             deps = self._deps()
-            recent.append(len(ops))
-            ops.append(Op(ALU, -1, deps))
+            recent.append(len(kinds))
+            emit(ALU, -1, deps, 1, 1, 0)
         for addr, site in zip(addrs, sites):
-            recent.append(len(ops))
-            ops.append(Op(LOAD, addr, pc=_PC_FWD_LOAD + site))
-        last_load = (len(ops) - 1,)
+            recent.append(len(kinds))
+            emit(LOAD, addr, (), 1, 1, _PC_FWD_LOAD + site)
+        last_load = (len(kinds) - 1,)
         for _ in range(profile.store_burst):
-            ops.append(Op(STORE, self._stack_addr(), last_load,
-                          pc=_PC_STORE + randrange(_N_SITES)))
+            emit(STORE, self._stack_addr(), last_load, 1, 1,
+                 _PC_STORE + randrange(_N_SITES))
         self.n_stores += len(addrs) + profile.store_burst
         self.n_loads += len(addrs)
         self.n_forwarded += len(addrs)
@@ -235,8 +257,8 @@ class _TraceBuilder:
         deps = self._deps(0.35)
         if pc == _PC_HEAP_LOAD:
             pc += self.randrange(_N_SITES)
-        self.recent.append(len(self.ops))
-        self.ops.append(Op(LOAD, addr, deps, pc=pc))
+        self.recent.append(len(self.kinds))
+        self.emit(LOAD, addr, deps, 1, 1, pc)
         self.n_loads += 1
 
     def emit_store(self) -> None:
@@ -250,8 +272,7 @@ class _TraceBuilder:
         else:
             addr, pc = self._heap_store_addr(), _PC_STORE
         deps = self._deps(0.5)
-        self.ops.append(Op(STORE, addr, deps,
-                           pc=pc + self.randrange(_N_SITES)))
+        self.emit(STORE, addr, deps, 1, 1, pc + self.randrange(_N_SITES))
         self.n_stores += 1
 
     def emit_branch(self) -> None:
@@ -268,27 +289,26 @@ class _TraceBuilder:
         else:
             taken = random() < 0.94  # loop back-edge bias
             pc = _PC_BRANCH + self.randrange(_N_SITES)
-        self.ops.append(Op(BRANCH, -1, self._deps(0.5), taken=taken,
-                           pc=pc))
+        self.emit(BRANCH, -1, self._deps(0.5), 1, taken, pc)
         self.n_branches += 1
 
     def emit_alu(self) -> None:
         deps = self._deps(count=2)
         # choice(_ALU_LATENCIES)
         latency = _ALU_LATENCIES[self.randrange(len(_ALU_LATENCIES))]
-        self.recent.append(len(self.ops))
-        self.ops.append(Op(ALU, -1, deps, latency))
+        self.recent.append(len(self.kinds))
+        self.emit(ALU, -1, deps, latency, 1, 0)
 
     # -- the deficit controller -------------------------------------------
 
     def build(self, length: int) -> Trace:
-        profile, ops = self.profile, self.ops
+        profile, kinds = self.profile, self.kinds
         fwd_target = profile.forwarded_pct / 100.0
         load_target = profile.loads_pct / 100.0
         store_target = profile.stores_pct / 100.0
         branch_target = profile.branch_pct / 100.0
-        while len(ops) < length:
-            n = len(ops) or 1
+        while len(kinds) < length:
+            n = len(kinds) or 1
             if self.n_forwarded / n < fwd_target:
                 self.emit_forward_pair()
             elif self.n_loads / n < load_target:
@@ -305,8 +325,9 @@ class _TraceBuilder:
         self.trace.memdep_hints = [
             (_PC_FWD_LOAD + site, _PC_FWD_STORE + site)
             for site in range(_N_SITES)]
+        # The cells of a trace unit share the trace: seal it once valid.
         self.trace.validate()
-        return self.trace
+        return self.trace.seal()
 
 
 def generate_trace(profile: BenchmarkProfile, core_id: int = 0,

@@ -37,12 +37,10 @@ class TraceFileError(ValueError):
     """Malformed trace file."""
 
 
-def _op_to_list(op: Op) -> list:
-    return [op.kind, op.addr, list(op.deps), op.latency,
-            int(op.mispredict), int(op.taken), op.pc, op.value]
-
-
-def _op_from_list(fields: list, index: int) -> Op:
+def _append_record(trace: Trace, fields: list, index: int) -> None:
+    """Append op record ``index`` to ``trace``'s columns;
+    :class:`TraceFileError` names the record if it is malformed or a
+    field does not fit its column."""
     try:
         kind, addr, deps, latency, mispredict, taken, pc, value = fields
         deps = tuple(deps)
@@ -50,9 +48,9 @@ def _op_from_list(fields: list, index: int) -> Op:
                    for n in (kind, addr, latency, pc, value, *deps)):
             raise TypeError("kind, addr, deps, latency, pc and value "
                             "must be integers")
-        return Op(kind=kind, addr=addr, deps=deps, latency=latency,
-                  mispredict=bool(mispredict), taken=bool(taken), pc=pc,
-                  value=value)
+        trace.append(Op(kind=kind, addr=addr, deps=deps, latency=latency,
+                        mispredict=bool(mispredict), taken=bool(taken),
+                        pc=pc, value=value))
     except (ValueError, TypeError) as exc:
         raise TraceFileError(f"bad op record at index {index}: {exc}") \
             from None
@@ -67,9 +65,12 @@ def _hint_from_list(pair: list, index: int) -> tuple:
 
 
 def trace_to_dict(trace: Trace) -> dict:
+    """One core entry, read from ``trace``'s columns (a flag is 0 or
+    1)."""
     return {
         "memdep_hints": [list(pair) for pair in trace.memdep_hints],
-        "ops": [_op_to_list(op) for op in trace.ops],
+        "ops": [[kind, addr, list(deps), *rest]
+                for kind, addr, deps, *rest in zip(*trace.columns())],
     }
 
 
@@ -80,10 +81,11 @@ def trace_from_dict(data: dict) -> Trace:
         raise TraceFileError("not an object")
     records = _list(data, "ops")
     hints = _list(data, "memdep_hints")
-    trace = Trace(ops=[_op_from_list(fields, i)
-                       for i, fields in enumerate(records)],
-                  memdep_hints=[_hint_from_list(pair, i)
-                                for i, pair in enumerate(hints)])
+    trace = Trace()
+    for i, fields in enumerate(records):
+        _append_record(trace, fields, i)
+    trace.memdep_hints = [_hint_from_list(pair, i)
+                          for i, pair in enumerate(hints)]
     try:
         trace.validate()
     except ValueError as exc:

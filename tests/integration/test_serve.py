@@ -13,6 +13,7 @@ error statuses, over-long lines).
 """
 
 import asyncio
+import gc
 import json
 import os
 import pathlib
@@ -22,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -265,6 +267,33 @@ def test_sequential_jobs_take_the_longest_idle_shard():
         return shards
 
     assert asyncio.run(main()) == [0, 1, 0]
+
+
+def test_shard_frees_the_previous_jobs_garbage(monkeypatch):
+    """A shard's entry point collects before it runs a job, so cyclic
+    garbage a finished job left (a ``System``) does not outlive it."""
+    from repro.serve import workers
+
+    class Cyclic:
+        pass
+
+    seen = []
+    monkeypatch.setattr(workers, "execute_request",
+                        lambda spec, timeout: seen.append(
+                            (spec, timeout, left() is None)) or {})
+    enabled = gc.isenabled()
+    gc.disable()   # only the entry point's collection may free it
+    try:
+        garbage = Cyclic()
+        garbage.self = garbage
+        left = weakref.ref(garbage)
+        del garbage
+        assert left() is not None
+        assert workers._execute_in_worker("spec", 5.0) == {}
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == [("spec", 5.0, True)]
 
 
 def test_watchdog_recycles_only_the_stuck_shard():

@@ -319,6 +319,31 @@ def test_unit_unfreezes_the_collector_however_it_ends(monkeypatch):
     assert gc.get_freeze_count() == 0
 
 
+def _columns(traces):
+    return [[list(column) for column in trace.columns()]
+            + [list(trace.memdep_hints)] for trace in traces]
+
+
+def test_unit_cells_leave_their_traces_unchanged(monkeypatch):
+    """A unit's five cells run on one set of traces, sealed when they
+    were generated: the traces and their warm-up are equal, column for
+    column, before and after the cells."""
+    made = []
+
+    def recording(*args):
+        traces, warm = runner.cell_traces(*args)
+        made.append((traces, warm, _columns(traces + warm)))
+        return traces, warm
+
+    monkeypatch.setattr(sweep_runner, "cell_traces", recording)
+    outcomes = list(sweep_runner._unit_outcomes(_grid_jobs(["barnes"]),
+                                                None))
+    assert [status for status, _ in outcomes] == ["ok"] * 5
+    [(traces, warm, before)] = made
+    assert all(trace.sealed for trace in traces + warm)
+    assert _columns(traces + warm) == before
+
+
 def test_serial_sweep_generates_once_per_unit(monkeypatch):
     """2 profiles x 5 policies generate 2 workloads and 2 warm-up traces
     (which generate through generate_workload): 4 calls, not 20."""

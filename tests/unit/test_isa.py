@@ -9,6 +9,8 @@ import pytest
 
 from repro.cpu import isa
 from repro.cpu.isa import Op, Trace, alu, branch, fence, load, store
+from repro.workloads import generate_workload, get_profile
+from repro.workloads.tracefile import trace_from_dict, trace_to_dict
 
 
 class TestOps:
@@ -43,9 +45,10 @@ class TestOps:
             load(0x100).addr = 0x200
 
     def test_handwritten_init_keeps_value_semantics(self):
-        """``Op.__init__`` is written by hand; equality, hashing,
-        ``replace``, pickling and the field defaults are the
-        dataclass's."""
+        """``Op`` has the frozen dataclass's semantics: its ``__init__``
+        takes the fields with their defaults, and equality, hashing,
+        ``replace`` (which re-runs the checks), pickling and
+        ``deepcopy`` are the dataclass's."""
         params = inspect.signature(Op).parameters
         assert list(params) == [f.name for f in dataclasses.fields(Op)]
         for f in dataclasses.fields(Op):
@@ -99,7 +102,69 @@ class TestTrace:
             Trace.from_ops([alu(deps=(3,))])
 
     def test_getitem(self):
+        """``trace[i]`` rebuilds an op equal to the one appended (the
+        trace stores columns, not the op object)."""
         trace = Trace()
         op = alu()
         trace.append(op)
-        assert trace[0] is op
+        assert trace[0] == op
+
+
+def _full_op(kind):
+    """An op of ``kind`` with every field off its default, the 64-bit
+    columns at their limits, depending on op 0 of its trace."""
+    return Op(kind, addr=0x1000 + 8 * kind, deps=(0,), latency=3 + kind,
+              mispredict=True, taken=False, pc=(1 << 63) - 1 - kind,
+              value=-(1 << 63) + kind)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("kind", sorted(isa.KIND_NAMES),
+                             ids=lambda kind: isa.KIND_NAMES[kind])
+    def test_round_trip(self, kind):
+        """Every field of every kind survives the columns, the trace
+        file's records and sealing."""
+        ops = [alu(), _full_op(kind)]
+        trace = Trace(ops)
+        assert trace.ops == ops
+        assert trace[1] == ops[1] and trace[-1] == ops[1]
+        assert trace_from_dict(trace_to_dict(trace)) == trace
+        assert trace.seal().ops == ops
+        assert trace_from_dict(trace_to_dict(trace)) == trace
+
+    def test_append_refuses_what_a_column_cannot_hold(self):
+        trace = Trace([alu()])
+        for op in (load(1 << 63), store(8, value=-(1 << 63) - 1),
+                   alu(pc=1.5)):
+            with pytest.raises(ValueError, match="not a 64-bit integer"):
+                trace.append(op)
+        assert trace.ops == [alu()]  # a refused op left no field behind
+
+    def test_validate_checks_what_op_checked(self):
+        """The generators write the columns without building an ``Op``,
+        so ``validate`` makes ``Op``'s checks: a known kind and a
+        non-negative memory address."""
+        trace = Trace([alu(), alu()])
+        trace.kinds[1] = 99
+        with pytest.raises(ValueError, match="op 1: unknown op kind 99"):
+            trace.validate()
+        trace.kinds[1] = isa.STORE
+        with pytest.raises(ValueError, match="op 1: memory op requires"):
+            trace.validate()
+        trace.addrs[1] = 0x40
+        trace.validate()
+
+    def test_generated_trace_is_sealed(self):
+        """A unit's cells share its traces: every generated column
+        refuses writes, and so does the trace; only the hints stay
+        assignable."""
+        trace = generate_workload(get_profile("barnes"), 1, 50)[0]
+        assert trace.sealed
+        for column in trace.columns():
+            with pytest.raises(TypeError):
+                column[0] = column[1]
+        with pytest.raises(TypeError):
+            trace.append(alu())
+        before = trace.ops
+        trace.memdep_hints = []
+        assert trace.ops == before and trace.memdep_hints == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu.isa import alu
+from repro.cpu import isa
 from repro.cpu.rob import ReorderBuffer, RobEntry
 
 
@@ -10,7 +10,7 @@ def _rob(capacity, seqs):
     """A ROB holding ``seqs``, filled the way the core's dispatch stage
     fills it: entries appended to the deque in program order."""
     rob = ReorderBuffer(capacity)
-    entries = [RobEntry(seq, alu()) for seq in seqs]
+    entries = [RobEntry(seq, isa.ALU) for seq in seqs]
     rob._entries.extend(entries)
     return rob, entries
 

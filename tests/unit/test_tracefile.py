@@ -98,6 +98,13 @@ class TestErrors:
         ({"cores": [{"ops": [ALU]}, {"ops": [ALU, [0, -1, ["a"], 1, 0, 1,
                                                    0, 0]]}]},
          r"cores\[1\]: bad op record at index 1"),
+        ({"cores": [{"ops": [ALU, [1, 1 << 64, [], 1, 0, 1, 0, 0]]}]},
+         r"cores\[0\]: bad op record at index 1: addr 18446744073709551616 "
+         r"is not a 64-bit integer"),
+        ({"cores": [{"ops": [ALU, [0, -1, [], 1, 0, 1, 1 << 63, 0]]}]},
+         r"cores\[0\]: bad op record at index 1: pc"),
+        ({"cores": [{"ops": [[2, 8, [], 1, 0, 1, 0, -(1 << 63) - 1]]}]},
+         r"cores\[0\]: bad op record at index 0: value"),
         ({"cores": [{"ops": [ALU], "memdep_hints": [[1, 2, 3]]}]},
          r"cores\[0\]: memdep hint 0 is not a pair"),
         ({"cores": [{"ops": [ALU]}], "warmup": [{"ops": [ALU]}, 7]},
@@ -106,11 +113,13 @@ class TestErrors:
          "2 warm-up traces for 1 cores"),
         ({"cores": [{"ops": [ALU]}], "meta": 3}, "'meta' is not an object"),
     ], ids=["document", "core-entry", "cores-list", "ops-list",
-            "later-dep", "unaligned", "non-integer-dep", "hint-pair",
+            "later-dep", "unaligned", "non-integer-dep", "addr-range",
+            "pc-range", "value-range", "hint-pair",
             "warmup-entry", "warmup-count", "meta"])
     def test_malformed_document(self, tmp_path, document, message):
         """Every malformed document raises TraceFileError, naming the
-        core entry and the op at fault, never another exception."""
+        core entry and the op at fault, never another exception (an
+        address, pc or value outside the 64-bit columns included)."""
         if isinstance(document, dict):
             document = {"format": "repro-trace", "version": 1, **document}
         path = tmp_path / "x.json"

@@ -1,10 +1,13 @@
 """Unit tests for the functional cache warm-up."""
 
+import pytest
+
 from repro.coherence.mesi import E, M, S, CoherentMemorySystem
 from repro.coherence.warmup import warm_from_traces, warm_load, warm_store
 from repro.cpu.isa import Trace, alu, load, store
 from repro.sim.config import TINY
 from repro.sim.engine import Engine
+from repro.sim.system import System
 
 
 def _memory(cores=2):
@@ -87,3 +90,14 @@ def test_warmed_system_hits_in_cache():
     assert hit is True
     engine.run()
     assert done
+
+
+def test_system_refuses_more_warmup_traces_than_cores():
+    """One warm-up trace per core at most: the refusal names both
+    counts, where the walk used to fail on a missing controller."""
+    traces = [Trace.from_ops([alu()])]
+    warm = [Trace.from_ops([load(0x1000)]), Trace.from_ops([load(0x2000)])]
+    with pytest.raises(ValueError, match="2 warm-up traces but only 1 "
+                                         "cores"):
+        System(traces, "x86", warm_caches=warm)
+    System(traces, "x86", warm_caches=warm[:1])

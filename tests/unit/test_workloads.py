@@ -104,6 +104,26 @@ class TestGenerator:
         addrs_b = {op.addr for op in b.ops if op.is_mem}
         assert addrs_a & addrs_b
 
+    def test_generation_builds_no_op(self, monkeypatch):
+        """The generator appends to the trace's columns: generating
+        barnes 8 x 300 and its warm-up constructs zero ``Op`` objects
+        (the count would see one)."""
+        built = []
+        real_init = isa.Op.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(isa.Op, "__init__", counting)
+        assert isa.load(8) == isa.Op(isa.LOAD, 8) and len(built) == 2
+        built.clear()
+        profile = get_profile("barnes")
+        traces = (generate_workload(profile, 8, 300)
+                  + generate_warmup(profile, 8, 300))
+        assert len(traces) == 16 and all(len(t) >= 300 for t in traces)
+        assert built == []
+
     def test_memdep_hints_emitted(self):
         trace = generate_trace(get_profile("barnes"), 0, 500, seed=0)
         assert trace.memdep_hints
