@@ -3,17 +3,18 @@
 
 Compares the complete outcome sets of litmus programs under the 370 and
 x86 memory models; the behaviours allowed by x86 but not by 370 are the
-observable store-atomicity violations.  Also runs the discovery mode:
-random small programs are generated and checked until non-store-atomic
-behaviours turn up.
+observable store-atomicity violations, each shown with the 370 cycle
+that forbids it.  Also runs the discovery mode: every program of two
+threads, up to three operations each, over two addresses is judged
+(``repro synth``'s 2x3x2 space), and the minimal programs whose x86
+outcomes exceed 370's are printed.
 
-Run:  python examples/consistency_checker.py [trials]
+Run:  python examples/consistency_checker.py
 """
 
-import sys
-
-from repro.litmus import (FIG5, MP, N6, SB, compare,
-                          find_violating_programs)
+from repro.litmus import FIG5, MP, N6, SB, find_races, litmus_registry
+from repro.litmus.program import canonical_key
+from repro.synth import SynthBounds, search
 
 
 def check_known_tests():
@@ -21,34 +22,37 @@ def check_known_tests():
     print("Known litmus tests: 370 vs x86 outcome sets")
     print("=" * 72)
     for program in (MP, SB, N6, FIG5):
-        report = compare(program)
+        report = find_races(program)
         print()
         print(report.summary())
-        if report.equivalent:
+        if report.multi_copy_atomic:
             print("    -> store atomicity cannot be observed violated "
                   "by this test")
         else:
             print("    -> x86 exhibits non-store-atomic behaviour here")
 
 
-def discovery_mode(trials):
+def discovery_mode():
+    bounds = SynthBounds(threads=2, max_ops=3, addresses=2)
     print()
     print("=" * 72)
-    print(f"Discovery mode: {trials} random programs")
+    print(f"Discovery mode: every program in {bounds.describe()}")
     print("=" * 72)
-    reports = find_violating_programs(seed=2026, trials=trials,
-                                      threads=2, max_ops=4)
-    print(f"\nfound {len(reports)} programs with x86-only behaviours; "
-          "first three:\n")
-    for report in reports[:3]:
-        for tid, thread in enumerate(report.program.threads):
+    result = search(bounds, pairs=[("370", "x86")])
+    known = {canonical_key(program): name
+             for name, program in litmus_registry().items()}
+    print(f"\nfound {result.distinct} minimal programs with x86-only "
+          f"behaviours among {result.enumerated} programs:\n")
+    for (_, key), dist in sorted(result.distinguishers.items()):
+        print(f"  key {key}: " + (f"the battery's {known[key]}"
+                                  if key in known else "not in the battery"))
+        for tid, thread in enumerate(dist.program.threads):
             print(f"  T{tid}: " + " ; ".join(str(op) for op in thread))
-        for outcome in sorted(report.only_in_b, key=str):
+        for outcome in dist.weak_only:
             print(f"    x86-only: {outcome}")
         print()
 
 
 if __name__ == "__main__":
-    n_trials = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     check_known_tests()
-    discovery_mode(n_trials)
+    discovery_mode()

@@ -5,7 +5,9 @@ Commands:
 ``list``                          benchmarks and litmus tests available
 ``litmus NAME``                   enumerate a litmus test under all models
 ``explain NAME -m MODEL k=v ...`` happens-before explanation of a witness
-``compare NAME``                  ConsistencyChecker: 370 vs x86 diff
+``compare NAME``                  ConsistencyChecker: the outcomes x86
+                                  allows and 370 forbids, each with
+                                  its 370 cycle
 ``run-file PATH``                 enumerate a litmus test from a file
 ``sample NAME -m MODEL``          litmus7-style outcome sampling
 ``bench NAME [-p POLICY]``        run one benchmark, print its stats
@@ -39,9 +41,7 @@ Commands:
                                   garbage collection (--stats / --gc)
 ``lint [PATH ...]``               static determinism/zero-overhead
                                   discipline analysis (AST rules, see
-                                  docs/STATIC_ANALYSIS.md) and, with
-                                  ``--litmus``, the conformance check
-                                  and store-atomicity race report
+                                  docs/STATIC_ANALYSIS.md)
 ``synth``                         exhaustive bounded litmus synthesis:
                                   enumerate every small program, keep
                                   model-pair distinguishers, minimize,
@@ -51,7 +51,8 @@ Commands:
                                   table, conformance check (axiomatic vs
                                   operational, lattice) over the
                                   battery and, optionally, random
-                                  RMW/acquire-release programs
+                                  programs, and the battery's
+                                  store-atomicity races
                                   (docs/MEMORY_MODELS.md)
 
 ``bench`` and ``replay`` take ``--json`` (machine-readable stats) and
@@ -71,7 +72,7 @@ from repro.core.policies import POLICY_ORDER
 from repro.litmus import (MODELS, enumerate_outcomes, explain,
                           litmus_registry, sample)
 from repro.resilience import DEFAULT_CHAOS as DEFAULT_CHAOS_SPEC
-from repro.litmus.checker import compare
+from repro.litmus.checker import find_races
 from repro.litmus.parser import parse_witness
 from repro.litmus.program import Program
 
@@ -101,19 +102,27 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_litmus(args) -> int:
-    program = _find_program(args.name)
+def _print_outcomes(program: Program, models: Optional[List[str]],
+                    witness: Optional[Dict[str, int]] = None) -> None:
+    """The threads, then per model its outcomes (``litmus``,
+    ``run-file``), or with ``witness`` whether any outcome matches it."""
+    from repro.litmus.operational import _matches
     for tid, thread in enumerate(program.threads):
         print(f"T{tid}: " + " ; ".join(str(op) for op in thread))
-    for model in (args.models or MODELS):
-        try:
-            outcomes = enumerate_outcomes(program, model)
-        except ValueError as exc:
-            print(f"\n{model}: {exc}")
-            continue
+    for model in (models or MODELS):
+        outcomes = enumerate_outcomes(program, model)
         print(f"\n{model}: {len(outcomes)} outcomes")
-        for outcome in sorted(outcomes, key=str):
-            print(f"  {outcome}")
+        if witness is not None:
+            hit = any(_matches(o, witness) for o in outcomes)
+            print(f"  exists {witness}: "
+                  f"{'ALLOWED' if hit else 'forbidden'}")
+        else:
+            for outcome in sorted(outcomes, key=str):
+                print(f"  {outcome}")
+
+
+def cmd_litmus(args) -> int:
+    _print_outcomes(_find_program(args.name), args.models)
     return 0
 
 
@@ -130,8 +139,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    program = _find_program(args.name)
-    print(compare(program).summary())
+    print(find_races(_find_program(args.name)).summary())
     return 0
 
 
@@ -141,24 +149,7 @@ def cmd_run_file(args) -> int:
         parsed = parse_litmus_file(args.path)
     except (OSError, LitmusParseError) as exc:
         raise SystemExit(str(exc))
-    program = parsed.program
-    for tid, thread in enumerate(program.threads):
-        print(f"T{tid}: " + " ; ".join(str(op) for op in thread))
-    for model in (args.models or MODELS):
-        try:
-            outcomes = enumerate_outcomes(program, model)
-        except ValueError as exc:
-            print(f"\n{model}: {exc}")
-            continue
-        print(f"\n{model}: {len(outcomes)} outcomes")
-        if parsed.witness is not None:
-            from repro.litmus.operational import _matches
-            hit = any(_matches(o, parsed.witness) for o in outcomes)
-            print(f"  exists {parsed.witness}: "
-                  f"{'ALLOWED' if hit else 'forbidden'}")
-        else:
-            for outcome in sorted(outcomes, key=str):
-                print(f"  {outcome}")
+    _print_outcomes(parsed.program, args.models, parsed.witness)
     return 0
 
 
@@ -691,8 +682,6 @@ def cmd_lint(args) -> int:
             print(f"    {rule.rationale}")
         return 0
 
-    failed = False
-
     paths = args.paths or [os.path.dirname(os.path.abspath(
         sys.modules["repro"].__file__))]
     only_files = None
@@ -712,59 +701,13 @@ def cmd_lint(args) -> int:
         with open(args.json, "w") as fh:
             fh.write(render_json(report) + "\n")
         print(f"wrote {args.json}")
-    if not report.ok:
-        failed = True
-    if args.strict:
-        protected = report.suppressions_in(("sim", "cpu", "core"))
-        for suppression in protected:
-            print(f"{suppression.path}:{suppression.line}: strict: "
-                  f"suppression not permitted in sim/cpu/core "
-                  f"({', '.join(sorted(suppression.rules))})")
-        if protected:
-            failed = True
-
-    if args.litmus or args.random:
-        from repro.lint.races import find_races
-        from repro.models.conformance import (battery_corpus, check,
-                                              random_corpus)
-        battery = [case.program for case in battery_corpus()]
-        result = check(battery)
-        print(f"litmus cross-check: battery {result.programs_checked} "
-              f"programs, {len(result.problems)} mismatches")
-        if args.random:
-            rand = check(random_corpus(args.random, args.seed,
-                                       allow_fences=True))
-            print(f"litmus cross-check: {rand.programs_checked} random "
-                  f"programs (seed {args.seed}), "
-                  f"{len(rand.problems)} mismatches")
-            result.programs.extend(rand.programs)
-        for problem in result.problems:
-            print(f"  MISMATCH {problem}")
-        races = [(program.name, race) for program in battery
-                 for race in find_races(program).races]
-        print(f"store-atomicity races in the battery: {len(races)}")
-        for name, race in races:
-            print(f"  {name}: {race.shape} race, x86-allowed / "
-                  f"370-forbidden: {race.outcome}")
-        if args.litmus_json:
-            import json
-            payload = {
-                "ok": result.ok,
-                "programs_checked": result.programs_checked,
-                "mismatches": result.problems,
-                "races": [{"program": name, "shape": race.shape,
-                           "outcome": str(race.outcome),
-                           "cycle": [f"{e.src}--{e.kind}-->{e.dst}"
-                                     for e in race.witness.edges]}
-                          for name, race in races],
-            }
-            with open(args.litmus_json, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            print(f"wrote {args.litmus_json}")
-        if not result.ok:
-            failed = True
-
-    return 1 if failed else 0
+    protected = report.suppressions_in(("sim", "cpu", "core")) \
+        if args.strict else []
+    for suppression in protected:
+        print(f"{suppression.path}:{suppression.line}: strict: "
+              f"suppression not permitted in sim/cpu/core "
+              f"({', '.join(sorted(suppression.rules))})")
+    return 0 if report.ok and not protected else 1
 
 
 def _parse_space(token: str):
@@ -860,21 +803,38 @@ def cmd_zoo(args) -> int:
                                in zip(row, widths)).rstrip())
     print()
 
-    report = check([case.program for case in battery_corpus()])
+    battery = [case.program for case in battery_corpus()]
+    report = check(battery)
     print(report.summary())
     for problem in report.problems:
         print(f"  {problem}")
 
-    rand = check(random_corpus(args.random, args.seed, allow_fences=True,
-                               allow_rmws=True, allow_acqrel=True))
-    if args.random:
-        disagreements = [r for r in rand.programs if not r.agree]
-        print(f"axiomatic-vs-operational cross-check: "
-              f"{rand.programs_checked} random programs (seed "
-              f"{args.seed}, rmw/acq-rel vocabulary) — "
-              f"{len(disagreements)} disagreements")
-        for problem in rand.problems:
-            print(problem)
+    # The JSON block and the vocabulary of each random corpus: the full
+    # event vocabulary, and loads, stores and fences alone.
+    vocabularies = {
+        "random": ("rmw/acq-rel", dict(allow_fences=True, allow_rmws=True,
+                                       allow_acqrel=True)),
+        "random_fences": ("fence", dict(allow_fences=True)),
+    }
+    randoms = {}
+    for block, (label, vocabulary) in vocabularies.items():
+        rand = randoms[block] = check(
+            random_corpus(args.random, args.seed, **vocabulary))
+        if args.random:
+            disagreements = [r for r in rand.programs if not r.agree]
+            print(f"axiomatic-vs-operational cross-check: "
+                  f"{rand.programs_checked} random programs (seed "
+                  f"{args.seed}, {label} vocabulary) — "
+                  f"{len(disagreements)} disagreements")
+            for problem in rand.problems:
+                print(problem)
+
+    races = [(program.name, race) for program in battery
+             for race in find_races(program).races]
+    print(f"store-atomicity races in the battery: {len(races)}")
+    for name, race in races:
+        print(f"  {name}: {race.shape} race, x86-allowed / "
+              f"370-forbidden: {race.outcome}")
 
     if args.json:
         payload = {
@@ -882,14 +842,22 @@ def cmd_zoo(args) -> int:
                                  "formalizations", "stronger_than"), row))
                        for row in model_table()],
             "lattice": report.to_dict(),
-            "random": {"programs": args.random, "seed": args.seed,
-                       "reports": [r.to_dict() for r in rand.programs]},
+            "races": [{"program": name, "shape": race.shape,
+                       "outcome": str(race.outcome),
+                       "cycle": [f"{e.src}--{e.kind}-->{e.dst}"
+                                 for e in race.witness.edges]}
+                      for name, race in races],
         }
+        for block, rand in randoms.items():
+            payload[block] = {
+                "programs": args.random, "seed": args.seed,
+                "reports": [r.to_dict() for r in rand.programs]}
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
 
-    return 0 if report.ok and not rand.problems else 1
+    failed = any(rand.problems for rand in randoms.values())
+    return 0 if report.ok and not failed else 1
 
 
 def cmd_synth(args) -> int:
@@ -1034,6 +1002,22 @@ def _positive_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a positive number of seconds, got {text!r}")
     return value
+
+
+def _fault_knob(knob: str, kind: type) -> Callable[[str], object]:
+    """An argparse type: a value of ``kind`` that ``FaultSpec`` takes
+    for ``knob``; anything else is a usage error (exit 2)."""
+    from repro.resilience import FaultSpec
+
+    def parse(text: str) -> object:
+        value = kind(text)      # argparse: "invalid int value: 'x'"
+        try:
+            FaultSpec(**{knob: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _port(text: str) -> int:
@@ -1238,8 +1222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--policies", nargs="*", choices=POLICY_ORDER,
                    help="configurations to test (default: all five)")
     for knob, default in DEFAULT_CHAOS_SPEC.to_dict().items():
-        p.add_argument("--" + knob.replace("_", "-"), type=type(default),
-                       default=default)
+        p.add_argument("--" + knob.replace("_", "-"), default=default,
+                       type=_fault_knob(knob, type(default)))
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the full chaos report as JSON")
     p.add_argument("-v", "--verbose", action="store_true",
@@ -1357,9 +1341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="static determinism/zero-overhead discipline analysis "
-             "plus the litmus conformance check and store-atomicity "
-             "race report (docs/STATIC_ANALYSIS.md)")
+        help="static determinism/zero-overhead discipline analysis: "
+             "the AST rules (docs/STATIC_ANALYSIS.md)")
     p.add_argument("paths", nargs="*", metavar="path",
                    help="files or directories (default: the installed "
                         "repro package)")
@@ -1377,35 +1360,24 @@ def build_parser() -> argparse.ArgumentParser:
                         "from --base (fast pre-commit mode)")
     p.add_argument("--base", default="main",
                    help="git ref for --changed (default: main)")
-    p.add_argument("--litmus", action="store_true",
-                   help="check the axiomatic engine against the "
-                        "operational machines on the battery and "
-                        "report store-atomicity races")
-    p.add_argument("--random", default=0, metavar="N",
-                   type=_int_at_least(0, "a program count of 0 or more"),
-                   help="also cross-check N seeded random programs "
-                        "(implies --litmus)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for --random program generation")
-    p.add_argument("--litmus-json", default=None, metavar="PATH",
-                   help="write the cross-check/race report as JSON")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
         "zoo",
         help="the memory-model registry: print the model table, "
              "run the conformance check over the battery, and "
-             "optionally over random RMW/acquire-release programs "
-             "(docs/MEMORY_MODELS.md)")
+             "optionally over random programs, and report the "
+             "battery's store-atomicity races (docs/MEMORY_MODELS.md)")
     p.add_argument("--random", default=0, metavar="N",
                    type=_int_at_least(0, "a program count of 0 or more"),
                    help="also check N seeded random programs drawn "
-                        "with the full event vocabulary")
+                        "with the full event vocabulary, and N drawn "
+                        "from loads, stores and fences")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for --random program generation")
     p.add_argument("--json", default=None, metavar="PATH",
-                   help="write the model table + lattice/oracle report "
-                        "as JSON")
+                   help="write the model table, the lattice/oracle "
+                        "reports and the races as JSON")
     p.set_defaults(func=cmd_zoo)
 
     p = sub.add_parser(

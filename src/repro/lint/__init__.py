@@ -13,12 +13,9 @@ only dynamically:
 
 This package proves those disciplines at review time with an AST-based
 rule engine (:mod:`repro.lint.engine`, rules in
-:mod:`repro.lint.discipline`), and reports the litmus battery's
-store-atomicity races (:mod:`repro.lint.races`) from the witness cycles
-of the axiomatic engine (:mod:`repro.models.axiomatic`).
+:mod:`repro.lint.discipline`).
 
-Entry points: ``repro lint`` (CLI), :func:`run_lint`, and
-:func:`repro.lint.races.find_races`.
+Entry points: ``repro lint`` (CLI) and :func:`run_lint`.
 """
 
 from repro.lint.engine import (LintReport, Rule, SourceFile, Violation,

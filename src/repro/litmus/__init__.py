@@ -2,14 +2,13 @@
 registered model (SC / 370 / x86-TSO / PC / WMM — see
 :mod:`repro.models`), exhaustive interleaving, happens-before
 explanations, the paper's litmus tests, and the 370-vs-x86
-ConsistencyChecker."""
+ConsistencyChecker (:func:`find_races`)."""
 
 from repro.litmus.battery import (CORR_CASE, EXTRA_CASES, LB, LB_CASE, N5,
                                   N5_CASE, RWC, RWC_CASE, SB_BOTH_RMW,
                                   SB_ONE_RMW, W22, W22_CASE, WRC, WRC_CASE)
-from repro.litmus.checker import (ComparisonReport, compare,
-                                  find_violating_programs, random_program,
-                                  store_atomicity_violations)
+from repro.litmus.checker import (Race, RaceReport, find_races,
+                                  random_program)
 from repro.litmus.explain import explain
 from repro.litmus.parser import (LitmusParseError, ParsedLitmus,
                                  parse_litmus, parse_litmus_file,
@@ -41,8 +40,8 @@ __all__ = ["Ld", "St", "Fence", "Rmw", "Cas", "Instruction", "Program",
            "SB_ONE_RMW", "SB_BOTH_RMW",
            "LB_CASE", "W22_CASE", "WRC_CASE", "RWC_CASE", "N5_CASE",
            "CORR_CASE",
-           "compare", "store_atomicity_violations", "random_program",
-           "find_violating_programs", "ComparisonReport", "LitmusCase",
+           "find_races", "Race", "RaceReport", "random_program",
+           "LitmusCase",
            "MP", "N6", "IRIW", "FIG5", "SB", "SB_FENCED",
            "MP_CASE", "N6_CASE", "IRIW_CASE", "FIG5_CASE", "SB_CASE",
            "SB_FENCED_CASE", "ALL_CASES", "PAPER_CASES"]

@@ -1,78 +1,167 @@
-"""ConsistencyChecker: compare a program's outcomes across memory models.
+"""ConsistencyChecker: which outcomes does x86 allow that 370 forbids?
 
 The paper's authors built a tool that "compares the outcome of a program
 under the 370 model and the x86 model" (Section I, footnote 1) to find
-non-store-atomic behaviours.  This module reproduces it on top of the
-operational executors: the behaviours allowed by x86 but not by 370 are
-exactly the observable store-atomicity violations.
+non-store-atomic behaviours.  :func:`find_races` answers that question
+with the axiomatic engine (:mod:`repro.models.axiomatic`): every outcome
+x86 allows and 370 forbids is reported with its 370 witness cycle, which
+always threads through an ``rfi`` (store-to-load forwarding) edge —
+exactly the store-atomicity violation the paper's SLF gate exists to
+police — and the program's communication shape (forwarding / WRC /
+IRIW).  The operational machines (:mod:`repro.litmus.operational`) are
+the independent reference the tests hold it to.
 
-Also provides a small random-program generator used for differential
-testing between the operational and axiomatic engines.
+Also provides :func:`random_program`, the seeded generator behind
+:func:`repro.models.conformance.random_corpus`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, FrozenSet, List, Sequence, Tuple
 
-from repro.litmus.operational import M370, SC, X86, enumerate_outcomes
 from repro.litmus.program import (Cas, Fence, Ld, Outcome, Program, Rmw, St,
                                   make_program)
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.models.axiomatic import CycleWitness
+
 
 @dataclass(frozen=True)
-class ComparisonReport:
-    """Outcome-set comparison between two memory models."""
+class Race:
+    """An outcome x86 admits that the store-atomic 370 model forbids."""
+
+    outcome: Outcome
+    witness: CycleWitness          # the 370 cycle
+    shape: str                     # "forwarding" | "wrc" | "iriw" | "other"
+
+
+@dataclass
+class RaceReport:
+    """One program's outcomes under 370 and x86, and its races."""
 
     program: Program
-    model_a: str
-    model_b: str
-    outcomes_a: FrozenSet[Outcome]
-    outcomes_b: FrozenSet[Outcome]
+    allowed_370: FrozenSet[Outcome] = frozenset()
+    allowed_x86: FrozenSet[Outcome] = frozenset()
+    races: List[Race] = field(default_factory=list)
+    program_shapes: FrozenSet[str] = frozenset()
 
     @property
-    def only_in_b(self) -> FrozenSet[Outcome]:
-        """Behaviours of ``model_b`` invisible under ``model_a`` — for
-        (370, x86) these are the store-atomicity violations."""
-        return self.outcomes_b - self.outcomes_a
-
-    @property
-    def only_in_a(self) -> FrozenSet[Outcome]:
-        return self.outcomes_a - self.outcomes_b
-
-    @property
-    def common(self) -> FrozenSet[Outcome]:
-        return self.outcomes_a & self.outcomes_b
-
-    @property
-    def equivalent(self) -> bool:
-        return self.outcomes_a == self.outcomes_b
+    def multi_copy_atomic(self) -> bool:
+        """True when 370 and x86 admit identical outcome sets — no
+        observable store-atomicity violation in this program."""
+        return not self.races
 
     def summary(self) -> str:
-        lines = [f"{self.program.name}: {self.model_a} vs {self.model_b}",
-                 f"  common outcomes:       {len(self.common)}",
-                 f"  only {self.model_a:>4}:           {len(self.only_in_a)}",
-                 f"  only {self.model_b:>4}:           {len(self.only_in_b)}"]
-        for outcome in sorted(self.only_in_b, key=str):
-            lines.append(f"    {self.model_b}-only: {outcome}")
+        """The ``repro compare`` report: outcome counts, then each
+        x86-only outcome with its shape and 370 cycle."""
+        from repro.models.axiomatic import render_cycle
+        only_370 = self.allowed_370 - self.allowed_x86
+        lines = [f"{self.program.name}: 370 vs x86",
+                 f"  common outcomes:       "
+                 f"{len(self.allowed_370 & self.allowed_x86)}",
+                 f"  only  370:           {len(only_370)}",
+                 f"  only  x86:           {len(self.races)}"]
+        for race in self.races:
+            lines.append(f"    x86-only: {race.outcome}")
+            lines.append(f"      {race.shape} race, 370 cycle:")
+            lines.extend(f"        {line}"
+                         for line in render_cycle(self.program, race.witness))
         return "\n".join(lines)
 
 
-def compare(program: Program, model_a: str = M370,
-            model_b: str = X86) -> ComparisonReport:
-    """Enumerate ``program`` under both models and diff the outcomes."""
-    return ComparisonReport(
-        program=program,
-        model_a=model_a,
-        model_b=model_b,
-        outcomes_a=enumerate_outcomes(program, model_a),
-        outcomes_b=enumerate_outcomes(program, model_b))
+def program_shapes(program: Program) -> FrozenSet[str]:
+    """Structural communication shapes that can expose non-MCA
+    behaviour: ``iriw`` (two writers, two readers disagreeing on the
+    write order) and ``wrc`` (write → read-then-write → reader chain)."""
+    shapes = set()
+    num_threads = len(program.threads)
+    accesses: List[List[Tuple[str, str]]] = []   # per thread: (kind, addr)
+    for thread in program.threads:
+        accesses.append([("st" if isinstance(op, St) else "ld", op.addr)
+                         for op in thread if isinstance(op, (Ld, St))])
+
+    def writes(tid: int) -> List[str]:
+        return [a for k, a in accesses[tid] if k == "st"]
+
+    def read_sequence(tid: int) -> List[str]:
+        return [a for k, a in accesses[tid] if k == "ld"]
+
+    # IRIW: writers w1 (addr a), w2 (addr b), readers r1 seeing a then
+    # b, r2 seeing b then a.
+    for w1 in range(num_threads):
+        for w2 in range(num_threads):
+            if w1 == w2:
+                continue
+            for a in set(writes(w1)):
+                for b in set(writes(w2)):
+                    if a == b:
+                        continue
+                    readers = [tid for tid in range(num_threads)
+                               if tid not in (w1, w2)]
+                    ab = [t for t in readers
+                          if _reads_in_order(read_sequence(t), a, b)]
+                    ba = [t for t in readers
+                          if _reads_in_order(read_sequence(t), b, a)]
+                    if any(x != y for x in ab for y in ba):
+                        shapes.add("iriw")
+    # WRC: w writes a; t reads a then writes b; r reads b then a.
+    for w in range(num_threads):
+        for a in set(writes(w)):
+            for t in range(num_threads):
+                if t == w:
+                    continue
+                seq = accesses[t]
+                for i, (k1, a1) in enumerate(seq):
+                    if k1 != "ld" or a1 != a:
+                        continue
+                    for k2, b in seq[i + 1:]:
+                        if k2 != "st" or b == a:
+                            continue
+                        for r in range(num_threads):
+                            if r in (w, t):
+                                continue
+                            if _reads_in_order(read_sequence(r), b, a):
+                                shapes.add("wrc")
+    return frozenset(shapes)
 
 
-def store_atomicity_violations(program: Program) -> FrozenSet[Outcome]:
-    """The outcomes x86 allows that the store-atomic 370 forbids."""
-    return compare(program, M370, X86).only_in_b
+def _reads_in_order(sequence: List[str], first: str, second: str) -> bool:
+    for i, addr in enumerate(sequence):
+        if addr == first:
+            return second in sequence[i + 1:]
+    return False
+
+
+def find_races(program: Program) -> RaceReport:
+    """Outcomes x86 allows but 370 forbids, each with the 370 cycle.
+
+    The cycle of every such outcome threads through at least one
+    ``rfi`` edge — the forwarded store observed early — because rfi
+    membership in ghb is the only difference between the two models.
+    """
+    # Imported here: repro.models imports repro.litmus.program, which
+    # loads this package (the same guard as MemoryModel.enumerate's).
+    from repro.models.axiomatic import classify
+    x86 = classify(program, "x86")
+    m370 = classify(program, "370")
+    shapes = program_shapes(program)
+    report = RaceReport(program=program, allowed_370=m370.allowed,
+                        allowed_x86=x86.allowed, program_shapes=shapes)
+    for outcome in sorted(x86.allowed - m370.allowed, key=str):
+        witness = m370.witnesses[outcome]
+        if witness.has_kind("rfi"):
+            shape = "forwarding"
+        elif "iriw" in shapes:
+            shape = "iriw"
+        elif "wrc" in shapes:
+            shape = "wrc"
+        else:
+            shape = "other"
+        report.races.append(
+            Race(outcome=outcome, witness=witness, shape=shape))
+    return report
 
 
 def random_program(rng: random.Random, name: str = "random",
@@ -132,19 +221,3 @@ def random_program(rng: random.Random, name: str = "random",
                 ops.append(Fence())
         thread_lists.append(ops)
     return make_program(name, thread_lists)
-
-
-def find_violating_programs(seed: int = 0, trials: int = 100,
-                            threads: int = 2, max_ops: int = 3
-                            ) -> List[ComparisonReport]:
-    """Random search for programs whose x86 outcomes exceed 370's —
-    the ConsistencyChecker's discovery mode."""
-    rng = random.Random(seed)
-    found: List[ComparisonReport] = []
-    for trial in range(trials):
-        program = random_program(rng, name=f"random-{trial}",
-                                 threads=threads, max_ops=max_ops)
-        report = compare(program)
-        if report.only_in_b:
-            found.append(report)
-    return found

@@ -8,8 +8,8 @@ machine factory, and a declared conformance-lattice position
 the two formalizations against each other and the lattice over any
 corpus of litmus programs.
 
-``lint``, ``synth``, ``repro explain`` and the serve job kinds
-all resolve models by name from here.
+``zoo``, ``compare``, ``synth``, ``repro explain`` and the serve job
+kinds all resolve models by name from here.
 """
 
 from repro.models.base import (AxiomaticDef, Event, MemoryModel, PoPair,

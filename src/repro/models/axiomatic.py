@@ -26,15 +26,16 @@ acyclicity, is that of the transitive relations.
 There are two judges over one candidate enumeration:
 
 * :func:`outcome_profile`, the one-pass, all-models judge that
-  ``synth``, ``repro zoo``, ``lint --litmus`` and the conformance check
-  run, gives every event a bit and decides each candidate on integer
-  successor masks (:func:`acyclic`): no edge objects, no witness;
+  ``synth``, ``repro zoo`` and the conformance check run, gives every
+  event a bit and decides each candidate on integer successor masks
+  (:func:`acyclic`): no edge objects, no witness;
 * :func:`classify` and :meth:`Candidate.judge` build labelled
   :class:`Edge` sets and test them with a **Kahn indegree peel**
   (:func:`find_cycle`) that extracts a concrete witness cycle from the
   unpeeled residue.  Every forbidden outcome carries that cycle
-  (:class:`CycleWitness`), which ``repro explain`` renders and the lint
-  race report classifies.  This path is also the independent reference
+  (:class:`CycleWitness`), which ``repro explain`` renders and
+  :func:`repro.litmus.checker.find_races` reports for each outcome x86
+  allows and 370 forbids.  This path is also the independent reference
   the mask judge is tested against.
 
 :mod:`repro.models.conformance` checks this engine against the

@@ -18,9 +18,9 @@ given:
    operational set is a subset of the weak model's, which covers the
    operational-only PC as well.
 
-``repro zoo``, ``repro lint --litmus``, ``repro synth`` (its check and
-the ``--promote`` refusal) and the test suite all call :func:`check`,
-fed by :func:`battery_corpus` and :func:`random_corpus`.
+``repro zoo``, ``repro synth`` (its check and the ``--promote``
+refusal) and the test suite all call :func:`check`, fed by
+:func:`battery_corpus` and :func:`random_corpus`.
 
 Its sibling :func:`check_pipelines` holds the *implementations* to the
 same machines: each program runs many times on the five pipelines, with

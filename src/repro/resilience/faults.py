@@ -50,6 +50,19 @@ class FaultSpec:
     sb_delay: int = 0            # max extra cycles on an owned SB commit
     sb_delay_prob: float = 0.0   # fraction of commits delayed
 
+    def __post_init__(self) -> None:
+        # 0 turns a mechanism off; a negative count or a probability
+        # outside [0, 1] (NaN too) cannot mean what it asks.
+        for name in ("noc_jitter", "evict_period", "squash_period",
+                     "sb_delay"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        for name in ("noc_jitter_prob", "sb_delay_prob"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
     @property
     def enabled(self) -> bool:
         return bool((self.noc_jitter and self.noc_jitter_prob > 0)

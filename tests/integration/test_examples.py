@@ -30,7 +30,7 @@ def test_litmus_gallery():
 
 
 def test_consistency_checker():
-    out = _run("consistency_checker.py", "250").stdout
+    out = _run("consistency_checker.py").stdout
     assert "x86 exhibits non-store-atomic behaviour here" in out
     assert "store atomicity cannot be observed violated" in out
     assert "found" in out

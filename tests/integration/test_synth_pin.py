@@ -13,7 +13,7 @@ faster must leave what it decides exactly as it was:
   axiomatic model, :func:`classify` with the rendered witness cycle of
   each forbidden outcome, and the verdict of each candidate execution
   in enumeration order.  That holds the candidate order and the cycle
-  choice that ``repro explain`` and the lint race report print.
+  choice that ``repro explain`` and ``repro compare`` print.
 
 Each pin is the first 16 hex characters of SHA-256 over the canonical
 JSON (:func:`repro.sweep.cache.content_key`) of the document the

@@ -1,35 +1,63 @@
-"""Tests for the ConsistencyChecker (paper footnote 1)."""
+"""Tests for the ConsistencyChecker (paper footnote 1): ``find_races``,
+held to the operational machines, and ``repro synth``'s discovery of
+the programs it flags."""
 
 import random
 
-from repro.litmus.checker import (compare, find_violating_programs,
-                                  random_program,
-                                  store_atomicity_violations)
+import pytest
+
+from repro.litmus.checker import find_races, random_program
+from repro.litmus.operational import enumerate_outcomes
+from repro.litmus.program import Ld, St, canonical_key
 from repro.litmus.tests import FIG5, MP, N6
+from repro.models.conformance import battery_corpus
+from repro.synth import SynthBounds, search
 
 
 def test_n6_reports_one_x86_only_behaviour():
-    report = compare(N6)
-    assert report.model_a == "370" and report.model_b == "x86"
-    assert len(report.only_in_b) == 1
-    assert report.only_in_a == frozenset()
-    assert not report.equivalent
+    report = find_races(N6)
+    assert len(report.races) == 1
+    assert report.allowed_370 - report.allowed_x86 == frozenset()
+    assert not report.multi_copy_atomic
 
 
 def test_mp_is_equivalent_across_models():
-    report = compare(MP)
-    assert report.equivalent
+    report = find_races(MP)
+    assert report.multi_copy_atomic
+    assert report.allowed_370 == report.allowed_x86
 
 
 def test_store_atomicity_violations_helper():
-    assert len(store_atomicity_violations(FIG5)) == 1
-    assert store_atomicity_violations(MP) == frozenset()
+    """``find_races`` is the one helper: fig5 has exactly one
+    store-atomicity violation, mp none."""
+    assert len(find_races(FIG5).races) == 1
+    assert find_races(MP).races == []
 
 
 def test_summary_mentions_counts():
-    text = compare(N6).summary()
+    text = find_races(N6).summary()
     assert "n6" in text
+    assert "only  x86:           1" in text
     assert "x86-only" in text
+    assert "forwarding race, 370 cycle:" in text
+    assert "T1:st x,2  --co-->  T0:st x,1" in text
+
+
+@pytest.mark.parametrize("program",
+                         [case.program for case in battery_corpus()],
+                         ids=[case.program.name for case in battery_corpus()])
+def test_races_equal_the_operational_difference(program):
+    """The operational machines are the reference: the race outcomes
+    are exactly what x86's machine reaches and 370's does not, the
+    outcome sets are the machines', and every race's 370 cycle runs
+    through a forwarding (rfi) edge."""
+    report = find_races(program)
+    x86 = enumerate_outcomes(program, "x86")
+    m370 = enumerate_outcomes(program, "370")
+    assert {race.outcome for race in report.races} == x86 - m370
+    assert (report.allowed_370, report.allowed_x86) == (m370, x86)
+    for race in report.races:
+        assert race.witness.has_kind("rfi"), race.witness.kinds
 
 
 def test_random_program_is_wellformed():
@@ -43,22 +71,19 @@ def test_random_program_is_wellformed():
 
 
 def test_discovery_mode_finds_known_violations():
-    """Random search over tiny programs must surface at least one
-    program whose x86 behaviours exceed 370's (the paper found such
+    """Exhaustive discovery over every program of two threads, up to
+    three events each, over two addresses finds exactly the paper's
+    two store-atomicity violations, n6 and fig5 (the paper found such
     programs with its checker tool)."""
-    reports = find_violating_programs(seed=1, trials=200, threads=2,
-                                      max_ops=4)
-    assert reports, "expected at least one non-store-atomic program"
-    for report in reports:
-        assert report.only_in_b
-        # The program must contain a potential forwarding source: some
-        # thread stores to an address it also loads (without forwarding
-        # the two models are indistinguishable).
-        forwarding_possible = False
-        for thread in report.program.threads:
-            st_addrs = {op.addr for op in thread if hasattr(op, "value")}
-            ld_addrs = {op.addr for op in thread if hasattr(op, "reg")}
-            if st_addrs & ld_addrs:
-                forwarding_possible = True
-        assert forwarding_possible, (
-            f"{report.program.name}: x86-only outcome without forwarding?")
+    result = search(SynthBounds(threads=2, max_ops=3, addresses=2),
+                    pairs=[("370", "x86")])
+    assert {key for _, key in result.distinguishers} == \
+        {canonical_key(N6), canonical_key(FIG5)}
+    for dist in result.distinguishers.values():
+        assert find_races(dist.program).races
+        # Some thread stores to an address it also loads: without
+        # forwarding the two models are indistinguishable.
+        assert any(
+            {op.addr for op in thread if isinstance(op, St)}
+            & {op.addr for op in thread if isinstance(op, Ld)}
+            for thread in dist.program.threads), dist.program

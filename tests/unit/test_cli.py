@@ -67,6 +67,7 @@ def test_compare(capsys):
     assert main(["compare", "n6"]) == 0
     out = capsys.readouterr().out
     assert "x86-only" in out
+    assert "forwarding race, 370 cycle:" in out
 
 
 def test_sample(capsys):
@@ -172,7 +173,6 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache", "-j", "0"],
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache", "-j", "-3"],
     ["zoo", "--random", "-1"],
-    ["lint", "src/repro/lint", "--litmus", "--random", "-5"],
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
      "--timeout", "-1"],
     ["sweep", "fft", "-c", "2", "-l", "100", "--no-cache",
@@ -202,9 +202,17 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
     ["trace", "fft", "-c", "2", "-l", "100", "--top", "0"],
     ["serve", "--port", "70000"],
     ["serve", "--port", "-1"],
+    ["chaos", "--trials", "1", "--evict-period", "-5"],
+    ["chaos", "--trials", "1", "--squash-period", "-1"],
+    ["chaos", "--trials", "1", "--noc-jitter-prob", "-0.5"],
+    ["chaos", "--trials", "1", "--noc-jitter-prob", "1.5"],
+    ["chaos", "--trials", "1", "--noc-jitter-prob", "nan"],
+    ["chaos", "--trials", "1", "--sb-delay-prob", "7"],
+    ["chaos", "--trials", "1", "--noc-jitter", "-1"],
+    ["chaos", "--trials", "1", "--sb-delay", "-1"],
 ], ids=["chaos-trials-0", "chaos-trials-neg", "trace-sample-interval-0",
         "sweep-jobs-0", "sweep-jobs-neg", "zoo-random-neg",
-        "lint-random-neg", "sweep-timeout-neg", "sweep-timeout-0",
+        "sweep-timeout-neg", "sweep-timeout-0",
         "sweep-timeout-nan", "sweep-retries-neg",
         "sample-runs-neg", "sample-runs-0",
         "serve-timeout-neg", "serve-timeout-0", "serve-retries-neg",
@@ -213,7 +221,11 @@ def test_bad_cell_is_a_usage_error(argv, capsys):
         "synth-limit-neg", "synth-chunks-0", "synth-chunks-neg",
         "cache-max-bytes-neg", "sample-top-neg", "sample-top-0",
         "trace-top-neg", "trace-top-0", "serve-port-over",
-        "serve-port-neg"])
+        "serve-port-neg", "chaos-evict-period-neg",
+        "chaos-squash-period-neg", "chaos-noc-jitter-prob-neg",
+        "chaos-noc-jitter-prob-over", "chaos-noc-jitter-prob-nan",
+        "chaos-sb-delay-prob-over", "chaos-noc-jitter-neg",
+        "chaos-sb-delay-neg"])
 def test_bad_count_is_a_usage_error(argv, capsys):
     """A count or budget that cannot mean what it asks for (no chaos
     trials, no workers, a zero sampling period, a negative number of
@@ -222,7 +234,8 @@ def test_bad_count_is_a_usage_error(argv, capsys):
     no sampling runs, no serve shards or queue room, a negative store
     or cache bound, a negative synth witness limit, no synth chunks, no
     sampled outcomes or gate intervals to list, a TCP port outside
-    0-65535)
+    0-65535, a negative chaos fault period or magnitude, a chaos fault
+    probability outside [0, 1])
     exits 2 with a one-line usage error, before anything runs,
     instead of a vacuous pass, a silent fallback, a failure of every
     cell, a service that starts only to fail every job, or a

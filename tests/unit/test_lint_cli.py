@@ -8,7 +8,6 @@ import textwrap
 import pytest
 
 from repro.cli import main
-from repro.models.conformance import battery_corpus
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "fixtures", "lint", "repro")
@@ -76,29 +75,6 @@ def test_lint_strict_rejects_critical_suppressions(tmp_path, capsys):
     assert main(["lint", str(tmp_path), "--strict"]) == 1
     out = capsys.readouterr().out
     assert "strict" in out
-
-
-def test_lint_litmus_cross_check(capsys):
-    clean = os.path.join(FIXTURES, "sim", "hot_slots_ok.py")
-    assert main(["lint", clean, "--litmus", "--random", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "0 mismatches" in out
-    assert "store-atomicity races in the battery" in out
-    assert "n6: forwarding race" in out
-
-
-def test_lint_litmus_json(tmp_path, capsys):
-    clean = os.path.join(FIXTURES, "sim", "hot_slots_ok.py")
-    out_path = tmp_path / "litmus.json"
-    assert main(["lint", clean, "--litmus",
-                 "--litmus-json", str(out_path)]) == 0
-    payload = json.loads(out_path.read_text())
-    assert payload["ok"] is True
-    assert payload["mismatches"] == []
-    assert payload["programs_checked"] == len(battery_corpus())
-    assert any(r["program"] == "n6" and r["shape"] == "forwarding"
-               for r in payload["races"])
-    assert all("rfi" in "".join(r["cycle"]) for r in payload["races"])
 
 
 def _git(cwd, *argv):

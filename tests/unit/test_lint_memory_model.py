@@ -1,8 +1,8 @@
 """The axiomatic relation engine against the operational machines,
-plus the lint race classifier and the explain() chain rendering."""
+plus the race classifier and the explain() chain rendering."""
 
-from repro.lint.races import find_races, program_shapes
 from repro.litmus import FIG5, IRIW, MP, N6, SB, M370, SC, X86
+from repro.litmus.checker import find_races, program_shapes
 from repro.litmus.battery import EXTRA_CASES
 from repro.litmus.explain import explain, explain_chain
 from repro.litmus.program import Ld, St, make_program

@@ -135,13 +135,40 @@ class TestZooCli:
         edges = {tuple(edge) for edge in lattice["edges"]}
         assert len(edges) == 10
         assert ("SC", "WMM") in edges and ("x86", "PC") in edges
-        randoms = report["random"]
-        assert randoms["programs"] == 5 and len(randoms["reports"]) == 5
-        assert all(doc["agree"] for doc in randoms["reports"])
+        for block in ("random", "random_fences"):
+            randoms = report[block]
+            assert randoms["programs"] == 5 and \
+                len(randoms["reports"]) == 5
+            assert all(doc["agree"] for doc in randoms["reports"])
         assert [m["name"] for m in report["models"]] == \
             ["SC", "370", "x86", "PC", "WMM"]
         out = capsys.readouterr().out
         assert "27 programs" in out and "0 disagreements" in out
+
+    def test_zoo_json_races(self, tmp_path):
+        path = tmp_path / "zoo.json"
+        assert main(["zoo", "--json", str(path)]) == 0
+        report = json.loads(path.read_text())
+        lattice = report["lattice"]
+        assert lattice["ok"] is True
+        assert lattice["mismatches"] == []
+        assert lattice["programs_checked"] == len(battery_corpus())
+        races = report["races"]
+        assert all(set(r) == {"program", "shape", "outcome", "cycle"}
+                   for r in races)
+        assert any(r["program"] == "n6" and r["shape"] == "forwarding"
+                   for r in races)
+        assert all("rfi" in "".join(r["cycle"]) for r in races)
+
+    def test_zoo_prints_the_battery_races(self, capsys):
+        assert main(["zoo", "--random", "20"]) == 0
+        out = capsys.readouterr().out
+        assert "20 random programs (seed 0, rmw/acq-rel vocabulary) — " \
+            "0 disagreements" in out
+        assert "20 random programs (seed 0, fence vocabulary) — " \
+            "0 disagreements" in out
+        assert "store-atomicity races in the battery: 5" in out
+        assert "n6: forwarding race" in out
 
 
 class TestWmmWitnesses:

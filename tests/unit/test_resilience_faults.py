@@ -84,6 +84,19 @@ def test_spec_enabled_property():
     assert not FaultSpec(noc_jitter=8).enabled
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noc_jitter", -1), ("evict_period", -5), ("squash_period", -1),
+    ("sb_delay", -1), ("noc_jitter_prob", -0.5), ("noc_jitter_prob", 1.5),
+    ("noc_jitter_prob", float("nan")), ("sb_delay_prob", 7.0)])
+def test_spec_refuses_what_cannot_mean_what_it_asks(field, value):
+    """A negative count switches a mechanism off silently (or fails
+    every run), and a probability outside [0, 1] acts as 0 or 1: both
+    are refused, naming the field.  0 turns a mechanism off."""
+    with pytest.raises(ValueError, match=field):
+        FaultSpec(**{field: value})
+    FaultSpec(**{field: 0})
+
+
 def test_plan_to_dict_is_json_safe():
     import json
     plan = FaultPlan(AGGRESSIVE, seed=9)
